@@ -13,19 +13,31 @@
 //     counter recording; the rendered Chrome trace (virtual timestamps
 //     only) is compared against tests/goldens/echo_trace.golden.json byte
 //     for byte, and must also be identical across two runs in-process.
+//   * AdaptiveRouting — raw adaptive fabrics (1024-station cube, 1024-
+//     station fat tree with 256-port spines, and the cube again under a
+//     link_flap fault plan); per-receiver sorted latency lists are digested
+//     into tests/goldens/adaptive_latency.golden.txt.  Adaptive decisions
+//     read live link occupancy, so this pins the switch arbiter's exact
+//     visiting order, not just what it delivers.
 //
 // Regenerating (only legitimate after an intentional semantic change):
 //   HPCVORX_WRITE_GOLDENS=1 ./build/tests/integration_tests
 //       --gtest_filter='DeterminismGolden.*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "hw/fabric.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tools/trace_export.hpp"
@@ -255,6 +267,140 @@ TEST(DeterminismGolden, McastWheelTrace) {
   EXPECT_NE(got.find("\"name\":\"engine\""), std::string::npos);
   EXPECT_NE(got.find("wheel_l1_inserts"), std::string::npos);
   check_against_golden("mcast_trace.golden.json", got);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 4: adaptive routing in virtual time.
+//
+// Adaptive heads commit to the least-queued ready egress port and are
+// ripped up when their port blocks, so every latency below depends on the
+// exact order in which the switches visit their inputs.  Traffic is the
+// bench_net_scaling pattern (half bit-reversal partner, half uniform), 12
+// frames per station.  The fault run applies a seeded link_flap plan to
+// the cube mid-traffic (fault-time reroute tables, -1 routes, arbiter
+// kicks).  Each line: delivered / dropped counts, the final virtual time,
+// and the FNV-1a digest of every receiver's sorted latency list.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string run_adaptive_fabric(const std::string& label,
+                                hw::TopologyKind topo, bool link_flap) {
+  constexpr int kStations = 1024;
+  constexpr int kFrames = 12;
+  sim::Simulator sim;
+  hw::FabricParams params;
+  params.topo = topo;
+  params.routing = hw::RoutingMode::kAdaptive;
+  auto fab = topo == hw::TopologyKind::kFatTree
+                 ? hw::Fabric::fat_tree(sim, kStations, 4, params)
+                 : hw::Fabric::hypercube(sim, kStations, 4, params);
+
+  std::vector<std::vector<sim::Duration>> latency(kStations);
+  std::uint64_t delivered = 0;
+  for (int s = 0; s < kStations; ++s) {
+    hw::Fabric* f = fab.get();
+    f->endpoint(s).set_rx_cb([f, s, &sim, &latency, &delivered] {
+      while (auto fr = f->endpoint(s).rx_take()) {
+        ++delivered;
+        latency[static_cast<std::size_t>(s)].push_back(sim.now() -
+                                                       fr->injected_at);
+      }
+    });
+  }
+
+  struct Inject {
+    sim::SimTime at;
+    int dst;
+  };
+  auto schedules =
+      std::make_shared<std::vector<std::vector<Inject>>>(kStations);
+  sim::Rng rng(0xada97);
+  for (int s = 0; s < kStations; ++s) {
+    sim::SimTime t = 0;
+    for (int i = 0; i < kFrames; ++i) {
+      t += sim::usec(1 + rng.below(20));
+      int dst = 0;
+      if (i % 2 == 0) {
+        for (int b = 0; b < 10; ++b) dst |= ((s >> b) & 1) << (9 - b);
+        if (dst == s) dst = (s + kStations / 2) % kStations;
+      } else {
+        dst = static_cast<int>(rng.below(kStations - 1));
+        if (dst >= s) ++dst;
+      }
+      (*schedules)[static_cast<std::size_t>(s)].push_back({t, dst});
+    }
+  }
+  for (int s = 0; s < kStations; ++s) {
+    hw::Fabric* f = fab.get();
+    auto idx = std::make_shared<std::size_t>(0);
+    auto pump = std::make_shared<std::function<void()>>();
+    *pump = [f, s, idx, schedules, self = pump.get(), &sim] {
+      const auto& sched = (*schedules)[static_cast<std::size_t>(s)];
+      hw::Endpoint& ep = f->endpoint(s);
+      while (*idx < sched.size() && ep.tx_ready()) {
+        if (sim.now() < sched[*idx].at) {
+          sim.schedule_at(sched[*idx].at, [self] { (*self)(); });
+          return;
+        }
+        hw::Frame fr;
+        fr.dst = sched[*idx].dst;
+        fr.payload_bytes = 256;
+        ep.transmit(std::move(fr));
+        ++*idx;
+      }
+    };
+    fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
+    sim.schedule_at((*schedules)[static_cast<std::size_t>(s)][0].at,
+                    [pump] { (*pump)(); });
+  }
+
+  if (link_flap) {
+    sim::MachineShape shape;
+    shape.clusters = fab->num_clusters();
+    shape.cube_edges = fab->cube_edge_pairs();
+    const auto plan =
+        sim::FaultPlan::named("link_flap", shape, 7, sim::usec(150));
+    EXPECT_FALSE(plan.empty());
+    for (const sim::FaultEvent& ev : plan.events()) {
+      hw::Fabric* f = fab.get();
+      sim.post_at(ev.at, [f, ev] {
+        f->apply_cube_fault(0, ev.a, ev.b, ev.kind == sim::FaultKind::kLinkUp);
+      });
+    }
+  }
+  sim.run();
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int s = 0; s < kStations; ++s) {
+    auto& l = latency[static_cast<std::size_t>(s)];
+    std::sort(l.begin(), l.end());
+    std::string row = std::to_string(s) + ':';
+    for (const sim::Duration d : l) row += std::to_string(d) + ',';
+    h = fnv1a(h, row);
+  }
+  std::ostringstream out;
+  out << label << " delivered=" << delivered
+      << " dropped=" << fab->frames_dropped() << " end=" << sim.now()
+      << " fnv=" << std::hex << h << "\n";
+  return out.str();
+}
+
+TEST(DeterminismGolden, AdaptiveRouting) {
+  const std::string got =
+      run_adaptive_fabric("cube.adaptive.n1024", hw::TopologyKind::kHypercube,
+                          false) +
+      run_adaptive_fabric("fattree.adaptive.n1024",
+                          hw::TopologyKind::kFatTree, false) +
+      run_adaptive_fabric("cube.adaptive.n1024.link_flap",
+                          hw::TopologyKind::kHypercube, true);
+  check_against_golden("adaptive_latency.golden.txt", got);
 }
 
 }  // namespace
