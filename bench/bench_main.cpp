@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,7 +161,14 @@ int main(int argc, char** argv) {
     }
     hpcvorx::bench::heading(b.title, b.paper_ref);
     hpcvorx::bench::Reporter r(b.name, quick, trace_dir);
-    b.fn(r);
+    try {
+      b.fn(r);
+    } catch (const std::invalid_argument& e) {
+      // A machine the fabric rejects: a configuration error, reported
+      // with the fabric's actionable message instead of a terminate.
+      std::fprintf(stderr, "error: %s: %s\n", b.name.c_str(), e.what());
+      return 2;
+    }
     rows.insert(rows.end(), r.rows().begin(), r.rows().end());
     std::printf("\n");
   }

@@ -12,12 +12,14 @@
 // byte-identical, at any --shards value (the CI fault-matrix job diffs
 // exactly this output; see DESIGN.md §14).
 //
-// Exits non-zero if any session is lost-but-unreported (the accounting
-// invariant completed + failed == total must hold with lost == 0).
+// Exits 1 if any session is lost-but-unreported (the accounting invariant
+// completed + failed == total must hold with lost == 0), and 2 on a usage
+// error, including a machine the fabric cannot build.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "sim/fault_plan.hpp"
@@ -105,15 +107,23 @@ int main(int argc, char** argv) {
 
   // Machines are built the same way on either engine; only the driver
   // differs.  --shards 1 is byte-identical to the sequential run (R6).
+  // A machine the fabric cannot build (too many nodes for the cluster
+  // port budget, more shards than clusters) is a usage error: print the
+  // fabric's actionable message rather than terminate on the exception.
   std::unique_ptr<sim::Simulator> seq_sim;
   std::unique_ptr<sim::ShardRuntime> rt;
   std::unique_ptr<vorx::System> sys;
-  if (shards == 0) {
-    seq_sim = std::make_unique<sim::Simulator>();
-    sys = std::make_unique<vorx::System>(*seq_sim, scfg);
-  } else {
-    rt = std::make_unique<sim::ShardRuntime>(shards);
-    sys = std::make_unique<vorx::System>(*rt, scfg);
+  try {
+    if (shards == 0) {
+      seq_sim = std::make_unique<sim::Simulator>();
+      sys = std::make_unique<vorx::System>(*seq_sim, scfg);
+    } else {
+      rt = std::make_unique<sim::ShardRuntime>(shards);
+      sys = std::make_unique<vorx::System>(*rt, scfg);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "storm: %s\n", e.what());
+    return 2;
   }
 
   vorx::WorkloadGen gen(*sys, wcfg, seed);

@@ -81,23 +81,26 @@ void Fabric::add_trunk_link(int from, int to, int port_out, int port_in,
       "c" + std::to_string(from) + ">c" + std::to_string(to);
   const int lo = std::min(from, to);
   const int hi = std::max(from, to);
-  // The two directions of a cable register back to back, so the common
-  // case finds its registry entry at the tail — construction stays O(E).
-  CubePair* entry = nullptr;
-  if (!cube_pairs_.empty() && cube_pairs_.back().a == lo &&
-      cube_pairs_.back().b == hi) {
-    entry = &cube_pairs_.back();
-  } else if (const int idx = cube_pair_index(lo, hi); idx >= 0) {
-    entry = &cube_pairs_[static_cast<std::size_t>(idx)];
+  const int port_lo = from == lo ? port_out : port_in;
+  if (cable_at_.empty()) {
+    cable_at_.assign(static_cast<std::size_t>(num_clusters()) *
+                         static_cast<std::size_t>(params_.ports_per_cluster),
+                     -1);
   }
-  if (entry == nullptr) {
+  int& idx = cable_at_[static_cast<std::size_t>(lo) *
+                           static_cast<std::size_t>(params_.ports_per_cluster) +
+                       static_cast<std::size_t>(port_lo)];
+  if (idx < 0) {
+    idx = static_cast<int>(cube_pairs_.size());
     cube_pairs_.push_back(CubePair{});
-    entry = &cube_pairs_.back();
-    entry->a = lo;
-    entry->b = hi;
-    entry->port_a = from == lo ? port_out : port_in;
-    entry->port_b = from == lo ? port_in : port_out;
+    CubePair& e = cube_pairs_.back();
+    e.a = lo;
+    e.b = hi;
+    e.port_a = port_lo;
+    e.port_b = from == lo ? port_in : port_out;
   }
+  CubePair* entry = &cube_pairs_[static_cast<std::size_t>(idx)];
+  assert(entry->a == lo && entry->b == hi);
   if (shard_of_cluster(from) == shard_of_cluster(to)) {
     Link* l = new_link(cluster_sim(from), name, p);
     clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, l);
@@ -138,12 +141,12 @@ void Fabric::program_routes() {
   fault_next_port_.resize(static_cast<std::size_t>(num_fault_domains()));
 }
 
-int Fabric::route_port(int cluster, const Frame& f) {
+Cluster::Route Fabric::route_port(int cluster, const Frame& f) {
   assert(f.dst >= 0 && f.dst < num_stations() &&
          "frame addressed to a station this fabric never built");
   const int dc = station_cluster_[static_cast<std::size_t>(f.dst)];
   if (dc == cluster) {
-    return station_local_port_[static_cast<std::size_t>(f.dst)];
+    return {station_local_port_[static_cast<std::size_t>(f.dst)]};
   }
   // A shard with live fault history routes from its BFS table (including
   // after full recovery, when the table has converged back to the
@@ -152,13 +155,13 @@ int Fabric::route_port(int cluster, const Frame& f) {
   const auto shard = static_cast<std::size_t>(shard_of_cluster(cluster));
   const std::vector<std::int16_t>& ft = fault_next_port_[shard];
   if (!ft.empty()) {
-    return ft[static_cast<std::size_t>(cluster) *
-                  static_cast<std::size_t>(num_clusters()) +
-              static_cast<std::size_t>(dc)];
+    return {ft[static_cast<std::size_t>(cluster) *
+                   static_cast<std::size_t>(num_clusters()) +
+               static_cast<std::size_t>(dc)]};
   }
   return params_.routing == RoutingMode::kAdaptive
              ? adaptive_next_port(cluster, dc)
-             : inter_next_port(cluster, dc);
+             : Cluster::Route{inter_next_port(cluster, dc)};
 }
 
 int Fabric::inter_next_port(int from, int to) const {
@@ -196,7 +199,7 @@ int Fabric::inter_next_cluster(int from, int to) const {
   return -1;
 }
 
-int Fabric::adaptive_next_port(int from, int to) const {
+Cluster::Route Fabric::adaptive_next_port(int from, int to) const {
   // The nextpnr rip-up idiom reduced to a switch: every *allowed minimal*
   // egress candidate is scored by its congestion (queue depth), and ties
   // break deterministically — the escape port first, then the lowest port
@@ -207,17 +210,15 @@ int Fabric::adaptive_next_port(int from, int to) const {
   // of the candidate set, not the scoring — see each topology below and
   // DESIGN.md §15.
   const Cluster& cl = *clusters_[static_cast<std::size_t>(from)];
-  int escape = -1;
-  int best = -1;
+  Cluster::Route r;
   std::size_t best_depth = 0;
   auto consider = [&](int port) {
-    const Link* out = cl.out_link(port);
-    assert(out != nullptr);
-    if (!out->ready()) return;
-    const std::size_t depth = out->queue_depth();
-    if (best < 0 || depth < best_depth ||
-        (depth == best_depth && port == escape && best != escape)) {
-      best = port;
+    r.candidates |= port < 64 ? std::uint64_t{1} << port : Cluster::kAnyPort;
+    if (!cl.port_ready(port)) return;
+    const std::size_t depth = cl.out_link(port)->queue_depth();
+    if (r.port < 0 || depth < best_depth ||
+        (depth == best_depth && port == r.escape && r.port != r.escape)) {
+      r.port = port;
       best_depth = depth;
     }
   };
@@ -240,24 +241,25 @@ int Fabric::adaptive_next_port(int from, int to) const {
       const int dims = dimension_of(static_cast<CubeLabel>(num_clusters()));
       for (int d = 0; d < dims; ++d) {
         if (((phase >> d) & 1u) == 0) continue;
-        if (escape < 0) escape = d;  // lowest allowed dimension
+        if (r.escape < 0) r.escape = d;  // lowest allowed dimension
         consider(d);
       }
       break;
     }
     case TopologyKind::kFatTree:
-      escape = inter_next_port(from, to);
-      if (!fat_.is_leaf(from)) return escape;  // spine: single down port
+      r.escape = inter_next_port(from, to);
+      if (!fat_.is_leaf(from)) return {r.escape};  // spine: one down port
       // Any spine reaches any leaf in one more hop: all uplinks are
       // minimal candidates, and up/down routing is acyclic whichever
       // uplink is picked (no packet goes up after coming down).
       for (int sp = 0; sp < fat_.spines; ++sp) consider(sp);
       break;
     case TopologyKind::kSingleCluster:
-      return inter_next_port(from, to);
+      return {inter_next_port(from, to)};
   }
-  assert(escape >= 0);
-  return best >= 0 ? best : escape;
+  assert(r.escape >= 0);
+  if (r.port < 0) r.port = r.escape;
+  return r;
 }
 
 std::size_t Fabric::routing_state_bytes() const {
@@ -281,12 +283,26 @@ std::vector<std::pair<int, int>> Fabric::cube_edge_pairs() const {
 int Fabric::cube_pair_index(int a, int b) const {
   const int lo = std::min(a, b);
   const int hi = std::max(a, b);
-  for (std::size_t i = 0; i < cube_pairs_.size(); ++i) {
-    if (cube_pairs_[i].a == lo && cube_pairs_[i].b == hi) {
-      return static_cast<int>(i);
-    }
+  if (lo < 0 || hi >= num_clusters() || cable_at_.empty()) return -1;
+  // The egress port at the lower end follows from the pair: the cube
+  // dimension the labels differ in, or the spine index at a leaf.
+  int port = -1;
+  if (topo_ == TopologyKind::kHypercube) {
+    const auto diff = static_cast<CubeLabel>(lo ^ hi);
+    if (diff == 0 || (diff & (diff - 1)) != 0) return -1;  // not adjacent
+    port = bit_index(diff);
+  } else if (topo_ == TopologyKind::kFatTree) {
+    if (!fat_.is_leaf(lo) || fat_.is_leaf(hi)) return -1;
+    port = hi - fat_.leaves;
   }
-  return -1;
+  if (port < 0 || port >= params_.ports_per_cluster) return -1;
+  const int idx =
+      cable_at_[static_cast<std::size_t>(lo) *
+                    static_cast<std::size_t>(params_.ports_per_cluster) +
+                static_cast<std::size_t>(port)];
+  assert(idx < 0 || (cube_pairs_[static_cast<std::size_t>(idx)].a == lo &&
+                     cube_pairs_[static_cast<std::size_t>(idx)].b == hi));
+  return idx;
 }
 
 std::vector<char>& Fabric::edge_mirror(int shard) {
@@ -398,6 +414,13 @@ void Fabric::recompute_shard_routes(int shard) {
           static_cast<std::int16_t>(best);
     }
   }
+  // The new table is live for every cluster of the shard at once, but
+  // each is rerouted in turn, and a reroute can cascade into a cluster
+  // whose turn has not come: warn them all first (Cluster::routes_changing).
+  for (int c = 0; c < n; ++c) {
+    if (shard_of_cluster(c) != shard) continue;
+    clusters_[static_cast<std::size_t>(c)]->routes_changing();
+  }
   for (int c = 0; c < n; ++c) {
     if (shard_of_cluster(c) != shard) continue;
     clusters_[static_cast<std::size_t>(c)]->on_routes_changed();
@@ -488,8 +511,13 @@ std::unique_ptr<Fabric> Fabric::hypercube_impl(sim::Simulator& sim0,
   f->topo_ = TopologyKind::kHypercube;
   if (rt != nullptr) {
     const int n_shards = rt->num_shards();
-    assert(n_shards <= n_clusters &&
-           "more shards than clusters: nothing to partition");
+    if (n_shards > n_clusters) {
+      throw std::invalid_argument(
+          "hw::Fabric::make_sharded: " + std::to_string(n_shards) +
+          " shards for a " + std::to_string(n_clusters) +
+          "-cluster hypercube; every shard needs a cluster, so use at most " +
+          std::to_string(n_clusters) + " shards");
+    }
     // Partitioning rule (DESIGN.md §12): contiguous cluster blocks, one
     // block per shard.  Purely positional, so the assignment depends only
     // on the topology — never on run order.
@@ -538,8 +566,13 @@ std::unique_ptr<Fabric> Fabric::fat_tree_impl(sim::Simulator& sim0,
   f->fat_ = shape;
   if (rt != nullptr) {
     const int n_shards = rt->num_shards();
-    assert(n_shards <= shape.leaves &&
-           "more shards than leaf clusters: nothing to partition");
+    if (n_shards > shape.leaves) {
+      throw std::invalid_argument(
+          "hw::Fabric::make_sharded: " + std::to_string(n_shards) +
+          " shards for a fat tree of " + std::to_string(shape.leaves) +
+          " leaves; every shard needs a leaf, so use at most " +
+          std::to_string(shape.leaves) + " shards");
+    }
     // Leaves partition as contiguous blocks (same rule as the cube);
     // spines deal round-robin across shards so the top stage's load —
     // which every shard's traffic crosses — spreads instead of piling

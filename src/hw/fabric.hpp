@@ -265,12 +265,14 @@ class Fabric {
   /// The per-cluster routing oracle (bound into Cluster::set_route_fn):
   /// local delivery port, fault-table route when this shard has live
   /// faults, else the computed deterministic or adaptive next hop.
-  [[nodiscard]] int route_port(int cluster, const Frame& f);
+  [[nodiscard]] Cluster::Route route_port(int cluster, const Frame& f);
   /// Minimal adaptive next hop: the productive egress port with the
   /// lowest queue depth among those ready to accept a frame, ties broken
-  /// to the deterministic port and then the lowest port index; falls back
-  /// to the deterministic port when nothing is ready (DESIGN.md §15).
-  [[nodiscard]] int adaptive_next_port(int from, int to) const;
+  /// to the escape port and then the lowest port index; falls back to the
+  /// escape port when nothing is ready (DESIGN.md §15).  Reports every
+  /// productive port as a candidate, so the arbiter knows when a rip-up
+  /// cannot move the head.
+  [[nodiscard]] Cluster::Route adaptive_next_port(int from, int to) const;
   /// Shared builders; rt == nullptr builds the classic single-simulator
   /// fabric (the historical hypercube() path).
   static std::unique_ptr<Fabric> hypercube_impl(sim::Simulator& sim0,
@@ -289,7 +291,9 @@ class Fabric {
   void size_shard_pools();
   [[nodiscard]] sim::Simulator& cluster_sim(int c);
   [[nodiscard]] FramePool& pool_for_shard(int shard);
-  [[nodiscard]] int cube_pair_index(int a, int b) const;  // -1: no cable
+  /// Registry index of the cable between clusters `a` and `b` (-1: no
+  /// cable): O(1) through cable_at_.
+  [[nodiscard]] int cube_pair_index(int a, int b) const;
   /// The shard's cable mirror, created on first use (all cables up).
   std::vector<char>& edge_mirror(int shard);
   /// Rebuilds `shard`'s fault-route table from its link-state mirror.
@@ -325,6 +329,11 @@ class Fabric {
     Link* ba_rx = nullptr;
   };
   std::vector<CubePair> cube_pairs_;
+  // cable_at_[lo * ports_per_cluster + port] — the registry index of the
+  // cable leaving the lower-numbered cluster `lo` through egress `port`
+  // (-1: none).  That port is computed from the pair (the cube dimension;
+  // the spine index at a leaf), so a cable is found without a search.
+  std::vector<int> cable_at_;
   // Fault-time state, all lazily allocated on a shard's first fault (a
   // no-fault run at 4096 nodes carries zero bytes of it):
   //   * shard_edge_up_[shard][pair] — the shard's cable-state mirror;

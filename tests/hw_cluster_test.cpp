@@ -22,7 +22,7 @@ struct Rig {
       cluster.attach_out(p, outs.back().get());
     }
     // Station `dst` is reached through output port dst.
-    cluster.set_route_fn([](const Frame& f) { return f.dst; });
+    cluster.set_route_fn([](const Frame& f) { return Cluster::Route{f.dst}; });
   }
   Cluster cluster;
   std::vector<std::unique_ptr<Link>> ins;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "apps/cemu_app.hpp"
 #include "apps/fft2d_app.hpp"
@@ -197,6 +198,15 @@ struct FftSweepParam {
   bool multicast;
   vorx::McastMode mode;
 };
+
+// Without a printer, gtest names each case by the struct's raw bytes, and
+// the padding after `multicast` is uninitialised, so the names changed
+// from one process to the next.
+void PrintTo(const FftSweepParam& param, std::ostream* os) {
+  *os << 'n' << param.n << "_p" << param.p << '_'
+      << (param.multicast ? "multicast" : "personalized") << '_'
+      << (param.mode == vorx::McastMode::kHardware ? "hardware" : "tree");
+}
 
 class Fft2dSweep : public ::testing::TestWithParam<FftSweepParam> {};
 
