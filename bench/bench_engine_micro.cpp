@@ -3,12 +3,6 @@
 // message path.  These measure the reproduction's own performance, not the
 // paper's numbers, so this is the one bench that reads a real clock
 // (permitted outside src/ — vorx-lint rule R1 covers the simulator only).
-//
-// The two event-queue rows document the PR that split the hot path:
-// `push` returns a cancellable EventHandle and pays one control-block
-// allocation per event; `post` is the fire-and-forget path (used by
-// delays, timeouts, and frame delivery) with no allocation beyond the
-// callable itself.
 #include <chrono>
 #include <cmath>
 #include <deque>
@@ -52,17 +46,6 @@ void run(bench::Reporter& r) {
   bench::line("wall-clock rates of the simulation engine (higher is better)");
 
   volatile int sink = 0;
-
-  r.row("engine.event_queue_push_pop_items_s", "items/s",
-        items_per_sec(r, 1000, [&sink] {
-          sim::EventQueue q;
-          int fired = 0;
-          for (int i = 0; i < 1000; ++i) {
-            (void)q.push(i * 10, [&fired] { ++fired; });
-          }
-          while (!q.empty()) q.pop().second();
-          sink = sink + fired;
-        }));
 
   r.row("engine.event_queue_post_pop_items_s", "items/s",
         items_per_sec(r, 1000, [&sink] {
@@ -126,7 +109,6 @@ void run(bench::Reporter& r) {
           while (q.drain_bucket(batch, kMax) != 0) {
             while (!batch.exhausted()) {
               batch.prefetch_next();
-              if (!batch.begin_fire()) continue;
               q.advance_frontier(batch.head_time());
               batch.fire_head();
             }

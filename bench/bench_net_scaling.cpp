@@ -124,7 +124,7 @@ Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
       while (*idx < sched.size() && ep.tx_ready()) {
         const Inject& in = sched[*idx];
         if (sim.now() < in.at) {
-          sim.schedule_at(in.at, [self] { (*self)(); });
+          sim.post_at(in.at, [self] { (*self)(); });
           return;
         }
         hw::Frame fr;
@@ -136,8 +136,8 @@ Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
       }
     };
     fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    sim.schedule_at((*schedules)[static_cast<std::size_t>(s)][0].at,
-                    [pump] { (*pump)(); });
+    sim.post_at((*schedules)[static_cast<std::size_t>(s)][0].at,
+                [pump] { (*pump)(); });
   }
 
   sim.run();

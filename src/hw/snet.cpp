@@ -38,7 +38,7 @@ void SnetBus::grant_next() {
       params_.arbitration +
       static_cast<sim::Duration>(req.frame.wire_bytes()) * params_.ns_per_byte;
   xfer_ = std::move(req);
-  // post_after: bus completions are never cancelled, so skip the handle.
+  // The bus serves one transfer at a time, so its completion always fires.
   sim_.post_after(xfer, [this] { finish_transfer(); });
 }
 

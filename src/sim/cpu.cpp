@@ -89,8 +89,9 @@ void Cpu::start_slice(Job* job) {
                            static_cast<double>(ctx_switches_));
   }
   const Duration total = job->switch_left + job->work_left;
-  slice_end_event_ =
-      sim_.schedule_after(total, [this] { on_slice_complete(); });
+  sim_.post_after(total, [this, gen = slice_gen_] {
+    if (gen == slice_gen_) on_slice_complete();
+  });
 }
 
 void Cpu::account_progress(Job* job, SimTime from, SimTime to) {
@@ -112,7 +113,7 @@ void Cpu::account_progress(Job* job, SimTime from, SimTime to) {
 
 void Cpu::preempt_running() {
   assert(running_ != nullptr);
-  slice_end_event_.cancel();
+  ++slice_gen_;  // the queued slice end fires as a no-op
   ++preemptions_;
   account_progress(running_, slice_start_, sim_.now());
   // A preempted job resumes ahead of queued peers at its priority.
@@ -122,10 +123,6 @@ void Cpu::preempt_running() {
 
 void Cpu::on_slice_complete() {
   assert(running_ != nullptr);
-  // Drop the handle to the just-fired event so its cancellation state
-  // recycles through the small-block pool before the next slice's
-  // allocate_shared, instead of pinning one block per idle CPU.
-  slice_end_event_ = EventHandle{};
   Job* job = running_;
   account_progress(job, slice_start_, sim_.now());
   assert(job->switch_left == 0 && job->work_left == 0);

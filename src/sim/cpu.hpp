@@ -23,7 +23,6 @@
 #include <map>
 #include <string>
 
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -81,11 +80,11 @@ class Cpu {
   /// matching §5's definition of "a context switch").
   [[nodiscard]] std::uint64_t ctx_switches() const { return ctx_switches_; }
 
-  /// Number of preemptions (a running slice's end event was cancelled by
-  /// a higher-priority arrival).  Each one leaves a cancelled slice-end
-  /// event behind in the queue; the event queue reaps those during
-  /// level-1 promotion (EventQueue::Stats::l1_cancelled_reaped), so the
-  /// two counters correlate in tests.
+  /// Number of preemptions (a higher-priority arrival took the CPU from a
+  /// running slice).  A preemption only bumps the slice generation, so the
+  /// preempted slice's end event stays queued and later fires as a no-op:
+  /// once the simulation has run past every slice end, the number of such
+  /// stale fires equals this count.
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
 
   /// Closes the open idle/busy span so ledger totals cover [0, now].
@@ -122,7 +121,10 @@ class Cpu {
   std::map<int, std::deque<Job*>, std::greater<int>> ready_;
   Job* running_ = nullptr;
   SimTime slice_start_ = 0;
-  EventHandle slice_end_event_;
+  // Generation of the running slice.  Each slice-end event captures the
+  // value current when it was posted and fires as a no-op if a
+  // preemption has bumped it since.
+  std::uint64_t slice_gen_ = 0;
   std::int64_t last_owner_ = -1;
   std::uint64_t next_seq_ = 0;
   std::uint64_t ctx_switches_ = 0;

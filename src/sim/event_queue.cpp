@@ -6,8 +6,6 @@
 #include <cstring>
 #include <limits>
 
-#include "sim/small_pool.hpp"
-
 // Ordering correctness of the two-level wheel rests on one invariant:
 //
 //   PROMOTION INVARIANT.  No event may enter a level-0 tick bucket while
@@ -33,16 +31,6 @@
 
 namespace hpcvorx::sim {
 
-bool EventHandle::cancel() {
-  if (!state_ || state_->cancelled || state_->fired) return false;
-  state_->cancelled = true;
-  return true;
-}
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
 EventQueue::EventQueue() {
   constexpr std::size_t kBucketBytes =
       static_cast<std::size_t>(kWheelBuckets) * sizeof(std::uint32_t);
@@ -64,17 +52,6 @@ EventQueue::EventQueue() {
                                                    kL1BucketBytes);
   std::memset(occupancy_, 0, kBitmapBytes);
   std::memset(l1_occupancy_, 0, kL1BitmapBytes);
-}
-
-EventHandle EventQueue::push(SimTime at, InlineFn&& fn) {
-  // allocate_shared through the small-block pool: the state + control
-  // block recycle instead of hitting malloc once per cancellable event
-  // (one per CPU slice — the busiest push() caller in the system).
-  auto state = std::allocate_shared<EventHandle::State>(
-      SmallBlockAllocator<EventHandle::State>{});
-  auto state_copy = state;
-  insert(at, next_seq_++, std::move(fn), std::move(state_copy));
-  return EventHandle{std::move(state)};
 }
 
 void EventQueue::spill(std::uint32_t idx) {
@@ -110,16 +87,9 @@ void EventQueue::promote_min_bucket() const {
     Node& n = slab_[idx];
     const std::uint32_t next = n.next;
     --l1_count_;
-    if (n.e.state != nullptr && n.e.state->cancelled) {
-      // Reap cancelled events here instead of relinking them: a preempted
-      // CPU slice's cancelled slice-end event never reaches level 0.
-      free_node(idx);
-      ++stats_.l1_cancelled_reaped;
-    } else {
-      n.next = kNil;
-      link_l0(idx);
-      ++stats_.l1_promoted;
-    }
+    n.next = kNil;
+    link_l0(idx);
+    ++stats_.l1_promoted;
     idx = next;
   }
   if (l1_count_ > 0) advance_l1_min(b);
@@ -222,29 +192,7 @@ void EventQueue::advance_l1_min(std::size_t emptied_bucket) const {
   assert(false && "l1_count_ > 0 but no occupied level-1 bucket");
 }
 
-void EventQueue::drop_cancelled() const {
-  bool from_wheel = false;
-  Entry* head;
-  while ((head = next_head(from_wheel)) != nullptr && head->state &&
-         head->state->cancelled) {
-    if (from_wheel) {
-      discard_wheel_head();
-    } else {
-      discard_heap_head();
-    }
-  }
-}
-
-bool EventQueue::empty() const {
-  // Fast path: a live, handle-free ring head (the steady state) proves
-  // non-emptiness without touching the other structures or the reap loop.
-  if (wheel_count_ > 0 && slab_[wheel_head_].e.state == nullptr) return false;
-  drop_cancelled();
-  return wheel_count_ == 0 && l1_count_ == 0 && heap_.empty();
-}
-
 SimTime EventQueue::next_time() const {
-  drop_cancelled();
   bool from_wheel = false;
   const Entry* head = next_head(from_wheel);
   assert(head != nullptr);
@@ -252,38 +200,22 @@ SimTime EventQueue::next_time() const {
 }
 
 std::pair<SimTime, InlineFn> EventQueue::pop() {
-  for (;;) {
-    bool from_wheel = false;
-    Entry* head = next_head(from_wheel);
-    assert(head != nullptr);
-    if (head->state != nullptr) {
-      if (head->state->cancelled) {
-        // Reap lazily-cancelled heads inline instead of a pre-pass so the
-        // common no-handle case costs a single null check.
-        if (from_wheel) {
-          discard_wheel_head();
-        } else {
-          discard_heap_head();
-        }
-        continue;
-      }
-      head->state->fired = true;
-    }
-    std::pair<SimTime, InlineFn> out{head->at, std::move(head->fn)};
-    if (from_wheel) {
-      discard_wheel_head();
-    } else {
-      discard_heap_head();
-    }
-    // Advance the window: the popped entry was the global minimum, so
-    // everything still resident is >= at and keeps its bucket mapping.
-    // Promoting due level-1 buckets *now* (not at the next head read)
-    // keeps the promotion invariant against inserts landing before the
-    // next pop.
-    base_ = std::max(base_, out.first);
-    promote_due();
-    return out;
+  bool from_wheel = false;
+  Entry* head = next_head(from_wheel);
+  assert(head != nullptr);
+  std::pair<SimTime, InlineFn> out{head->at, std::move(head->fn)};
+  if (from_wheel) {
+    discard_wheel_head();
+  } else {
+    discard_heap_head();
   }
+  // Advance the window: the popped entry was the global minimum, so
+  // everything still resident is >= at and keeps its bucket mapping.
+  // Promoting due level-1 buckets *now* (not at the next head read) keeps
+  // the promotion invariant against inserts landing before the next pop.
+  base_ = std::max(base_, out.first);
+  promote_due();
+  return out;
 }
 
 std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
@@ -295,29 +227,6 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
   // re-occupied since the last frontier move) holding an event earlier
   // than the current ring minimum.  One compare when nothing is due.
   promote_due();
-  // Reap cancelled entries exactly as lazily as pop()'s head selection
-  // would: an entry is reaped only when it surfaces as the next head.  A
-  // cancelled heap front parked *behind* a live ring head stays resident
-  // — the sampled heap-size counter track pins this laziness, so an
-  // eager sweep here would shift trace goldens.
-  while (wheel_count_ > 0) {
-    const Entry& w = slab_[wheel_head_].e;
-    if (!heap_.empty()) {
-      const Entry& h = slab_[heap_.front()].e;
-      if (h.at < w.at || (h.at == w.at && h.seq < w.seq)) {
-        if (h.state != nullptr && h.state->cancelled) {
-          discard_heap_head();
-          continue;
-        }
-        return 0;  // live heap head: the pop() path serves it
-      }
-    }
-    if (w.state != nullptr && w.state->cancelled) {
-      discard_wheel_head();
-      continue;
-    }
-    break;  // live ring head wins the duel
-  }
 
   if (wheel_count_ == 0 && l1_count_ > 0) {
     // Level 0 is empty, so the head is the earliest level-1 bucket's
@@ -327,107 +236,63 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
     // ring round-trip (link_l0, bucket-min bookkeeping, unlink).  Every
     // exit below leaves the frontier, stats, and structures in exactly
     // the state the promote-then-sweep path would have.
-    for (;;) {
-      const std::size_t b = l1_bucket_index(l1_min_start_);
-      assert(l1_bucket_occupied(b));
-      // Single peek+collect pass: the bucket's live (time, seq) minimum,
-      // with live sort keys and cancelled handles gathered as a side
-      // effect — nothing is unlinked until a branch below commits.
-      // Within one instant FIFO order is seq order, so the first entry
-      // seen at the minimum time carries the minimum seq.
-      out.keys_.clear();
-      out.cxl_.clear();
-      SimTime min_at = kMaxTime;
-      std::uint64_t min_seq = 0;
-      for (std::uint32_t idx = l1_buckets_[b]; idx != kNil;
-           idx = slab_[idx].next) {
-        const Entry& e = slab_[idx].e;
-        if (e.state != nullptr && e.state->cancelled) {
-          out.cxl_.push_back(idx);
-          continue;
-        }
-        if (out.keys_.empty() || e.at < min_at) {
-          min_at = e.at;
-          min_seq = e.seq;
-        }
-        out.keys_.push_back({e.at, e.seq, idx});
+    const std::size_t b = l1_bucket_index(l1_min_start_);
+    assert(l1_bucket_occupied(b));
+    // Single peek+collect pass: the bucket's (time, seq) minimum, with the
+    // sort keys gathered as a side effect — nothing is unlinked until a
+    // branch below commits.  Within one instant FIFO order is seq order,
+    // so the first entry seen at the minimum time carries the minimum seq.
+    out.keys_.clear();
+    SimTime min_at = kMaxTime;
+    std::uint64_t min_seq = 0;
+    for (std::uint32_t idx = l1_buckets_[b]; idx != kNil;
+         idx = slab_[idx].next) {
+      const Entry& e = slab_[idx].e;
+      if (out.keys_.empty() || e.at < min_at) {
+        min_at = e.at;
+        min_seq = e.seq;
       }
-      const std::size_t live = out.keys_.size();
-      if (live == 0) {
-        // Wholly-cancelled bucket.  Mirror next_head()'s fast-forward
-        // guard before reaping: a heap front *before* the bucket's start
-        // serves first and leaves the bucket resident (same laziness as
-        // the duel below — the reap-at-promotion counter track pins it).
-        if (!heap_.empty()) {
-          const Entry& h = slab_[heap_.front()].e;
-          if (h.at < l1_min_start_) {
-            if (h.state != nullptr && h.state->cancelled) {
-              discard_heap_head();
-              continue;
-            }
-            return 0;  // live heap head: the pop() path serves it
-          }
-        }
-        // Reap it and retry with the next bucket (the fast-forward would
-        // have promoted it into the empty ring and reaped it there —
-        // same frees, same counter).  The peek pass already gathered the
-        // whole chain into cxl_, so no second walk.
-        l1_occupancy_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-        for (const std::uint32_t i : out.cxl_) free_node(i);
-        l1_count_ -= out.cxl_.size();
-        stats_.l1_cancelled_reaped += out.cxl_.size();
-        if (l1_count_ == 0) break;  // heap (or nothing) owns the head
-        advance_l1_min(b);
-        continue;
-      }
-      if (!heap_.empty()) {
-        const Entry& h = slab_[heap_.front()].e;
-        if (h.at < min_at || (h.at == min_at && h.seq < min_seq)) {
-          if (h.state != nullptr && h.state->cancelled) {
-            // Cancelled front surfacing as the head: reap and re-duel,
-            // as pop()'s selection loop would.
-            discard_heap_head();
-            continue;
-          }
-          // The heap serves the next event via pop().  Mirror
-          // next_head(): its fast-forward promotes this bucket first iff
-          // the heap front is not strictly before the bucket's start.
-          if (h.at >= l1_min_start_) {
-            base_ = std::max(base_, l1_min_start_);
-            promote_due();
-          }
-          return 0;
-        }
-      }
-      if (min_at > limit) {
-        // Deadline before the head.  next_head() — reached through the
-        // caller's next_event_time() — would have fast-forwarded and
-        // promoted; match that end state, then report nothing to drain.
-        base_ = std::max(base_, l1_min_start_);
-        promote_due();
+      out.keys_.push_back({e.at, e.seq, idx});
+    }
+    // next_head()'s fast-forward, for the exits that leave the bucket's
+    // events queue-resident.
+    const auto promote_bucket = [this] {
+      base_ = std::max(base_, l1_min_start_);
+      promote_due();
+    };
+    if (!heap_.empty()) {
+      const Entry& h = slab_[heap_.front()].e;
+      if (h.at < min_at || (h.at == min_at && h.seq < min_seq)) {
+        // The heap serves the next event via pop().  Mirror next_head():
+        // its fast-forward promotes this bucket first iff the heap front
+        // is not strictly before the bucket's start.
+        if (h.at >= l1_min_start_) promote_bucket();
         return 0;
       }
-      const SimTime head_bucket_last =
-          l1_bucket_start(min_at) + static_cast<SimTime>(kL1Tick - 1);
-      if (head_bucket_last > limit) {
-        // Mid-bucket deadline (rare): promote and take the ring sweep
-        // below so the clipped tail stays ring-resident.
-        base_ = std::max(base_, l1_min_start_);
-        promote_due();
-        break;
-      }
-      // Direct drain: unlink the bucket and keep the live entries where
-      // they are — the batch borrows their slab nodes.  The peek pass
-      // already split the chain into keys_ (live) and cxl_ (cancelled).
+    }
+    if (min_at > limit) {
+      // Deadline before the head.  next_head() — reached through the
+      // caller's next_time() — would have fast-forwarded and promoted;
+      // match that end state, then report nothing to drain.
+      promote_bucket();
+      return 0;
+    }
+    const SimTime head_bucket_last =
+        l1_bucket_start(min_at) + static_cast<SimTime>(kL1Tick - 1);
+    if (head_bucket_last > limit) {
+      // Mid-bucket deadline (rare): promote and take the ring sweep below
+      // so the clipped tail stays ring-resident.
+      promote_bucket();
+    } else {
+      // Direct drain: unlink the bucket and keep the entries where they
+      // are — the batch borrows their slab nodes.
       l1_occupancy_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      for (const std::uint32_t i : out.cxl_) free_node(i);
-      l1_count_ -= live + out.cxl_.size();
-      stats_.l1_cancelled_reaped += out.cxl_.size();
+      l1_count_ -= out.keys_.size();
       if (l1_count_ > 0) advance_l1_min(b);
       // These events skip the ring but are promoted all the same — count
       // them so the sampled counter tracks match the promote-then-sweep
       // path at every post-fire sampling instant.
-      stats_.l1_promoted += live;
+      stats_.l1_promoted += out.keys_.size();
       // A 4 µs bucket holds many instants: sort by (time, seq) for the
       // exact pop() order.  The ring sweep gets this order for free from
       // its per-instant buckets; here one sort of packed 24-byte keys —
@@ -441,23 +306,13 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
       for (const DrainBatch::SortKey& k : out.keys_) out.idx_.push_back(k.idx);
       base_ = std::max(base_, min_at);
       promote_due();
-      assert(!out.exhausted());
       ++stats_.bucket_drains;
       stats_.drained_events += out.size();
       return out.size();
     }
   }
 
-  if (wheel_count_ == 0) {
-    // Heap-only (or truly empty): reap cancelled fronts — they are the
-    // head now, so pop()'s selection loop would — then hand over.
-    while (!heap_.empty()) {
-      const Entry& h = slab_[heap_.front()].e;
-      if (h.state == nullptr || !h.state->cancelled) break;
-      discard_heap_head();
-    }
-    return 0;  // the pop() path serves the heap head
-  }
+  if (wheel_count_ == 0) return 0;  // heap-only or empty: pop() serves it
   {
     // Ring head duel against the heap front, as next_head() orders them.
     const Entry& w = slab_[wheel_head_].e;
@@ -493,8 +348,6 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
   // circular lap visits each occupied bucket in time order.  Each 1 ns
   // bucket holds one instant and its FIFO is insertion order, so the
   // concatenation is exactly the (time, seq) order pop() would produce.
-  // Cancelled entries are reaped here instead of copied — the same lazy
-  // reap pop() does.
   const std::size_t b0 = bucket_index(t0);
   std::size_t word = b0 >> 6;
   std::uint64_t bits = occupancy_[word] & (~std::uint64_t{0} << (b0 & 63));
@@ -516,63 +369,17 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
     }
     bits &= bits - 1;
     occupancy_[word] &= ~(std::uint64_t{1} << (b & 63));
-    std::uint32_t idx = buckets_[b];
-    while (idx != kNil) {
-      Node& n = slab_[idx];
-      const std::uint32_t next = n.next;
+    // Borrow, don't move: each node stays slab-resident (unlinked from
+    // every bucket) until the batch cursor fires it.
+    for (std::uint32_t idx = buckets_[b]; idx != kNil; idx = slab_[idx].next) {
       --wheel_count_;
-      if (n.e.state != nullptr && n.e.state->cancelled) {
-        free_node(idx);
-      } else {
-        // Borrow, don't move: the node stays slab-resident (unlinked from
-        // every bucket) until the batch cursor fires or discards it.
-        out.idx_.push_back(idx);
-      }
-      idx = next;
+      out.idx_.push_back(idx);
     }
   }
-  assert(!out.exhausted() && "live wheel head must land in the batch");
+  assert(!out.exhausted() && "the wheel head must land in the batch");
   ++stats_.bucket_drains;
   stats_.drained_events += out.size();
   return out.size();
-}
-
-bool EventQueue::earlier_than_slow(SimTime at, std::uint64_t seq) const {
-  for (;;) {
-    // Re-screen on every iteration: the reap below can surface a new
-    // head that no longer orders earlier (the ordering rationale lives
-    // on the inline fast path in the header).
-    const bool wheel_cand = wheel_count_ > 0 && wheel_min_ < at;
-    const Entry* hh = heap_.empty() ? nullptr : &slab_[heap_.front()].e;
-    const bool heap_cand =
-        hh != nullptr &&
-        (hh->at < at || (hh->at == at && hh->seq < seq));
-    if (!wheel_cand && !heap_cand) return false;
-    // Settle on the earlier candidate, exactly as next_head() orders them
-    // — but without next_head() itself, whose level-1 fast-forward could
-    // move the frontier past unfired batch entries.
-    const Entry* cand;
-    bool cand_wheel;
-    if (wheel_cand && heap_cand) {
-      const Entry& w = slab_[wheel_head_].e;
-      cand_wheel = (w.at != hh->at) ? (w.at < hh->at) : (w.seq < hh->seq);
-      cand = cand_wheel ? &w : hh;
-    } else if (wheel_cand) {
-      cand = &slab_[wheel_head_].e;
-      cand_wheel = true;
-    } else {
-      cand = hh;
-      cand_wheel = false;
-    }
-    if (cand->state == nullptr || !cand->state->cancelled) return true;
-    // The candidate was cancelled: reap it (pop() would have) and
-    // re-decide against whatever surfaces next.
-    if (cand_wheel) {
-      discard_wheel_head();
-    } else {
-      discard_heap_head();
-    }
-  }
 }
 
 }  // namespace hpcvorx::sim

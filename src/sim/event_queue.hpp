@@ -1,4 +1,4 @@
-// A stable, cancellable pending-event queue for the simulator.
+// A stable pending-event queue for the simulator.
 //
 // Events fire in (time, insertion-sequence) order, which makes every
 // simulation deterministic: two events scheduled for the same instant fire
@@ -24,7 +24,7 @@
 //     once, so the two-level path stays amortized O(1).
 //   * a binary heap for the true spill: events beyond the level-1 span, or
 //     behind the pop frontier.  The heap sifts 4-byte slab handles — the
-//     ~104-byte entries themselves stay put in the slab — so heavy spill
+//     96-byte entries themselves stay put in the slab — so heavy spill
 //     traffic moves words, not cache lines.
 //
 // pop() compares the ring head against the heap head (level-1 events are
@@ -33,9 +33,10 @@
 //
 // Entries carry their callback in an InlineFn (64 inline bytes — see
 // inline_fn.hpp), so scheduling allocates nothing on the steady-state
-// path: no std::function heap spill, and for post() no control block
-// either.  push() still allocates the shared cancellation state its
-// EventHandle hands out.
+// path.  There is no cancellation: a caller that may want to retract an
+// event stamps it instead (the CPU's slice end captures a generation
+// counter and fires as a no-op once the counter has moved on; see
+// cpu.hpp), so every queued event fires exactly once.
 //
 // The per-bucket head arrays of both wheel levels are allocated
 // uninitialized and consulted only when the bucket's occupancy bit is set,
@@ -55,31 +56,6 @@
 #include "sim/time.hpp"
 
 namespace hpcvorx::sim {
-
-/// Handle to a scheduled event; allows cancellation.  Handles are cheap to
-/// copy and may outlive the event (cancelling a fired event is a no-op).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancels the event if it has not fired yet.  Returns true if this call
-  /// cancelled it (false if it already fired or was already cancelled).
-  bool cancel();
-
-  /// True if the event is still scheduled to fire.
-  [[nodiscard]] bool pending() const;
-
- private:
-  friend class EventQueue;
-  // Defined here (not in the .cpp) so the batched dispatcher's per-fire
-  // cancellation checks inline into the hot loop.
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
-};
 
 /// (time, sequence)-ordered callback queue: two-level timing wheel over a
 /// handle-sifting binary-heap spill.
@@ -121,8 +97,6 @@ class EventQueue {
     std::uint64_t l1_inserts = 0;    // level-1 wheel inserts
     std::uint64_t heap_inserts = 0;  // true spill only
     std::uint64_t l1_promoted = 0;   // events redistributed level 1 -> 0
-    std::uint64_t l1_cancelled_reaped = 0;  // cancelled events freed at
-                                            // promotion, never relinked
     std::uint64_t bucket_drains = 0;   // drain_bucket() calls that filled a
                                        // batch (feeds the amortization row)
     std::uint64_t drained_events = 0;  // events handed out via drain_bucket
@@ -133,51 +107,42 @@ class EventQueue {
   EventQueue& operator=(EventQueue&&) = default;
 
   /// Schedules `fn` at absolute time `at`.  Taking the callable by rvalue
-  /// reference (here and in post) means a lambda at the call site
-  /// materializes one InlineFn and relocates straight into queue storage —
-  /// no per-layer parameter moves through the Simulator forwarding chain.
-  EventHandle push(SimTime at, InlineFn&& fn);
-
-  /// Schedules `fn` at absolute time `at` with no cancellation handle.
-  /// This is the hot path: most events (frame deliveries, coroutine
-  /// wakeups) are never cancelled, and skipping the handle skips the
-  /// shared-state allocation entirely — with InlineFn storage the whole
-  /// call is allocation-free once the queue's slabs are warm.  Inline —
-  /// together with the inline insert/link chain below, a call site that
-  /// builds its lambda in place compiles down to direct stores into the
-  /// slab node, with no indirect relocate.
+  /// reference means a lambda at the call site materializes one InlineFn
+  /// and relocates straight into queue storage — no per-layer parameter
+  /// moves through the Simulator forwarding chain — and with InlineFn
+  /// storage the whole call is allocation-free once the queue's slab is
+  /// warm.  Inline: together with the inline insert/link chain below, a
+  /// call site that builds its lambda in place compiles down to direct
+  /// stores into the slab node, with no indirect relocate.
   void post(SimTime at, InlineFn&& fn) {
-    insert(at, next_seq_++, std::move(fn), nullptr);
+    insert(at, next_seq_++, std::move(fn));
   }
 
-  /// True if no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const;
+  /// True if no events remain.
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Number of scheduled events (an upper bound: cancelled events that
-  /// have not yet been reaped from the structures' interiors are
-  /// included).
+  /// Number of scheduled events.
   [[nodiscard]] std::size_t size() const {
     return wheel_count_ + l1_count_ + heap_.size();
   }
 
-  /// Time of the earliest live event.  Precondition: !empty().
+  /// Time of the earliest event.  Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
 
-  /// Returns the earliest live event's callback and its time, popping it
-  /// from the queue.  Precondition: !empty().
+  /// Returns the earliest event's callback and its time, popping it from
+  /// the queue.  Precondition: !empty().
   std::pair<SimTime, InlineFn> pop();
 
   /// Entry is an implementation detail, public only so the comparator in
   /// event_queue.cpp — and DrainBatch's inline cursor accessors below —
   /// can see it.  Entries live in the shared node slab for all three
   /// structures; the heap sifts slab indices, never Entries.  Field order
-  /// is deliberate: at/seq/state lead so that — together with Node's
-  /// link words — every field a drain chain-walk reads sits in the node's
-  /// first cache line; the wide callable payload trails.
+  /// is deliberate: at/seq lead so that — together with Node's link words
+  /// — every field a drain chain-walk reads sits in the node's first
+  /// cache line; the wide callable payload trails.
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    std::shared_ptr<EventHandle::State> state;  // null for post()ed events
     InlineFn fn;
   };
 
@@ -186,14 +151,11 @@ class EventQueue {
   /// storage — drained entries stay in their slab nodes, unlinked from
   /// every bucket structure, and are freed one by one as the cursor fires
   /// past them.  Moving only 4-byte handles (instead of relocating each
-  /// ~112-byte entry into batch arrays and back through a fire cursor)
+  /// 96-byte entry into batch arrays and back through a fire cursor)
   /// halves the per-event memory traffic of a drain.  Owned by the
   /// dispatcher (sim::Simulator) and refilled by drain_bucket(); the
   /// handle vector keeps its capacity across refills, so steady-state
-  /// batched dispatch allocates nothing (lint R5).  Entries keep their
-  /// cancellation state: a handle can cancel an event after it was drained
-  /// but before it fires, so — exactly like pop() — the cancelled check
-  /// happens at fire time, via begin_fire().
+  /// batched dispatch allocates nothing (lint R5).
   class DrainBatch {
    public:
     DrainBatch() = default;
@@ -204,14 +166,9 @@ class EventQueue {
     [[nodiscard]] std::size_t size() const { return idx_.size(); }
     [[nodiscard]] std::size_t remaining() const { return idx_.size() - pos_; }
     /// Time / insertion sequence of the entry under the cursor.
-    /// Precondition for these five: !exhausted().
+    /// Precondition for these three: !exhausted().
     [[nodiscard]] SimTime head_time() const { return head().at; }
     [[nodiscard]] std::uint64_t head_seq() const { return head().seq; }
-    /// True when the head entry was cancelled after the drain.
-    [[nodiscard]] bool head_cancelled() const {
-      const EventHandle::State* s = head().state.get();
-      return s != nullptr && s->cancelled;
-    }
     /// Prefetches the next entry's slab node so it is warm by the time the
     /// current callback returns (a node spans two cache lines).
     void prefetch_next() const {
@@ -222,38 +179,18 @@ class EventQueue {
         __builtin_prefetch(p + 64);
       }
     }
-    /// Claims the head for firing.  Returns false — cursor advanced, entry
-    /// reaped — when it was cancelled after the drain; otherwise marks it
-    /// fired (so a late cancel() returns false, as with pop()).
-    [[nodiscard]] bool begin_fire() {
-      EventHandle::State* s = head().state.get();
-      if (s != nullptr) {
-        if (s->cancelled) {
-          discard_head();
-          return false;
-        }
-        s->fired = true;
-      }
-      return true;
-    }
-    /// Fires the claimed head and advances the cursor.  The node returns
-    /// to the free list *before* the call — callable still armed — and
+    /// Fires the head and advances the cursor.  The node returns to the
+    /// free list *before* the call — callable still armed — and
     /// InlineFn::consume_invoke moves the capture out of slab storage as
     /// the first step of its one fused indirect call.  By the time user
     /// code runs (and may grow the slab or reuse the node), the capture
     /// lives in the op's own frame: no stack-relocate round trip per
-    /// event.  Precondition: begin_fire() returned true for this entry.
+    /// event.
     void fire_head() {
       const std::uint32_t idx = idx_[pos_++];
-      Entry& e = q_->slab_[idx].e;
-      e.state.reset();
       q_->free_node_armed(idx);
-      e.fn.consume_invoke();
+      q_->slab_[idx].e.fn.consume_invoke();
     }
-    /// Reaps a cancelled head without firing it (used when publishing the
-    /// next-event time to the shard runtime, so a cancelled batch head
-    /// never pins the LBTS on a phantom instant).
-    void discard_head() { q_->free_node(idx_[pos_++]); }
 
    private:
     friend class EventQueue;
@@ -274,7 +211,6 @@ class EventQueue {
       std::uint32_t idx;
     };
     std::vector<SortKey> keys_;
-    std::vector<std::uint32_t> cxl_;  // drain-time scratch: cancelled nodes
     std::size_t pos_ = 0;
   };
 
@@ -296,13 +232,10 @@ class EventQueue {
   /// entry: an event fired earlier in the bucket may have scheduled
   /// something ahead of the rest of the batch (a 0-delay wakeup lands in
   /// the current tick's ring bucket), or an in-span spill entry may hold a
-  /// smaller sequence number than a same-tick batch entry.  Cancelled
-  /// candidates are reaped here (the same lazy reap pop() would do), but
-  /// the frontier never moves — in particular next_head()'s level-1
+  /// smaller sequence number than a same-tick batch entry.  Read-only: the
+  /// frontier never moves — in particular next_head()'s level-1
   /// fast-forward is never triggered, so insert routing during batch
-  /// firing matches the pop() path byte for byte.  The candidate test is
-  /// inline (it runs once per fired event and almost always rejects);
-  /// the candidate duel and cancelled-reap loop live out of line.
+  /// firing matches the pop() path byte for byte.
   [[nodiscard]] bool earlier_than(SimTime at, std::uint64_t seq) const {
     // The wheel check can be strict: a same-tick ring entry always
     // carries a later sequence number than a drained batch entry (the
@@ -312,12 +245,10 @@ class EventQueue {
     // insert — lies beyond base_ + kL0Window, past the whole drained
     // span.  Only the spill heap can hold a same-tick, smaller-seq entry
     // (one that was far when inserted), so its check compares sequences.
-    const bool wheel_cand = wheel_count_ > 0 && wheel_min_ < at;
-    if (wheel_cand) return earlier_than_slow(at, seq);
+    if (wheel_count_ > 0 && wheel_min_ < at) return true;
     if (heap_.empty()) return false;
     const Entry& h = slab_[heap_.front()].e;
-    if (h.at > at || (h.at == at && h.seq > seq)) return false;
-    return earlier_than_slow(at, seq);
+    return h.at < at || (h.at == at && h.seq < seq);
   }
 
   /// Advances the pop frontier to `t` and promotes due level-1 buckets —
@@ -339,7 +270,7 @@ class EventQueue {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Current spill-heap occupancy (entries parked beyond the wheels'
-  /// span; includes not-yet-reaped cancellations).
+  /// span or behind the frontier).
   [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
 
  private:
@@ -356,14 +287,17 @@ class EventQueue {
   /// arrays to 4 bytes/bucket — the whole wheel block must stay under
   /// glibc's 128 KiB mmap threshold or every fresh queue pays mmap/munmap
   /// plus page faults (measured 2x on the post/pop microbench).  The
-  /// link words lead so they share the first cache line with Entry's
-  /// at/seq/state (see Entry).  Heap-resident nodes use neither link
-  /// field.
-  struct Node {
+  /// link words lead so a drain walk's reads (next/at/seq) stay inside the
+  /// node's first cache line (see Entry).  Heap-resident nodes use neither
+  /// link field.  Cache-line aligned, so a node is 128 bytes (112 used).
+  /// With packed 112-byte nodes the post/pop and bucket-drain microbenches,
+  /// which build a fresh queue per iteration, ran 2-2.5x slower; pinning
+  /// glibc's mmap and trim thresholds closed the gap, so the cost came
+  /// from where the allocator placed and returned the smaller slab.
+  struct alignas(64) Node {
     std::uint32_t next = kNil;
     std::uint32_t bucket_tail = kNil;
-    Entry e;  // link words first: a drain walk reads next/at/seq/state —
-              // all inside the node's first cache line (see Entry)
+    Entry e;
   };
 
   // The insert chain (insert/alloc_node/link_l0/link_l1) is defined
@@ -372,13 +306,12 @@ class EventQueue {
   // pays an opaque call — and the InlineFn relocate devirtualizes to a
   // plain move of the capture bytes.  Only the true-spill heap push
   // stays out of line (cold by design).
-  void insert(SimTime at, std::uint64_t seq, InlineFn&& fn,
-              std::shared_ptr<EventHandle::State>&& state) {
+  void insert(SimTime at, std::uint64_t seq, InlineFn&& fn) {
     if (at >= base_) {
       const std::uint64_t delta = static_cast<std::uint64_t>(at - base_);
       if (delta < kL0Window) {
         // Level-0 path: O(1) append to the exact-tick bucket's FIFO.
-        link_l0(alloc_node(at, seq, std::move(fn), std::move(state)));
+        link_l0(alloc_node(at, seq, std::move(fn)));
         ++stats_.l0_inserts;
         return;
       }
@@ -394,18 +327,18 @@ class EventQueue {
           kL1Span - (static_cast<std::uint64_t>(base_) & (kL1Tick - 1))) {
         // Level-1 path: O(1) append to the coarse bucket's FIFO; the
         // bucket is redistributed into level 0 when the frontier nears it.
-        link_l1(alloc_node(at, seq, std::move(fn), std::move(state)));
+        link_l1(alloc_node(at, seq, std::move(fn)));
         ++stats_.l1_inserts;
         return;
       }
     }
     // True spill: far future (beyond the level-1 span) or behind the
     // frontier.  The node stays in the slab; only its 4-byte handle sifts.
-    spill(alloc_node(at, seq, std::move(fn), std::move(state)));
+    spill(alloc_node(at, seq, std::move(fn)));
   }
   /// Takes a node from the free list (or grows the slab) and fills it.
-  std::uint32_t alloc_node(SimTime at, std::uint64_t seq, InlineFn&& fn,
-                           std::shared_ptr<EventHandle::State>&& state) const {
+  std::uint32_t alloc_node(SimTime at, std::uint64_t seq,
+                           InlineFn&& fn) const {
     // Reserving the slab on first use sidesteps vector-doubling relocation
     // of live entries through the warm-up of a fresh queue.
     if (slab_.capacity() == 0) slab_.reserve(1024);
@@ -415,21 +348,18 @@ class EventQueue {
       free_head_ = n.next;
       n.e.at = at;
       n.e.seq = seq;
-      n.e.state = std::move(state);
       n.e.fn = std::move(fn);
       n.next = kNil;
       return idx;
     }
     const std::uint32_t idx = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(
-        Node{kNil, kNil, Entry{at, seq, std::move(state), std::move(fn)}});
+    slab_.push_back(Node{kNil, kNil, Entry{at, seq, std::move(fn)}});
     return idx;
   }
   /// Destroys the node's payload and returns it to the free list.
   void free_node(std::uint32_t idx) const {
     Node& n = slab_[idx];
     n.e.fn.reset();
-    n.e.state.reset();
     n.next = free_head_;
     free_head_ = idx;
   }
@@ -437,7 +367,7 @@ class EventQueue {
   /// path uses this: it pushes the node first and lets consume_invoke
   /// disarm and move the capture out before any user code could reuse
   /// the node (alloc_node's move-assign onto a disarmed fn is a no-op
-  /// reset).  The caller must have cleared the node's state already.
+  /// reset).
   void free_node_armed(std::uint32_t idx) const {
     Node& n = slab_[idx];
     n.next = free_head_;
@@ -488,8 +418,7 @@ class EventQueue {
   /// window (bucket_start + kL1Tick <= base_ + kWheelBuckets), earliest
   /// first.  Called after every frontier advance and before head reads.
   void promote_due() const;
-  /// Drains the earliest occupied level-1 bucket into level 0 (cancelled
-  /// events are reaped here instead of relinked).
+  /// Drains the earliest occupied level-1 bucket into level 0.
   void promote_min_bucket() const;
   /// Entry that pop() would return next (nullptr when truly empty);
   /// `from_wheel` says which structure holds it.  Promotes due level-1
@@ -506,10 +435,6 @@ class EventQueue {
   /// Same for the level-1 bitmap and l1_min_start_.  Precondition:
   /// l1_count_ > 0.
   void advance_l1_min(std::size_t emptied_bucket) const;
-  void drop_cancelled() const;
-  /// earlier_than()'s out-of-line tail: at least one candidate passed the
-  /// inline screen — run the candidate duel and the cancelled-reap loop.
-  [[nodiscard]] bool earlier_than_slow(SimTime at, std::uint64_t seq) const;
 
   [[nodiscard]] static std::size_t bucket_index(SimTime at) {
     return static_cast<std::size_t>(static_cast<std::uint64_t>(at) & kMask);
@@ -539,9 +464,8 @@ class EventQueue {
     return (l1_occupancy_[b >> 6] >> (b & 63)) & 1u;
   }
 
-  // pop()/drop_cancelled() reaping and lazy promotion mutate the
-  // containers behind the logically-const empty()/next_time(), hence the
-  // mutables (the original single-heap queue had the same shape).
+  // Lazy promotion and next_head()'s fast-forward mutate the structures
+  // behind the logically-const next_time(), hence the mutables.
   mutable std::vector<std::uint32_t> heap_;  // spill: slab handles only
   mutable std::vector<Node> slab_;           // entry storage, all structures
   mutable std::uint32_t free_head_ = kNil;   // slab free list

@@ -75,46 +75,37 @@ void Simulator::pop_and_fire() {
 // the semantics different — order, insert routing, counters and samples
 // are byte-identical to the old pop()-per-event loop (DESIGN.md §13).
 bool Simulator::step_limit(SimTime limit) {
-  for (;;) {
-    if (batch_.exhausted()) {
-      if (queue_.drain_bucket(batch_, limit) == 0) {
-        // Nothing drained: queue empty, head past the limit, or the head
-        // lives in the spill heap — classic single-event path.
-        if (queue_.empty()) return false;
-        if (queue_.next_time() > limit) return false;
-        pop_and_fire();
-        return true;
-      }
-    }
-    const SimTime bt = batch_.head_time();
-    // A stale batch tail from an earlier, wider run_until() window: the
-    // entries stay pending (next_event_time / pending_events count them)
-    // until a window admits their times.
-    if (bt > limit) return false;
-    // An event fired earlier in this bucket may have scheduled something
-    // ahead of the rest of the batch (a 0-delay wakeup lands in the
-    // current tick), or an in-span spill entry may carry a smaller
-    // sequence number — interleave those through pop().  Ties go to the
-    // batch: drained entries always hold the smaller sequence numbers.
-    if (queue_.earlier_than(bt, batch_.head_seq())) {
-      pop_and_fire();
-      return true;
-    }
-    batch_.prefetch_next();
-    if (!batch_.begin_fire()) continue;  // cancelled after the drain
-    queue_.advance_frontier(bt);
-    now_ = bt;
-    ++events_executed_;
-    batch_.fire_head();
-    if (counters_.enabled()) sample_queue_stats();
+  if (batch_.exhausted() && queue_.drain_bucket(batch_, limit) == 0) {
+    // Nothing drained: queue empty, head past the limit, or the head
+    // lives in the spill heap — classic single-event path.
+    if (queue_.empty() || queue_.next_time() > limit) return false;
+    pop_and_fire();
     return true;
   }
+  const SimTime bt = batch_.head_time();
+  // A stale batch tail from an earlier, wider run_until() window: the
+  // entries stay pending (next_event_time / pending_events count them)
+  // until a window admits their times.
+  if (bt > limit) return false;
+  // An event fired earlier in this bucket may have scheduled something
+  // ahead of the rest of the batch (a 0-delay wakeup lands in the current
+  // tick), or an in-span spill entry may carry a smaller sequence number
+  // — interleave those through pop().  Ties go to the batch: drained
+  // entries always hold the smaller sequence numbers.
+  if (queue_.earlier_than(bt, batch_.head_seq())) {
+    pop_and_fire();
+    return true;
+  }
+  batch_.prefetch_next();
+  queue_.advance_frontier(bt);
+  now_ = bt;
+  ++events_executed_;
+  batch_.fire_head();
+  if (counters_.enabled()) sample_queue_stats();
+  return true;
 }
 
 SimTime Simulator::next_event_time(SimTime if_empty) {
-  while (!batch_.exhausted() && batch_.head_cancelled()) {
-    batch_.discard_head();
-  }
   SimTime t = if_empty;
   if (!batch_.exhausted()) t = batch_.head_time();
   if (!queue_.empty()) t = std::min(t, queue_.next_time());
@@ -124,15 +115,14 @@ SimTime Simulator::next_event_time(SimTime if_empty) {
 // Samples the event queue's structure-traffic counters onto the "engine"
 // track, but only when something structurally interesting happened since
 // the last sample: an L0-only event cadence would otherwise flood the
-// timeline with one sample per event.  L1 inserts, promotions, spill and
-// reaping are the rare transitions §6.2-style waveforms want to see;
+// timeline with one sample per event.  L1 inserts, promotions and spill
+// are the rare transitions §6.2-style waveforms want to see;
 // l0_inserts and heap occupancy piggy-back on those samples.
 void Simulator::sample_queue_stats() {
   const EventQueue::Stats& s = queue_.stats();
   if (s.l1_inserts == sampled_stats_.l1_inserts &&
       s.heap_inserts == sampled_stats_.heap_inserts &&
-      s.l1_promoted == sampled_stats_.l1_promoted &&
-      s.l1_cancelled_reaped == sampled_stats_.l1_cancelled_reaped) {
+      s.l1_promoted == sampled_stats_.l1_promoted) {
     return;
   }
   sampled_stats_ = s;

@@ -56,26 +56,18 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute virtual time `at` (clamped to now()).
-  /// The callable binds by rvalue reference so it relocates exactly once,
-  /// from the call site into queue storage (see EventQueue::push).
-  EventHandle schedule_at(SimTime at, InlineFn&& fn) {
-    return queue_.push(std::max(at, now_), std::move(fn));
-  }
-
-  /// Schedules `fn` to run `d` after the current time (d clamped to >= 0).
-  EventHandle schedule_after(Duration d, InlineFn&& fn) {
-    return schedule_at(now_ + std::max<Duration>(d, 0), std::move(fn));
-  }
-
-  /// Handle-free variants for events that are never cancelled (the common
-  /// case: frame deliveries, coroutine wakeups).  Skipping the handle skips
-  /// the per-event cancellation-state allocation — see EventQueue::post.
-  /// Inline so a posting call site compiles straight through
-  /// EventQueue::post's inline insert chain (no opaque boundary between
-  /// the lambda's construction and its landing in the slab).
+  /// Every scheduled event fires; there is no cancellation.  A caller that
+  /// may want to retract an event captures a generation stamp and turns
+  /// the fire into a no-op instead (see Cpu's slice end).  The callable
+  /// binds by rvalue reference so it relocates exactly once, from the call
+  /// site into queue storage.  Inline so a posting call site compiles
+  /// straight through EventQueue::post's inline insert chain (no opaque
+  /// boundary between the lambda's construction and its landing in the
+  /// slab).
   void post_at(SimTime at, InlineFn&& fn) {
     queue_.post(std::max(at, now_), std::move(fn));
   }
+  /// Schedules `fn` to run `d` after the current time (d clamped to >= 0).
   void post_after(Duration d, InlineFn&& fn) {
     post_at(now_ + std::max<Duration>(d, 0), std::move(fn));
   }
@@ -107,10 +99,9 @@ class Simulator {
   /// window to propagate an application stop across shards.
   [[nodiscard]] bool stop_requested() const { return stopped_; }
 
-  /// Number of pending events (upper bound, see EventQueue::size()).
-  /// Includes drained-but-unfired batch entries: a run_until() deadline
-  /// can split a bucket, leaving the tail of the batch pending for the
-  /// next window.
+  /// Number of pending events, including drained-but-unfired batch
+  /// entries: a run_until() deadline can split a bucket, leaving the tail
+  /// of the batch pending for the next window.
   [[nodiscard]] std::size_t pending_events() const {
     return queue_.size() + batch_.remaining();
   }
@@ -118,8 +109,7 @@ class Simulator {
   /// Timestamp of the earliest pending event, or `if_empty` when the queue
   /// has drained.  The shard runtime's LBTS reduction reads this between
   /// windows, so drained-but-unfired batch entries count (they are still
-  /// pending work); cancelled batch heads are reaped first so they never
-  /// pin the LBTS on a phantom instant.
+  /// pending work).
   [[nodiscard]] SimTime next_event_time(SimTime if_empty);
 
   /// Cumulative events executed by step() (bench: events/s numerator).
@@ -132,7 +122,7 @@ class Simulator {
 
   /// Structure-traffic counters of the underlying event queue: which
   /// wheel level (or the heap spill) inserts landed in, and how many
-  /// level-1 events were promoted or reaped.  Benches and tests use this
+  /// level-1 events were promoted.  Benches and tests use this
   /// to hold the "slice-end events never spill" property.
   [[nodiscard]] const EventQueue::Stats& queue_stats() const {
     return queue_.stats();

@@ -1,7 +1,6 @@
 // A size-bucketed free-list recycler for the simulator's small, short-lived
 // heap blocks: coroutine frames (sim::Proc, sim::Task — one frame per
-// channel write, syscall, or delivery) and the event queue's cancellation
-// states.  These are the allocations left on the steady-state path after
+// channel write, syscall, or delivery).  These are the allocations left on the steady-state path after
 // frame payloads moved to hw::FramePool; at a few dozen per simulated
 // message they dominate the Table 1/2 wall-clock profile.
 //
@@ -78,27 +77,6 @@ class SmallBlockPool {
   // as live; the OS reclaims them at process exit like any allocator pool.
   // vorx-lint: allow(R6) per-thread free lists are this allocator's point — each shard worker owns its own (compiled out under ASan already)
   inline static thread_local FreeNode* heads_[kBuckets] = {};
-};
-
-/// Minimal std::allocator replacement routing through SmallBlockPool; lets
-/// std::allocate_shared put a control block + payload in a recycled slot
-/// (the event queue's per-push cancellation state uses this).
-template <typename T>
-struct SmallBlockAllocator {
-  using value_type = T;
-  SmallBlockAllocator() = default;
-  template <typename U>
-  SmallBlockAllocator(const SmallBlockAllocator<U>&) noexcept {}  // NOLINT
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(SmallBlockPool::allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    SmallBlockPool::deallocate(p, n * sizeof(T));
-  }
-  template <typename U>
-  bool operator==(const SmallBlockAllocator<U>&) const noexcept {
-    return true;
-  }
 };
 
 }  // namespace hpcvorx::sim

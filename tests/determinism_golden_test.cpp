@@ -83,8 +83,9 @@ void check_against_golden(const std::string& name, const std::string& got) {
 // The script exercises every region the queue implementation cares about:
 // same-tick ties (times rounded to coarse multiples), near-future times, far
 // future times (beyond any near-future fast-path window), times in the past
-// of the current pop frontier, cancellation of pending events, and events
-// that schedule further events while firing.  The pop loop records
+// of the current pop frontier, stamped no-op events (the Cpu slice-end
+// pattern: a bumped stamp turns the fire into a no-op), and events that
+// schedule further events while firing.  The pop loop records
 // "<id>@<time>;" per firing; insertion order is the tiebreak the golden pins.
 // ---------------------------------------------------------------------------
 
@@ -105,10 +106,6 @@ std::string run_event_order_scenario() {
     const int id = next_id++;
     q.post(at, [&fire, id, at] { fire(id, at); });
   };
-  auto push_one = [&](sim::SimTime at) {
-    const int id = next_id++;
-    return q.push(at, [&fire, id, at] { fire(id, at); });
-  };
   auto pop_n = [&](int n) {
     for (int i = 0; i < n && !q.empty(); ++i) {
       auto [at, fn] = q.pop();
@@ -126,11 +123,17 @@ std::string run_event_order_scenario() {
   pop_n(52);
   for (int i = 0; i < 6; ++i) post_one(static_cast<sim::SimTime>(rng.below(100)));
 
-  // Phase 3: cancellable events near and far; cancel every third one.
-  std::vector<sim::EventHandle> handles;
-  for (int i = 0; i < 30; ++i)
-    handles.push_back(push_one(static_cast<sim::SimTime>(4000 + rng.below(200000))));
-  for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+  // Phase 3: stamped events near and far; every third one is stamped
+  // stale after posting, so it pops in its slot as a no-op.
+  std::vector<std::uint64_t> stamp(30, 0);
+  for (std::size_t i = 0; i < stamp.size(); ++i) {
+    const sim::SimTime at = static_cast<sim::SimTime>(4000 + rng.below(200000));
+    const int id = next_id++;
+    q.post(at, [&fire, &stamp, i, gen = stamp[i], id, at] {
+      if (stamp[i] == gen) fire(id, at);
+    });
+  }
+  for (std::size_t i = 0; i < stamp.size(); i += 3) ++stamp[i];
 
   // Phase 4: events that schedule more events when they fire (nested
   // insertion during pop), landing both at the current instant and later.
@@ -346,7 +349,7 @@ std::string run_adaptive_fabric(const std::string& label,
       hw::Endpoint& ep = f->endpoint(s);
       while (*idx < sched.size() && ep.tx_ready()) {
         if (sim.now() < sched[*idx].at) {
-          sim.schedule_at(sched[*idx].at, [self] { (*self)(); });
+          sim.post_at(sched[*idx].at, [self] { (*self)(); });
           return;
         }
         hw::Frame fr;
@@ -357,8 +360,8 @@ std::string run_adaptive_fabric(const std::string& label,
       }
     };
     fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    sim.schedule_at((*schedules)[static_cast<std::size_t>(s)][0].at,
-                    [pump] { (*pump)(); });
+    sim.post_at((*schedules)[static_cast<std::size_t>(s)][0].at,
+                [pump] { (*pump)(); });
   }
 
   if (link_flap) {

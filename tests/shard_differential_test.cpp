@@ -389,7 +389,7 @@ RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
       while (*idx < sched.size() && ep.tx_ready()) {
         const Inject& in = sched[*idx];
         if (sim.now() < in.at) {
-          sim.schedule_at(in.at, [self] { (*self)(); });
+          sim.post_at(in.at, [self] { (*self)(); });
           return;
         }
         hw::Frame fr;
@@ -401,7 +401,7 @@ RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
       }
     };
     fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    fab->station_sim(s).schedule_at(
+    fab->station_sim(s).post_at(
         (*schedules)[static_cast<std::size_t>(s)][0].at,
         [pump] { (*pump)(); });
   }

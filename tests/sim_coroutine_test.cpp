@@ -55,7 +55,7 @@ TEST(Event, WaitersWakeOnSet) {
   std::vector<SimTime> log;
   event_waiter(ev, sim, log);
   event_waiter(ev, sim, log);
-  sim.schedule_at(usec(10), [&] { ev.set(); });
+  sim.post_at(usec(10), [&] { ev.set(); });
   sim.run();
   EXPECT_EQ(log, (std::vector<SimTime>{usec(10), usec(10)}));
 }

@@ -65,6 +65,29 @@ TEST(Cpu, HigherPriorityPreempts) {
   EXPECT_EQ(done[1], (std::pair<int, SimTime>{1, usec(120)}));
 }
 
+// A preemption only bumps the slice generation; the preempted slice's end
+// event stays queued and fires as a no-op.  Here a zero-cost preemptor
+// hands the CPU straight back, so the resumed slice ends at exactly the
+// stale event's instant (100us), with the stale event first in seq order.
+// The stale fire must not complete A a second time or early.
+TEST(Cpu, StaleSliceEndAtTheLiveSliceEndInstantIsANoOp) {
+  Simulator sim;
+  Cpu cpu(sim, "n0");
+  std::vector<std::pair<int, SimTime>> done;
+  run_job(cpu, 100, usec(100), Category::kUser, done, 1);
+  delayed_job(sim, cpu, usec(30), 500, 0, done, 2);
+  sim.run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], (std::pair<int, SimTime>{2, usec(30)}));
+  EXPECT_EQ(done[1], (std::pair<int, SimTime>{1, usec(100)}));
+  EXPECT_EQ(cpu.preemptions(), 1u);
+  EXPECT_EQ(sim.now(), usec(100));
+  cpu.finalize_accounting();
+  EXPECT_EQ(cpu.ledger().grand_total(), usec(100));
+  EXPECT_EQ(cpu.ledger().busy_total(), usec(100));
+  EXPECT_EQ(cpu.ledger().total(Category::kUser), usec(100));
+}
+
 TEST(Cpu, EqualPriorityDoesNotPreempt) {
   Simulator sim;
   Cpu cpu(sim, "n0");
@@ -130,7 +153,7 @@ TEST(Cpu, IdleClassifierLabelsIdleSpans) {
   cpu.set_idle_classifier([&] { return reason; });
   std::vector<std::pair<int, SimTime>> done;
   // idle [0,10) as other; then kernel changes the reason at 10us.
-  sim.schedule_at(usec(10), [&] {
+  sim.post_at(usec(10), [&] {
     reason = Category::kIdleInput;
     cpu.note_idle_reason_changed();
   });

@@ -14,9 +14,9 @@ namespace {
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.push(30, [&] { order.push_back(3); });
-  q.push(10, [&] { order.push_back(1); });
-  q.push(20, [&] { order.push_back(2); });
+  q.post(30, [&] { order.push_back(3); });
+  q.post(10, [&] { order.push_back(1); });
+  q.post(20, [&] { order.push_back(2); });
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -25,46 +25,17 @@ TEST(EventQueue, SameTimeFiresInInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.push(100, [&order, i] { order.push_back(i); });
+    q.post(100, [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  int fired = 0;
-  EventHandle h = q.push(10, [&] { ++fired; });
-  q.push(20, [&] { ++fired; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());  // second cancel is a no-op
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelLastRemainingEventEmptiesQueue) {
-  EventQueue q;
-  EventHandle h = q.push(10, [] {});
-  EXPECT_FALSE(q.empty());
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, HandleOutlivesFiredEvent) {
-  EventQueue q;
-  EventHandle h = q.push(5, [] {});
-  q.pop().second();
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());
-}
-
 TEST(Simulator, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<SimTime> seen;
-  sim.schedule_at(100, [&] { seen.push_back(sim.now()); });
-  sim.schedule_at(50, [&] { seen.push_back(sim.now()); });
+  sim.post_at(100, [&] { seen.push_back(sim.now()); });
+  sim.post_at(50, [&] { seen.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(seen, (std::vector<SimTime>{50, 100}));
   EXPECT_EQ(sim.now(), 100);
@@ -73,8 +44,8 @@ TEST(Simulator, ClockAdvancesToEventTimes) {
 TEST(Simulator, ScheduleAfterIsRelative) {
   Simulator sim;
   SimTime fired_at = -1;
-  sim.schedule_at(100, [&] {
-    sim.schedule_after(25, [&] { fired_at = sim.now(); });
+  sim.post_at(100, [&] {
+    sim.post_after(25, [&] { fired_at = sim.now(); });
   });
   sim.run();
   EXPECT_EQ(fired_at, 125);
@@ -83,8 +54,8 @@ TEST(Simulator, ScheduleAfterIsRelative) {
 TEST(Simulator, PastTimesClampToNow) {
   Simulator sim;
   SimTime fired_at = -1;
-  sim.schedule_at(100, [&] {
-    sim.schedule_at(10, [&] { fired_at = sim.now(); });  // in the "past"
+  sim.post_at(100, [&] {
+    sim.post_at(10, [&] { fired_at = sim.now(); });  // in the "past"
   });
   sim.run();
   EXPECT_EQ(fired_at, 100);
@@ -93,8 +64,8 @@ TEST(Simulator, PastTimesClampToNow) {
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(10, [&] { ++fired; });
-  sim.schedule_at(100, [&] { ++fired; });
+  sim.post_at(10, [&] { ++fired; });
+  sim.post_at(100, [&] { ++fired; });
   sim.run_until(50);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), 50);
@@ -105,11 +76,11 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
 TEST(Simulator, StopHaltsRun) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(10, [&] {
+  sim.post_at(10, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule_at(20, [&] { ++fired; });
+  sim.post_at(20, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   sim.run();  // resumes with the remaining event

@@ -250,25 +250,30 @@ TEST(Determinism, RepeatedRunsAreBitIdentical) {
   EXPECT_GT(a, 0);
 }
 
-// Event queue against a reference model under random pushes and cancels.
+// Event queue against a reference model under random posts and stamped
+// no-op events (the Cpu slice-end pattern: a bumped stamp turns the fire
+// into a no-op).
 TEST(Determinism, EventQueueMatchesReferenceModel) {
   sim::Rng rng(99);
   for (int round = 0; round < 20; ++round) {
     sim::EventQueue q;
     std::multimap<std::pair<sim::SimTime, int>, int> model;  // (time, order)
-    std::vector<sim::EventHandle> handles;
+    std::vector<std::uint64_t> stamp(100, 0);
     std::vector<int> fired;
     int id = 0;
     for (int i = 0; i < 100; ++i) {
       const auto t = static_cast<sim::SimTime>(rng.below(50));
       const int my_id = id++;
-      handles.push_back(q.push(t, [&fired, my_id] { fired.push_back(my_id); }));
+      const auto slot = static_cast<std::size_t>(my_id);
+      q.post(t, [&fired, &stamp, my_id, slot, gen = stamp[slot]] {
+        if (stamp[slot] == gen) fired.push_back(my_id);
+      });
       model.emplace(std::pair{t, my_id}, my_id);
     }
-    // Cancel a random third.
+    // Stamp a random third stale (a victim drawn twice stays stale).
     for (int i = 0; i < 33; ++i) {
       const auto victim = static_cast<std::size_t>(rng.below(100));
-      if (handles[victim].cancel()) {
+      if (stamp[victim]++ == 0) {
         for (auto it = model.begin(); it != model.end(); ++it) {
           if (it->second == static_cast<int>(victim)) {
             model.erase(it);
