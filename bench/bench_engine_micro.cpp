@@ -5,6 +5,7 @@
 // (permitted outside src/ — vorx-lint rule R1 covers the simulator only).
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -119,7 +120,7 @@ void run(bench::Reporter& r) {
 
   // Same shape again, but every event lands beyond even the level-1 span,
   // forcing the true heap-spill path.  Documents what the wheels buy and
-  // guards the handle-sifting heap from regressing unnoticed.
+  // guards the key-sifting heap from regressing unnoticed.
   r.row("engine.event_queue_far_post_pop_items_s", "items/s",
         items_per_sec(r, 1000, [&sink] {
           sim::EventQueue q;
@@ -128,6 +129,24 @@ void run(bench::Reporter& r) {
               static_cast<sim::SimTime>(2 * sim::EventQueue::kL1Span);
           for (int i = 0; i < 1000; ++i) {
             q.post(kFar + i * 20000, [&fired] { ++fired; });
+          }
+          while (!q.empty()) q.pop().second();
+          sink = sink + fired;
+        }));
+
+  // A deep spill heap: 10^5 events beyond the level-1 span, posted in a
+  // scrambled time order (a multiplicative permutation) so every push and
+  // pop sifts through ~17 heap levels, then popped dry.  The queue-layer
+  // view of the key-carrying heap: each sift compare reads the heap array
+  // only, never a slab node.
+  r.row("engine.spill_post_pop_items_s", "items/s",
+        items_per_sec(r, 100'000, [&sink] {
+          sim::EventQueue q;
+          int fired = 0;
+          constexpr sim::SimTime kFar =
+              static_cast<sim::SimTime>(2 * sim::EventQueue::kL1Span);
+          for (std::int64_t i = 0; i < 100'000; ++i) {
+            q.post(kFar + (i * 7919) % 100'000 * 37, [&fired] { ++fired; });
           }
           while (!q.empty()) q.pop().second();
           sink = sink + fired;

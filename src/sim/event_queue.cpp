@@ -31,6 +31,17 @@
 
 namespace hpcvorx::sim {
 
+namespace {
+// Max-heap comparator that makes the spill heap a (time, seq) min-heap.
+// It reads only the keys held in the heap array — a sift never touches a
+// slab node.  A closure type, not a function, so the heap algorithms
+// inline the compare instead of calling through a pointer.
+constexpr auto key_later = [](const EventQueue::Key& a,
+                              const EventQueue::Key& b) {
+  return b.before(a.at, a.seq);
+};
+}  // namespace
+
 EventQueue::EventQueue() {
   constexpr std::size_t kBucketBytes =
       static_cast<std::size_t>(kWheelBuckets) * sizeof(std::uint32_t);
@@ -55,15 +66,10 @@ EventQueue::EventQueue() {
 }
 
 void EventQueue::spill(std::uint32_t idx) {
-  heap_.push_back(idx);
+  const Entry& e = slab_[idx].e;
+  heap_.push_back(Key{e.at, e.seq, idx});
   ++stats_.heap_inserts;
-  const auto later = [this](std::uint32_t a, std::uint32_t b) {
-    const Entry& ea = slab_[a].e;
-    const Entry& eb = slab_[b].e;
-    if (ea.at != eb.at) return ea.at > eb.at;
-    return ea.seq > eb.seq;
-  };
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  std::push_heap(heap_.begin(), heap_.end(), key_later);
 }
 
 void EventQueue::promote_due() const {
@@ -103,7 +109,7 @@ EventQueue::Entry* EventQueue::next_head(bool& from_wheel) const {
   // a non-empty level 0 is always strictly earlier than all of level 1,
   // so only the heap needs checking.)
   while (l1_count_ > 0 && wheel_count_ == 0 &&
-         (heap_.empty() || slab_[heap_.front()].e.at >= l1_min_start_)) {
+         (heap_.empty() || heap_.front().at >= l1_min_start_)) {
     base_ = std::max(base_, l1_min_start_);
     promote_due();
   }
@@ -116,12 +122,12 @@ EventQueue::Entry* EventQueue::next_head(bool& from_wheel) const {
   }
   if (!have_wheel) {
     from_wheel = false;
-    return &slab_[heap_.front()].e;
+    return &slab_[heap_.front().idx].e;
   }
   Entry& w = slab_[wheel_head_].e;
-  Entry& h = slab_[heap_.front()].e;
-  from_wheel = (w.at != h.at) ? (w.at < h.at) : (w.seq < h.seq);
-  return from_wheel ? &w : &h;
+  const Key& h = heap_.front();
+  from_wheel = !h.before(w.at, w.seq);
+  return from_wheel ? &w : &slab_[h.idx].e;
 }
 
 void EventQueue::discard_wheel_head() const {
@@ -143,14 +149,8 @@ void EventQueue::discard_wheel_head() const {
 }
 
 void EventQueue::discard_heap_head() const {
-  const auto later = [this](std::uint32_t a, std::uint32_t b) {
-    const Entry& ea = slab_[a].e;
-    const Entry& eb = slab_[b].e;
-    if (ea.at != eb.at) return ea.at > eb.at;
-    return ea.seq > eb.seq;
-  };
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  free_node(heap_.back());
+  std::pop_heap(heap_.begin(), heap_.end(), key_later);
+  free_node(heap_.back().idx);
   heap_.pop_back();
 }
 
@@ -260,15 +260,12 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
       base_ = std::max(base_, l1_min_start_);
       promote_due();
     };
-    if (!heap_.empty()) {
-      const Entry& h = slab_[heap_.front()].e;
-      if (h.at < min_at || (h.at == min_at && h.seq < min_seq)) {
-        // The heap serves the next event via pop().  Mirror next_head():
-        // its fast-forward promotes this bucket first iff the heap front
-        // is not strictly before the bucket's start.
-        if (h.at >= l1_min_start_) promote_bucket();
-        return 0;
-      }
+    if (!heap_.empty() && heap_.front().before(min_at, min_seq)) {
+      // The heap serves the next event via pop().  Mirror next_head(): its
+      // fast-forward promotes this bucket first iff the heap front is not
+      // strictly before the bucket's start.
+      if (heap_.front().at >= l1_min_start_) promote_bucket();
+      return 0;
     }
     if (min_at > limit) {
       // Deadline before the head.  next_head() — reached through the
@@ -299,11 +296,10 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
       // no slab chases from the comparator — is cheaper than bouncing
       // every event through the ring.
       std::sort(out.keys_.begin(), out.keys_.end(),
-                [](const DrainBatch::SortKey& x, const DrainBatch::SortKey& y) {
-                  if (x.at != y.at) return x.at < y.at;
-                  return x.seq < y.seq;
+                [](const Key& x, const Key& y) {
+                  return x.before(y.at, y.seq);
                 });
-      for (const DrainBatch::SortKey& k : out.keys_) out.idx_.push_back(k.idx);
+      for (const Key& k : out.keys_) out.idx_.push_back(k.idx);
       base_ = std::max(base_, min_at);
       promote_due();
       ++stats_.bucket_drains;
@@ -316,10 +312,7 @@ std::size_t EventQueue::drain_bucket(DrainBatch& out, SimTime limit) {
   {
     // Ring head duel against the heap front, as next_head() orders them.
     const Entry& w = slab_[wheel_head_].e;
-    if (!heap_.empty()) {
-      const Entry& h = slab_[heap_.front()].e;
-      if (h.at < w.at || (h.at == w.at && h.seq < w.seq)) return 0;
-    }
+    if (!heap_.empty() && heap_.front().before(w.at, w.seq)) return 0;
     if (w.at > limit) return 0;
   }
   const SimTime t0 = wheel_min_;

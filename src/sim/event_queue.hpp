@@ -22,10 +22,11 @@
 //     level-0 window, the bucket's events are redistributed ("promoted")
 //     into their exact-tick ring buckets; each event is promoted at most
 //     once, so the two-level path stays amortized O(1).
-//   * a binary heap for the true spill: events beyond the level-1 span, or
-//     behind the pop frontier.  The heap sifts 4-byte slab handles — the
-//     96-byte entries themselves stay put in the slab — so heavy spill
-//     traffic moves words, not cache lines.
+//   * a binary heap for the true spill: events beyond the level-1 span,
+//     behind the pop frontier, or posted on a reserved ticket.  The heap
+//     sifts 24-byte (time, seq, slab handle) keys — the entries themselves
+//     stay put in the slab — so every sift compare reads the heap array
+//     alone and never chases a slab node.
 //
 // pop() compares the ring head against the heap head (level-1 events are
 // promoted before they can become the head), so global firing order is
@@ -37,6 +38,14 @@
 // event stamps it instead (the CPU's slice end captures a generation
 // counter and fires as a no-op once the counter has moved on; see
 // cpu.hpp), so every queued event fires exactly once.
+//
+// reserve() hands out a queue position without a queue entry: an
+// EventTicket carries the insertion sequence number an eager post() would
+// have taken at that moment, and post(at, ticket, fn) later fires the
+// event exactly where that eager post would have fired.  Ticketed posts
+// always take the spill heap — a wheel bucket's FIFO order *is* sequence
+// order, which an older sequence number would break — and the heap already
+// orders on (time, seq) against both wheels.
 //
 // The per-bucket head arrays of both wheel levels are allocated
 // uninitialized and consulted only when the bucket's occupancy bit is set,
@@ -57,8 +66,15 @@
 
 namespace hpcvorx::sim {
 
+/// A reserved position in an EventQueue's (time, seq) order: the insertion
+/// sequence number an eager post made at reservation time would have
+/// taken.  Spend it on exactly one EventQueue::post(at, ticket, fn).
+struct EventTicket {
+  std::uint64_t seq = 0;
+};
+
 /// (time, sequence)-ordered callback queue: two-level timing wheel over a
-/// handle-sifting binary-heap spill.
+/// key-sifting binary-heap spill.
 class EventQueue {
  public:
   /// Width of the level-0 ring, in ticks (1 tick = 1 ns).  Power of two;
@@ -118,6 +134,16 @@ class EventQueue {
     insert(at, next_seq_++, std::move(fn));
   }
 
+  /// Takes the next insertion sequence number without queueing anything.
+  [[nodiscard]] EventTicket reserve() { return EventTicket{next_seq_++}; }
+
+  /// Schedules `fn` at `at` in the (time, seq) slot `ticket` reserved: it
+  /// fires exactly where post(at, fn) made at reservation time would have
+  /// fired.  Always spills (see the header comment).
+  void post(SimTime at, EventTicket ticket, InlineFn&& fn) {
+    spill(alloc_node(at, ticket.seq, std::move(fn)));
+  }
+
   /// True if no events remain.
   [[nodiscard]] bool empty() const { return size() == 0; }
 
@@ -136,7 +162,7 @@ class EventQueue {
   /// Entry is an implementation detail, public only so the comparator in
   /// event_queue.cpp — and DrainBatch's inline cursor accessors below —
   /// can see it.  Entries live in the shared node slab for all three
-  /// structures; the heap sifts slab indices, never Entries.  Field order
+  /// structures; the heap sifts Keys, never Entries.  Field order
   /// is deliberate: at/seq lead so that — together with Node's link words
   /// — every field a drain chain-walk reads sits in the node's first
   /// cache line; the wide callable payload trails.
@@ -144,6 +170,18 @@ class EventQueue {
     SimTime at;
     std::uint64_t seq;
     InlineFn fn;
+  };
+
+  /// An entry's (time, seq) order key plus its slab handle: the spill
+  /// heap's element, and the direct level-1 drain's sort record.
+  struct Key {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint32_t idx;
+
+    [[nodiscard]] bool before(SimTime t, std::uint64_t s) const {
+      return at < t || (at == t && seq < s);
+    }
   };
 
   /// One drained frontier-bucket span: a firing cursor over slab handles
@@ -202,15 +240,9 @@ class EventQueue {
     }
     const EventQueue* q_ = nullptr;  // rebound on every drain_bucket()
     std::vector<std::uint32_t> idx_;  // slab handles, (time, seq) order
-    // Drain-time scratch for the direct level-1 path: (at, seq, idx)
-    // triples sorted contiguously instead of chasing slab nodes from the
-    // sort comparator.
-    struct SortKey {
-      SimTime at;
-      std::uint64_t seq;
-      std::uint32_t idx;
-    };
-    std::vector<SortKey> keys_;
+    // Drain-time scratch for the direct level-1 path: keys sorted
+    // contiguously instead of chasing slab nodes from the sort comparator.
+    std::vector<Key> keys_;
     std::size_t pos_ = 0;
   };
 
@@ -246,9 +278,7 @@ class EventQueue {
     // span.  Only the spill heap can hold a same-tick, smaller-seq entry
     // (one that was far when inserted), so its check compares sequences.
     if (wheel_count_ > 0 && wheel_min_ < at) return true;
-    if (heap_.empty()) return false;
-    const Entry& h = slab_[heap_.front()].e;
-    return h.at < at || (h.at == at && h.seq < seq);
+    return !heap_.empty() && heap_.front().before(at, seq);
   }
 
   /// Advances the pop frontier to `t` and promotes due level-1 buckets —
@@ -333,7 +363,7 @@ class EventQueue {
       }
     }
     // True spill: far future (beyond the level-1 span) or behind the
-    // frontier.  The node stays in the slab; only its 4-byte handle sifts.
+    // frontier.  The node stays in the slab; only its key sifts.
     spill(alloc_node(at, seq, std::move(fn)));
   }
   /// Takes a node from the free list (or grows the slab) and fills it.
@@ -411,7 +441,7 @@ class EventQueue {
     if (l1_count_ == 0 || start < l1_min_start_) l1_min_start_ = start;
     ++l1_count_;
   }
-  /// True-spill push: sifts the already-allocated node's handle into the
+  /// True-spill push: sifts the already-allocated node's key into the
   /// binary heap.  Out of line — this is the cold insert tail.
   void spill(std::uint32_t idx);
   /// Promotes every level-1 bucket that fits entirely inside the level-0
@@ -466,7 +496,7 @@ class EventQueue {
 
   // Lazy promotion and next_head()'s fast-forward mutate the structures
   // behind the logically-const next_time(), hence the mutables.
-  mutable std::vector<std::uint32_t> heap_;  // spill: slab handles only
+  mutable std::vector<Key> heap_;            // spill: (time, seq) min-heap
   mutable std::vector<Node> slab_;           // entry storage, all structures
   mutable std::uint32_t free_head_ = kNil;   // slab free list
   // One allocation backs both levels' bucket arrays (uninitialized —

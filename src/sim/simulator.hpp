@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 
 #include "sim/event_queue.hpp"
@@ -70,6 +71,19 @@ class Simulator {
   /// Schedules `fn` to run `d` after the current time (d clamped to >= 0).
   void post_after(Duration d, InlineFn&& fn) {
     post_at(now_ + std::max<Duration>(d, 0), std::move(fn));
+  }
+
+  /// Reserves a queue position now for an event posted later: the ticket
+  /// fires exactly where an eager post_at() made at this moment would have
+  /// fired.  A stream that keeps only its head event queued (a lazy feed)
+  /// reserves one ticket per item up front, so same-instant ties with
+  /// other events still break in the eager order.
+  [[nodiscard]] EventTicket reserve() { return queue_.reserve(); }
+  /// Schedules `fn` at `at` in the slot `ticket` reserved.  Unlike the
+  /// eager overload this does not clamp: `at` must not be in the past.
+  void post_at(SimTime at, EventTicket ticket, InlineFn&& fn) {
+    assert(at >= now_ && "a ticketed post cannot fire in the past");
+    queue_.post(at, ticket, std::move(fn));
   }
 
   /// Runs one pending event.  Returns false if none remain.

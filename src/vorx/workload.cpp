@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <sstream>
+#include <unordered_map>
 
 #include "vorx/node.hpp"
 #include "vorx/stub.hpp"
@@ -113,36 +115,59 @@ struct SpurtDesc {
   int frames = 1;         // media frames in the spurt
 };
 
+// Session state lives in dense per-node tables: every session owns one
+// root-table slot on its root node and one member-table slot on each member
+// node, numbered at generation time.  Invite, data and bye frames carry the
+// member's slot in Frame::seq (unused by session frames otherwise), so the
+// member side indexes its table directly.
 struct SessionDesc {
   std::uint64_t id = 0;
   sim::SimTime start = 0;
   int root = 0;                   // root node index
+  std::uint32_t root_slot = 0;    // slot in the root node's root table
   std::vector<int> members;       // other member node indices (unique)
+  std::vector<std::uint32_t> member_slot;  // parallel to members: slot in
+                                           // that node's member table
   std::vector<SpurtDesc> spurts;
-  // Churn: (member node index, leave offset from session activation).
-  std::vector<std::pair<int, sim::Duration>> leaves;
+  // Churn: (position in members, leave offset from session activation).
+  std::vector<std::pair<std::size_t, sim::Duration>> leaves;
 };
 
-// Root-side session phases.  kDone/kFailed/kLost are terminal; the entry
-// is erased once counted, so the watchdog treats "entry still present" as
+// Root-side session phases.  kDone/kFailed/kLost are terminal; the slot is
+// cleared once counted, so the watchdog treats "slot still live" as
 // not-yet-resolved.
 enum Phase : int { kAllocating = 0, kInviting = 1, kActive = 2 };
 
+// A member still in an active conference: where to send its frames.
+struct LiveMember {
+  int node = 0;            // member node index
+  std::uint32_t slot = 0;  // its slot in that node's member table
+};
+
 struct RootSession {
-  const SessionDesc* desc = nullptr;
+  const SessionDesc* desc = nullptr;  // null: not started, or resolved
   int phase = kAllocating;
   std::uint32_t epoch = 0;  // invalidates outstanding control timers
   int attempt = 0;          // allocation attempts made
   hw::StationId host = -1;  // granted host station (-1 = none)
   int round = 0;            // invite rounds completed
   std::vector<char> accepted;     // parallel to desc->members
-  std::vector<int> live;          // members still in the conference
+  std::vector<LiveMember> live;   // members still in the conference
   std::size_t spurt = 0;
   int frames_left = 0;
 };
 
-struct MemberSession {
-  hw::StationId root = -1;
+// One item of a lazy feed (see Impl::Feed): a pre-computed event with the
+// queue position it reserved.
+enum class FeedKind : std::uint8_t { kStart, kWatchdog, kLeave, kMemberGc };
+
+struct FeedItem {
+  sim::SimTime at = 0;
+  sim::EventTicket ticket;
+  std::uint64_t sid = 0;
+  int node = 0;            // agent the item acts on
+  std::uint32_t slot = 0;  // member-table slot (kLeave, kMemberGc)
+  FeedKind kind = FeedKind::kStart;
 };
 
 }  // namespace
@@ -150,11 +175,53 @@ struct MemberSession {
 // ---- agents ---------------------------------------------------------------
 
 struct WorkloadGen::Impl {
+  // A lazy event stream: items in (time, seq) order, of which only the head
+  // is in the event queue, posted on the ticket the item reserved when the
+  // stream was fed.  Each fire posts the next head before acting, so every
+  // item fires exactly where an eager post at reservation time would have
+  // — same-instant ties included — while the queue holds one entry per
+  // stream instead of one per item.
+  struct Feed {
+    Feed() = default;
+    Feed(const Feed&) = delete;  // the queued head's callback holds `this`
+    Feed& operator=(const Feed&) = delete;
+
+    Impl* impl = nullptr;
+    sim::Simulator* sim = nullptr;
+    std::deque<FeedItem> items;
+
+    // Appends an item that orders after every one already fed.
+    void append(const FeedItem& it) {
+      items.push_back(it);
+      if (items.size() == 1) post_head();
+    }
+    // Orders items fed out of order straight into `items`, then queues
+    // the head.
+    void start() {
+      std::sort(items.begin(), items.end(),
+                [](const FeedItem& a, const FeedItem& b) {
+                  return a.at != b.at ? a.at < b.at
+                                      : a.ticket.seq < b.ticket.seq;
+                });
+      if (!items.empty()) post_head();
+    }
+    void post_head() {
+      sim->post_at(items.front().at, items.front().ticket, [this] {
+        const FeedItem it = items.front();
+        items.pop_front();
+        if (!items.empty()) post_head();
+        impl->fire(it);
+      });
+    }
+  };
+
   struct NodeAgent {
     Node* node = nullptr;
     int index = 0;
-    std::unordered_map<std::uint64_t, RootSession> roots;
-    std::unordered_map<std::uint64_t, MemberSession> members;
+    std::vector<RootSession> roots;  // by SessionDesc::root_slot
+    std::vector<char> member_in;     // by member slot: 1 while a member
+    Feed member_gc_feed;             // member-side GC deadlines
+    Feed* arrivals = nullptr;        // this node's simulator's arrival feed
     std::vector<sim::Duration> join_lat;
     std::vector<sim::Duration> deliv_lat;
     // (time, +1/-1) activation log for the concurrent-sessions peak.
@@ -187,9 +254,10 @@ struct WorkloadGen::Impl {
 
   Impl(System& sys, WorkloadConfig cfg, std::uint64_t seed);
 
-  void generate(std::uint64_t seed);
   void install();
+  void generate(std::uint64_t seed);
   void schedule();
+  void fire(const FeedItem& it);
 
   // Root-side state machine.
   void start_session(NodeAgent& ag, std::uint64_t sid);
@@ -209,7 +277,7 @@ struct WorkloadGen::Impl {
   void on_invite(NodeAgent& ag, const hw::Frame& f);
   void on_data(NodeAgent& ag, const hw::Frame& f);
   void on_bye(NodeAgent& ag, const hw::Frame& f);
-  void member_leave(NodeAgent& ag, std::uint64_t sid);
+  void member_leave(NodeAgent& ag, std::uint32_t slot, std::uint64_t sid);
 
   // Host side.
   void on_alloc_req(HostAgent& h, const hw::Frame& f);
@@ -217,6 +285,17 @@ struct WorkloadGen::Impl {
   void set_host_crashed(int host, bool crashed);
 
   void send_free(NodeAgent& ag, hw::StationId host, std::uint64_t sid);
+
+  // The root-table slot of session `sid` on its root node `ag`, or null
+  // when the session has not started or is already resolved.
+  [[nodiscard]] RootSession* live_root(NodeAgent& ag, std::uint64_t sid) {
+    const SessionDesc& d = descs[sid - 1];
+    assert(d.root == ag.index);
+    RootSession& rs = ag.roots[d.root_slot];
+    return rs.desc != nullptr ? &rs : nullptr;
+  }
+  // Clears a resolved session's root slot (and frees its vectors).
+  static void resolve(RootSession& rs) { rs = RootSession{}; }
 
   [[nodiscard]] sim::SimTime end_time() const {
     return cfg.horizon + ttl_eff + sim::msec(10);
@@ -228,6 +307,7 @@ struct WorkloadGen::Impl {
   std::vector<SessionDesc> descs;
   std::vector<std::unique_ptr<NodeAgent>> node_agents;
   std::vector<std::unique_ptr<HostAgent>> host_agents;
+  std::vector<std::unique_ptr<Feed>> arrival_feeds;  // one per simulator
 };
 
 WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
@@ -242,17 +322,21 @@ WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
           (gap_cap + cfg.spurt_cap + cfg.frame_interval) +
       sim::msec(50);
   ttl_eff = std::max(cfg.session_ttl, max_life);
-  generate(seed);
   install();
+  generate(seed);
   schedule();
 }
 
 // Pre-generates every session descriptor from one linear Rng stream.  The
 // result depends only on (cfg, seed) — never on shard count or on anything
 // the machine does — so the offered load is identical across engines.
+// Also numbers each session's root and member slots and sizes the agents'
+// session tables to match.
 void WorkloadGen::Impl::generate(std::uint64_t seed) {
   sim::Rng rng(seed);
   const int nodes = sys.num_nodes();
+  std::vector<std::uint32_t> root_slots(static_cast<std::size_t>(nodes), 0);
+  std::vector<std::uint32_t> member_slots(static_cast<std::size_t>(nodes), 0);
   const double mean_members =
       (static_cast<double>(cfg.min_members) + cfg.max_members) / 2.0;
   const double expected =
@@ -281,6 +365,7 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
     d.id = next_id++;
     d.start = static_cast<sim::SimTime>(t);
     d.root = static_cast<int>(rng.below(static_cast<std::uint64_t>(nodes)));
+    d.root_slot = root_slots[static_cast<std::size_t>(d.root)]++;
     const int want = static_cast<int>(
         rng.range(cfg.min_members, cfg.max_members));
     const int size = std::min(want, nodes);  // distinct nodes available
@@ -293,6 +378,7 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
         continue;
       }
       d.members.push_back(m);
+      d.member_slot.push_back(member_slots[static_cast<std::size_t>(m)]++);
     }
     const int nspurts =
         static_cast<int>(rng.range(cfg.min_spurts, cfg.max_spurts));
@@ -307,14 +393,18 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
                               cfg.frame_interval;
       d.spurts.push_back(sp);
     }
-    for (int m : d.members) {
+    for (std::size_t i = 0; i < d.members.size(); ++i) {
       if (rng.chance(cfg.churn_prob) && nominal > 0) {
         d.leaves.emplace_back(
-            m, static_cast<sim::Duration>(
+            i, static_cast<sim::Duration>(
                    rng.below(static_cast<std::uint64_t>(nominal))));
       }
     }
     descs.push_back(std::move(d));
+  }
+  for (std::size_t i = 0; i < node_agents.size(); ++i) {
+    node_agents[i]->roots.resize(root_slots[i]);
+    node_agents[i]->member_in.assign(member_slots[i], 0);
   }
 }
 
@@ -324,6 +414,19 @@ void WorkloadGen::Impl::install() {
     auto ag = std::make_unique<NodeAgent>();
     ag->node = &sys.node(i);
     ag->index = i;
+    sim::Simulator* sim = &ag->node->simulator();
+    ag->member_gc_feed.impl = this;
+    ag->member_gc_feed.sim = sim;
+    // One arrival feed per simulator, shared by every node it runs.
+    for (const std::unique_ptr<Feed>& f : arrival_feeds) {
+      if (f->sim == sim) ag->arrivals = f.get();
+    }
+    if (ag->arrivals == nullptr) {
+      arrival_feeds.push_back(std::make_unique<Feed>());
+      ag->arrivals = arrival_feeds.back().get();
+      ag->arrivals->impl = this;
+      ag->arrivals->sim = sim;
+    }
     NodeAgent* a = ag.get();
     Kernel& k = a->node->kernel();
     k.register_handler(msg::kAllocReply,
@@ -355,34 +458,60 @@ void WorkloadGen::Impl::install() {
   }
 }
 
-// Pre-schedules every session start, root watchdog, and churn departure on
-// the owning node's own simulator — the only cross-shard-safe way to seed
-// work (R7: cross-shard effects travel only in link frames).
+// Feeds every session start, root watchdog, and churn departure to the
+// arrival feed of the owning node's own simulator — the only
+// cross-shard-safe way to seed work (R7: cross-shard effects travel only in
+// link frames).  Tickets are reserved in the order the events would have
+// been posted eagerly, so each fires in its eager (time, seq) slot while
+// the queue holds one arrival per simulator.
 void WorkloadGen::Impl::schedule() {
   for (const SessionDesc& d : descs) {
-    NodeAgent* root = node_agents[static_cast<std::size_t>(d.root)].get();
-    sim::Simulator& rsim = root->node->simulator();
-    const std::uint64_t sid = d.id;
-    rsim.post_at(d.start,
-                 [this, root, sid] { start_session(*root, sid); });
-    rsim.post_at(d.start + ttl_eff,
-                 [this, root, sid] { watchdog(*root, sid); });
-    for (const auto& [m, offset] : d.leaves) {
-      NodeAgent* mem = node_agents[static_cast<std::size_t>(m)].get();
+    NodeAgent& root = *node_agents[static_cast<std::size_t>(d.root)];
+    sim::Simulator& rsim = root.node->simulator();
+    root.arrivals->items.push_back(
+        {d.start, rsim.reserve(), d.id, d.root, 0, FeedKind::kStart});
+    root.arrivals->items.push_back({d.start + ttl_eff, rsim.reserve(), d.id,
+                                    d.root, 0, FeedKind::kWatchdog});
+    for (const auto& [i, offset] : d.leaves) {
+      NodeAgent& mem = *node_agents[static_cast<std::size_t>(d.members[i])];
       // Earliest the member could be active; if the invite never arrived
       // (faults) the leave finds no local session and is a no-op.
       const sim::SimTime leave_at =
           d.start + cfg.alloc_timeout + cfg.invite_timeout + offset;
-      mem->node->simulator().post_at(
-          leave_at, [this, mem, sid] { member_leave(*mem, sid); });
+      mem.arrivals->items.push_back({leave_at, mem.node->simulator().reserve(),
+                                     d.id, mem.index, d.member_slot[i],
+                                     FeedKind::kLeave});
     }
+  }
+  for (const std::unique_ptr<Feed>& f : arrival_feeds) f->start();
+}
+
+void WorkloadGen::Impl::fire(const FeedItem& it) {
+  NodeAgent& ag = *node_agents[static_cast<std::size_t>(it.node)];
+  switch (it.kind) {
+    case FeedKind::kStart:
+      start_session(ag, it.sid);
+      break;
+    case FeedKind::kWatchdog:
+      watchdog(ag, it.sid);
+      break;
+    case FeedKind::kLeave:
+      member_leave(ag, it.slot, it.sid);
+      break;
+    case FeedKind::kMemberGc:
+      // Member-side GC: reclaim the slot if the bye never came.
+      if (ag.member_in[it.slot] != 0) {
+        ag.member_in[it.slot] = 0;
+        ++ag.member_gc;
+      }
+      break;
   }
 }
 
 // ---- root-side state machine ----------------------------------------------
 
 void WorkloadGen::Impl::start_session(NodeAgent& ag, std::uint64_t sid) {
-  RootSession& rs = ag.roots[sid];
+  RootSession& rs = ag.roots[descs[sid - 1].root_slot];
   rs.desc = &descs[sid - 1];
   rs.accepted.assign(rs.desc->members.size(), 0);
   send_alloc(ag, rs);
@@ -407,31 +536,29 @@ void WorkloadGen::Impl::send_alloc(NodeAgent& ag, RootSession& rs) {
   const std::uint32_t e = ++rs.epoch;
   // vorx-lint: allow(R8) ag lives in Impl's per-node table for the whole run
   ag.node->simulator().post_after(cfg.alloc_timeout, [this, &ag, sid, e] {
-    auto it = ag.roots.find(sid);
-    if (it == ag.roots.end()) return;
-    RootSession& r = it->second;
-    if (r.phase != kAllocating || r.epoch != e) return;
+    RootSession* r = live_root(ag, sid);
+    if (r == nullptr || r->phase != kAllocating || r->epoch != e) return;
     ++ag.alloc_timeouts;
-    ++r.attempt;
-    send_alloc(ag, r);
+    ++r->attempt;
+    send_alloc(ag, *r);
   });
 }
 
 void WorkloadGen::Impl::on_alloc_reply(NodeAgent& ag, const hw::Frame& f) {
   const std::uint64_t sid = f.obj;
   const bool grant = f.aux == 1;
-  auto it = ag.roots.find(sid);
-  if (it == ag.roots.end() || it->second.phase != kAllocating ||
-      f.seq != static_cast<std::uint64_t>(it->second.attempt)) {
+  RootSession* r = live_root(ag, sid);
+  if (r == nullptr || r->phase != kAllocating ||
+      f.seq != static_cast<std::uint64_t>(r->attempt)) {
     // Late or duplicate reply.  A late *grant* holds a slot nobody will
     // ever use — release it (the §3.1 explicit-free contract).
-    if (grant && (it == ag.roots.end() || it->second.host != f.src)) {
+    if (grant && (r == nullptr || r->host != f.src)) {
       ++ag.late_grants_freed;
       send_free(ag, f.src, sid);
     }
     return;
   }
-  RootSession& rs = it->second;
+  RootSession& rs = *r;
   ++rs.epoch;  // cancel the attempt timer
   if (!grant) {
     ++ag.alloc_denied;
@@ -457,6 +584,7 @@ void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
     f.kind = msg::kSessInvite;
     f.dst = sys.node_station(rs.desc->members[i]);
     f.obj = sid;
+    f.seq = rs.desc->member_slot[i];
     ag.node->kernel().send(std::move(f));
     ++ag.invites_sent;
   }
@@ -468,9 +596,9 @@ void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
 }
 
 void WorkloadGen::Impl::on_accept(NodeAgent& ag, const hw::Frame& f) {
-  auto it = ag.roots.find(f.obj);
-  if (it == ag.roots.end() || it->second.phase != kInviting) return;
-  RootSession& rs = it->second;
+  RootSession* r = live_root(ag, f.obj);
+  if (r == nullptr || r->phase != kInviting) return;
+  RootSession& rs = *r;
   const auto pos = std::find(rs.desc->members.begin(),
                              rs.desc->members.end(), static_cast<int>(f.src));
   if (pos == rs.desc->members.end()) return;
@@ -484,10 +612,9 @@ void WorkloadGen::Impl::on_accept(NodeAgent& ag, const hw::Frame& f) {
 
 void WorkloadGen::Impl::invite_timeout(NodeAgent& ag, std::uint64_t sid,
                                        std::uint32_t epoch) {
-  auto it = ag.roots.find(sid);
-  if (it == ag.roots.end()) return;
-  RootSession& rs = it->second;
-  if (rs.phase != kInviting || rs.epoch != epoch) return;
+  RootSession* r = live_root(ag, sid);
+  if (r == nullptr || r->phase != kInviting || r->epoch != epoch) return;
+  RootSession& rs = *r;
   ++rs.round;
   if (rs.round < cfg.invite_rounds) {
     ++ag.reinvite_rounds;
@@ -511,7 +638,9 @@ void WorkloadGen::Impl::activate(NodeAgent& ag, RootSession& rs) {
   rs.phase = kActive;
   rs.live.clear();
   for (std::size_t i = 0; i < rs.desc->members.size(); ++i) {
-    if (rs.accepted[i]) rs.live.push_back(rs.desc->members[i]);
+    if (rs.accepted[i]) {
+      rs.live.push_back({rs.desc->members[i], rs.desc->member_slot[i]});
+    }
   }
   ag.members_joined += rs.live.size();
   const sim::SimTime now = ag.node->simulator().now();
@@ -535,19 +664,19 @@ void WorkloadGen::Impl::activate(NodeAgent& ag, RootSession& rs) {
 // live member, then self-schedule the next frame or the next spurt's gap.
 void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
                                    std::uint32_t epoch) {
-  auto it = ag.roots.find(sid);
-  if (it == ag.roots.end()) return;
-  RootSession& rs = it->second;
-  if (rs.phase != kActive || rs.epoch != epoch) return;
+  RootSession* r = live_root(ag, sid);
+  if (r == nullptr || r->phase != kActive || r->epoch != epoch) return;
+  RootSession& rs = *r;
   if (rs.frames_left == 0) {
     rs.frames_left = rs.desc->spurts[rs.spurt].frames;
   }
   const sim::SimTime now = ag.node->simulator().now();
-  for (int m : rs.live) {
+  for (const LiveMember& m : rs.live) {
     hw::Frame f;
     f.kind = msg::kSessData;
-    f.dst = sys.node_station(m);
+    f.dst = sys.node_station(m.node);
     f.obj = sid;
+    f.seq = m.slot;
     f.aux = static_cast<std::uint64_t>(now);  // end-to-end latency origin
     f.payload_bytes = cfg.frame_bytes;        // timing-only media frame
     ag.node->kernel().send(std::move(f));
@@ -573,53 +702,56 @@ void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
 }
 
 void WorkloadGen::Impl::on_leave(NodeAgent& ag, const hw::Frame& f) {
-  auto it = ag.roots.find(f.obj);
-  if (it == ag.roots.end() || it->second.phase != kActive) return;
-  RootSession& rs = it->second;
+  RootSession* r = live_root(ag, f.obj);
+  if (r == nullptr || r->phase != kActive) return;
+  RootSession& rs = *r;
   const auto pos =
-      std::find(rs.live.begin(), rs.live.end(), static_cast<int>(f.src));
+      std::find_if(rs.live.begin(), rs.live.end(), [&f](const LiveMember& m) {
+        return m.node == static_cast<int>(f.src);
+      });
   if (pos == rs.live.end()) return;
   rs.live.erase(pos);
   ++ag.churn_leaves;
 }
 
 void WorkloadGen::Impl::finish(NodeAgent& ag, std::uint64_t sid) {
-  auto it = ag.roots.find(sid);
-  assert(it != ag.roots.end());
-  RootSession& rs = it->second;
-  for (int m : rs.live) {
+  RootSession* r = live_root(ag, sid);
+  assert(r != nullptr);
+  RootSession& rs = *r;
+  for (const LiveMember& m : rs.live) {
     hw::Frame f;
     f.kind = msg::kSessBye;
-    f.dst = sys.node_station(m);
+    f.dst = sys.node_station(m.node);
     f.obj = sid;
+    f.seq = m.slot;
     ag.node->kernel().send(std::move(f));
   }
   if (rs.host >= 0) send_free(ag, rs.host, sid);
   ag.active_log.emplace_back(ag.node->simulator().now(), -1);
   ++ag.completed;
-  ag.roots.erase(it);
+  resolve(rs);
 }
 
 void WorkloadGen::Impl::fail_join(NodeAgent& ag, std::uint64_t sid) {
-  auto it = ag.roots.find(sid);
-  assert(it != ag.roots.end());
-  if (it->second.host >= 0) send_free(ag, it->second.host, sid);
+  RootSession* r = live_root(ag, sid);
+  assert(r != nullptr);
+  if (r->host >= 0) send_free(ag, r->host, sid);
   ++ag.failed_joins;
-  ag.roots.erase(it);
+  resolve(*r);
 }
 
 // The last line of accounting: any session still unresolved ttl after its
 // start is LOST.  This must stay zero — every recovery path above is
 // supposed to drive the session to completed or failed on its own.
 void WorkloadGen::Impl::watchdog(NodeAgent& ag, std::uint64_t sid) {
-  auto it = ag.roots.find(sid);
-  if (it == ag.roots.end()) return;  // resolved long ago
-  if (it->second.host >= 0) send_free(ag, it->second.host, sid);
-  if (it->second.phase == kActive) {
+  RootSession* r = live_root(ag, sid);
+  if (r == nullptr) return;  // resolved long ago
+  if (r->host >= 0) send_free(ag, r->host, sid);
+  if (r->phase == kActive) {
     ag.active_log.emplace_back(ag.node->simulator().now(), -1);
   }
   ++ag.lost;
-  ag.roots.erase(it);
+  resolve(*r);
 }
 
 void WorkloadGen::Impl::send_free(NodeAgent& ag, hw::StationId host,
@@ -634,45 +766,47 @@ void WorkloadGen::Impl::send_free(NodeAgent& ag, hw::StationId host,
 // ---- member side -----------------------------------------------------------
 
 void WorkloadGen::Impl::on_invite(NodeAgent& ag, const hw::Frame& f) {
-  const std::uint64_t sid = f.obj;
-  const bool fresh = ag.members.find(sid) == ag.members.end();
-  MemberSession& ms = ag.members[sid];
-  ms.root = f.src;
+  assert(f.seq < ag.member_in.size());
+  const std::uint32_t slot = static_cast<std::uint32_t>(f.seq);
+  const bool fresh = ag.member_in[slot] == 0;
+  ag.member_in[slot] = 1;
   hw::Frame a;
   a.kind = msg::kSessAccept;
   a.dst = f.src;
-  a.obj = sid;
+  a.obj = f.obj;
   ag.node->kernel().send(std::move(a));
   if (fresh) {
-    // Member-side GC: if the bye is lost to a fault, reclaim the entry
-    // once the session cannot possibly still be live.
-    // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-    ag.node->simulator().post_after(ttl_eff, [this, &ag, sid] {
-      if (ag.members.erase(sid) != 0) ++ag.member_gc;
-    });
+    // Member-side GC: if the bye is lost to a fault, reclaim the slot once
+    // the session cannot possibly still be live.  Deadlines arrive in
+    // order, so the node's GC feed needs no sort.
+    sim::Simulator& s = ag.node->simulator();
+    ag.member_gc_feed.append({s.now() + ttl_eff, s.reserve(), f.obj,
+                              ag.index, slot, FeedKind::kMemberGc});
   }
 }
 
 void WorkloadGen::Impl::on_data(NodeAgent& ag, const hw::Frame& f) {
-  if (ag.members.find(f.obj) == ag.members.end()) return;  // left / stale
+  assert(f.seq < ag.member_in.size());
+  if (ag.member_in[f.seq] == 0) return;  // left / stale
   const sim::SimTime now = ag.node->simulator().now();
   ag.deliv_lat.push_back(now - static_cast<sim::SimTime>(f.aux));
   ++ag.data_delivered;
 }
 
 void WorkloadGen::Impl::on_bye(NodeAgent& ag, const hw::Frame& f) {
-  ag.members.erase(f.obj);
+  assert(f.seq < ag.member_in.size());
+  ag.member_in[f.seq] = 0;
 }
 
-void WorkloadGen::Impl::member_leave(NodeAgent& ag, std::uint64_t sid) {
-  auto it = ag.members.find(sid);
-  if (it == ag.members.end()) return;  // never joined, or already over
+void WorkloadGen::Impl::member_leave(NodeAgent& ag, std::uint32_t slot,
+                                     std::uint64_t sid) {
+  if (ag.member_in[slot] == 0) return;  // never joined, or already over
   hw::Frame f;
   f.kind = msg::kSessLeave;
-  f.dst = it->second.root;
+  f.dst = sys.node_station(descs[sid - 1].root);
   f.obj = sid;
   ag.node->kernel().send(std::move(f));
-  ag.members.erase(it);
+  ag.member_in[slot] = 0;
 }
 
 // ---- host side -------------------------------------------------------------

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/fault_plan.hpp"
