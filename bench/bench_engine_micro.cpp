@@ -1,8 +1,10 @@
 // Wall-clock microbenchmarks of the simulation substrate itself:
 // event-queue throughput, coroutine switching, and the full simulated
 // message path.  These measure the reproduction's own performance, not the
-// paper's numbers, so this is the one bench that reads a real clock
-// (permitted outside src/ — vorx-lint rule R1 covers the simulator only).
+// paper's numbers, so these rows read a real clock (permitted outside
+// src/ — vorx-lint rule R1 covers the simulator only) and are recorded
+// with Reporter::wall_rate.  The deterministic counter rows in between
+// are ordinary virtual rows.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -48,7 +50,7 @@ void run(bench::Reporter& r) {
 
   volatile int sink = 0;
 
-  r.row("engine.event_queue_post_pop_items_s", "items/s",
+  r.wall_rate("engine.event_queue_post_pop_items_s", "items/s",
         items_per_sec(r, 1000, [&sink] {
           sim::EventQueue q;
           int fired = 0;
@@ -66,7 +68,7 @@ void run(bench::Reporter& r) {
   // across the whole bucket.  Before batching this row drove pop() once
   // per event; the workload density is the same, the dispatch path is the
   // one the simulator actually runs.
-  r.row("engine.wheel_l1_post_pop_items_s", "items/s",
+  r.wall_rate("engine.wheel_l1_post_pop_items_s", "items/s",
         items_per_sec(r, 512 * 8, [&sink] {
           sim::Simulator sim;
           int fired = 0;
@@ -97,7 +99,7 @@ void run(bench::Reporter& r) {
   // apart, ~77 per level-1 bucket) swept with drain_bucket() + the
   // DrainBatch fire protocol — the ceiling the batched dispatch loop
   // approaches when buckets are full.
-  r.row("engine.bucket_drain_items_s", "items/s",
+  r.wall_rate("engine.bucket_drain_items_s", "items/s",
         items_per_sec(r, 4096, [&sink] {
           sim::EventQueue q;
           sim::EventQueue::DrainBatch batch;
@@ -121,7 +123,7 @@ void run(bench::Reporter& r) {
   // Same shape again, but every event lands beyond even the level-1 span,
   // forcing the true heap-spill path.  Documents what the wheels buy and
   // guards the key-sifting heap from regressing unnoticed.
-  r.row("engine.event_queue_far_post_pop_items_s", "items/s",
+  r.wall_rate("engine.event_queue_far_post_pop_items_s", "items/s",
         items_per_sec(r, 1000, [&sink] {
           sim::EventQueue q;
           int fired = 0;
@@ -139,7 +141,7 @@ void run(bench::Reporter& r) {
   // pop sifts through ~17 heap levels, then popped dry.  The queue-layer
   // view of the key-carrying heap: each sift compare reads the heap array
   // only, never a slab node.
-  r.row("engine.spill_post_pop_items_s", "items/s",
+  r.wall_rate("engine.spill_post_pop_items_s", "items/s",
         items_per_sec(r, 100'000, [&sink] {
           sim::EventQueue q;
           int fired = 0;
@@ -182,7 +184,7 @@ void run(bench::Reporter& r) {
   // raw make_shared cost that vorx-lint R5 pushes callers away from.
   {
     hw::FramePool pool;
-    r.row("engine.frame_pool_payloads_s", "payloads/s",
+    r.wall_rate("engine.frame_pool_payloads_s", "payloads/s",
           items_per_sec(r, 1000, [&pool, &sink] {
             std::size_t total = 0;
             for (int i = 0; i < 1000; ++i) {
@@ -221,7 +223,7 @@ void run(bench::Reporter& r) {
   // processes ticking in lockstep, so every instant's resumes sit in one
   // level-1 bucket and dispatch through a single drain (one ring-head
   // comparison and one window update per bucket instead of per resume).
-  r.row("engine.coroutine_resumes_s", "resumes/s",
+  r.wall_rate("engine.coroutine_resumes_s", "resumes/s",
         items_per_sec(r, 256 * 16, [&sink] {
           sim::Simulator sim;
           int done = 0;
@@ -270,7 +272,7 @@ void run(bench::Reporter& r) {
     sink = sink + delivered;
   }
 
-  r.row("engine.cpu_preemptive_jobs_s", "jobs/s",
+  r.wall_rate("engine.cpu_preemptive_jobs_s", "jobs/s",
         items_per_sec(r, 100, [&sink] {
           sim::Simulator sim;
           sim::Cpu cpu(sim, "bench");
@@ -285,7 +287,7 @@ void run(bench::Reporter& r) {
           sink = sink + done;
         }));
 
-  r.row("engine.channel_roundtrips_s", "roundtrips/s",
+  r.wall_rate("engine.channel_roundtrips_s", "roundtrips/s",
         items_per_sec(r, 100, [] {
           sim::Simulator sim;
           vorx::System sys(sim, vorx::SystemConfig{});
@@ -321,13 +323,13 @@ void run(bench::Reporter& r) {
           apps::Complex(std::cos(0.37 * i), std::sin(0.11 * i));
     }
     std::vector<apps::Complex> work(kN);
-    r.row("apps.fft_blocked_1d_points_s", "points/s",
+    r.wall_rate("apps.fft_blocked_1d_points_s", "points/s",
           items_per_sec(r, kN, [&sig, &work, &sink] {
             work = sig;
             apps::fft(work, false, apps::FftKernel::kBlocked);
             sink = sink + static_cast<int>(work[1].real() > 0);
           }));
-    r.row("apps.fft_naive_1d_points_s", "points/s",
+    r.wall_rate("apps.fft_naive_1d_points_s", "points/s",
           items_per_sec(r, kN, [&sig, &work, &sink] {
             work = sig;
             apps::fft(work, false, apps::FftKernel::kNaive);
@@ -343,13 +345,13 @@ void run(bench::Reporter& r) {
                              std::sin(0.011 * static_cast<double>(i)));
     }
     std::vector<apps::Complex> work;
-    r.row("apps.fft_blocked_2d_points_s", "points/s",
+    r.wall_rate("apps.fft_blocked_2d_points_s", "points/s",
           items_per_sec(r, kDim * kDim, [&img, &work, &sink] {
             work = img;
             apps::fft2d(work, kDim, apps::FftKernel::kBlocked);
             sink = sink + static_cast<int>(work[1].real() > 0);
           }));
-    r.row("apps.fft_naive_2d_points_s", "points/s",
+    r.wall_rate("apps.fft_naive_2d_points_s", "points/s",
           items_per_sec(r, kDim * kDim, [&img, &work, &sink] {
             work = img;
             apps::fft2d(work, kDim, apps::FftKernel::kNaive);
@@ -358,7 +360,7 @@ void run(bench::Reporter& r) {
   }
 
   constexpr int kCube = 256;
-  r.row("engine.hypercube_hops_s", "hops/s",
+  r.wall_rate("engine.hypercube_hops_s", "hops/s",
         items_per_sec(r, (kCube / 7 + 1) * (kCube / 5 + 1), [&sink] {
           int x = 0;
           for (int s = 0; s < kCube; s += 7) {

@@ -8,10 +8,11 @@
 //    "hardware_concurrency": 8,
 //    "rows": [{"bench": "table2_channels",
 //              "metric": "table2.latency_us.4B",
-//              "unit": "us", "measured": 301.02,
+//              "unit": "us", "clock": "virtual", "measured": 301.02,
 //              "paper": 303, "deviation_pct": -0.65}, ...]}
 //
-// `paper` and `deviation_pct` are null for reproduction-only rows.  The
+// `paper` and `deviation_pct` are null for reproduction-only rows;
+// `clock` is "virtual", "wall" or "wall_cores" (bench::Clock).  The
 // run_all binary links every bench, so
 //
 //   build/bench/run_all --json BENCH_results.json
@@ -58,6 +59,18 @@ void usage(const char* argv0) {
   std::printf("  name...      run only the named benches\n");
 }
 
+const char* clock_name(hpcvorx::bench::Clock c) {
+  switch (c) {
+    case hpcvorx::bench::Clock::kVirtual:
+      return "virtual";
+    case hpcvorx::bench::Clock::kWall:
+      return "wall";
+    case hpcvorx::bench::Clock::kWallCores:
+      return "wall_cores";
+  }
+  return "virtual";
+}
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
   char buf[40];
@@ -69,10 +82,9 @@ bool write_json(const std::string& path,
                 const std::vector<hpcvorx::bench::Row>& rows, bool quick) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return false;
-  // Machine shape alongside the numbers: rows whose value depends on how
-  // many cores ran them (engine.shard_speedup_*) are only comparable
-  // between files recorded on equally-wide machines, and the comparison
-  // tool uses this field to know when that holds.
+  // Machine shape alongside the numbers: "wall_cores" rows are only
+  // comparable between files recorded on equally wide machines, and the
+  // comparison tool uses this field to know when that holds.
   f << "{\"schema\":\"hpcvorx-bench-v1\",\"quick\":"
     << (quick ? "true" : "false") << ",\"hardware_concurrency\":"
     << std::thread::hardware_concurrency() << ",\"rows\":[";
@@ -80,6 +92,7 @@ bool write_json(const std::string& path,
     const hpcvorx::bench::Row& r = rows[i];
     f << (i == 0 ? "" : ",") << "\n{\"bench\":\"" << r.bench
       << "\",\"metric\":\"" << r.metric << "\",\"unit\":\"" << r.unit
+      << "\",\"clock\":\"" << clock_name(r.clock)
       << "\",\"measured\":" << json_number(r.measured) << ",\"paper\":";
     if (r.paper.has_value()) {
       f << json_number(*r.paper) << ",\"deviation_pct\":"

@@ -16,7 +16,6 @@
 // shard run thousands of events between barriers.  Speedup is bounded by
 // the host's core count: on a single-core runner the sweep degenerates to
 // measuring barrier overhead, which is itself worth tracking.
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -133,35 +132,23 @@ void run(bench::Reporter& r) {
 
   const int local = r.iters(2000, 100);
   const int cross = r.iters(64, 8);
-  // 0 means "unknown" per the std::thread contract; treat it as 1 so the
-  // sweep degrades to the explicit-qualifier path instead of lying.
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
   double base = 0;
   for (const int shards : {1, 2, 4, 8}) {
     const SweepPoint pt = run_at(shards, local, cross);
-    r.row("engine.shard_events_s_" + std::to_string(shards), "events/s",
-          pt.events_per_s);
+    r.wall_rate("engine.shard_events_s_" + std::to_string(shards),
+                "events/s", pt.events_per_s);
     if (shards == 1) {
       base = pt.events_per_s;
       bench::line("  (1-shard run: %llu events, no sync rounds)",
                   static_cast<unsigned long long>(pt.events));
     } else {
-      const double speedup = base > 0 ? pt.events_per_s / base : 0.0;
-      const std::string key =
-          "engine.shard_speedup_" + std::to_string(shards) + "x";
-      if (static_cast<unsigned>(shards) <= cores) {
-        r.row(key, "x", speedup);
-      } else {
-        // More shards than hardware threads: the "speedup" measures
-        // oversubscription, not scaling, and must not be compared against
-        // a wider machine's run under the unqualified key.  Record it
-        // under a cores-qualified key and say so.
-        bench::line("  (%d shards on %u hardware threads: oversubscribed; "
-                    "recording %s_c%u instead of %s)",
-                    shards, cores, key.c_str(), cores, key.c_str());
-        r.row(key + "_c" + std::to_string(cores), "x", speedup);
-      }
+      // With more shards than hardware threads the speedup measures
+      // oversubscription, not scaling; the row is marked core-dependent
+      // so it is only compared between equally wide hosts.
+      r.wall_rate("engine.shard_speedup_" + std::to_string(shards) + "x", "x",
+                  base > 0 ? pt.events_per_s / base : 0.0,
+                  /*depends_on_cores=*/true);
       bench::line("  (%d-shard run: %llu events over %llu sync rounds)",
                   shards, static_cast<unsigned long long>(pt.events),
                   static_cast<unsigned long long>(pt.rounds));
@@ -177,9 +164,9 @@ void run(bench::Reporter& r) {
   bench::line("lookahead-window sweep at 4 shards (cable latency = window):");
   for (const int window_us : {10, 25, 50, 100, 200}) {
     const SweepPoint pt = run_at(4, local, cross, sim::usec(window_us));
-    r.row("engine.shard_window_us_" + std::to_string(window_us) +
-              "_events_s",
-          "events/s", pt.events_per_s);
+    r.wall_rate("engine.shard_window_us_" + std::to_string(window_us) +
+                    "_events_s",
+                "events/s", pt.events_per_s);
     bench::line("  (window %3d us: %llu events over %llu sync rounds)",
                 window_us, static_cast<unsigned long long>(pt.events),
                 static_cast<unsigned long long>(pt.rounds));

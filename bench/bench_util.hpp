@@ -7,8 +7,10 @@
 // A bench does two kinds of output:
 //   * bench::line(...) — free-form human-readable tables and commentary;
 //   * Reporter::row(metric, unit, measured[, paper]) — one recorded result
-//     row per paper-table cell or headline number.  Rows are echoed to
-//     stdout with their metric key and land in the JSON file.
+//     row per paper-table cell or headline number, read off the virtual
+//     clock; Reporter::wall_rate(...) for the few rows that time the
+//     simulator itself.  Rows are echoed to stdout with their metric key
+//     and land in the JSON file with the clock they read.
 #pragma once
 
 #include <cstdarg>
@@ -24,6 +26,17 @@ class System;
 
 namespace hpcvorx::bench {
 
+/// The clock a row's value was read from.  Virtual rows are identical on
+/// every run and host, and tests/goldens/bench_rows.golden.txt pins each
+/// one exactly.  Wall rows time the simulator on the host; every one is a
+/// rate or a speedup, so higher is better, and
+/// scripts/compare_bench_json.py gates them against a baseline artifact.
+enum class Clock {
+  kVirtual,
+  kWall,
+  kWallCores,  // a wall row whose value also depends on the core count
+};
+
 /// One machine-readable result: a cell of a paper table, a headline
 /// number, or a reproduction-only measurement.  `paper` holds the
 /// published value when the artifact has one.
@@ -33,6 +46,7 @@ struct Row {
   std::string unit;
   double measured = 0;
   std::optional<double> paper;
+  Clock clock = Clock::kVirtual;
 };
 
 /// Percent deviation of measured from paper, for side-by-side columns.
@@ -63,12 +77,19 @@ class Reporter {
         quick_(quick),
         trace_dir_(std::move(trace_dir)) {}
 
-  /// Records a reproduction-only measurement (no paper value).
+  /// Records a reproduction-only virtual-time measurement (no paper value).
   void row(const std::string& metric, const std::string& unit,
            double measured) {
-    rows_.push_back(Row{bench_, metric, unit, measured, std::nullopt});
-    std::printf("  -> %-44s %14.3f %s\n", metric.c_str(), measured,
-                unit.c_str());
+    add(metric, unit, measured, Clock::kVirtual);
+  }
+
+  /// Records a wall-clock rate (`unit` ends in "/s") or speedup ("x") of
+  /// the simulator itself.  `depends_on_cores` marks a value that is only
+  /// comparable between equally wide hosts.
+  void wall_rate(const std::string& metric, const std::string& unit,
+                 double per_s, bool depends_on_cores = false) {
+    add(metric, unit, per_s,
+        depends_on_cores ? Clock::kWallCores : Clock::kWall);
   }
 
   /// Records a measurement next to the paper's published value.
@@ -100,6 +121,13 @@ class Reporter {
   [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
 
  private:
+  void add(const std::string& metric, const std::string& unit,
+           double measured, Clock clock) {
+    rows_.push_back(Row{bench_, metric, unit, measured, std::nullopt, clock});
+    std::printf("  -> %-44s %14.3f %s\n", metric.c_str(), measured,
+                unit.c_str());
+  }
+
   std::string bench_;
   bool quick_;
   std::string trace_dir_;

@@ -1,87 +1,38 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_results.json artifacts and fail on perf regressions.
+"""Compare two BENCH_results.json artifacts and fail on wall-clock regressions.
 
 Usage: compare_bench_json.py BASELINE CURRENT [--threshold PCT]
-                             [--prefix PREFIX ...]
        compare_bench_json.py --self-test
 
-Compares every metric whose key starts with one of the given prefixes
-(default: "engine.", "frame_pool.", "slo.", "net.") between a baseline
-artifact (typically the previous build's uploaded bench-results) and the
-current run.  Exits nonzero when any compared metric regressed by more
-than PCT percent (default 10).
+Every row names the clock it reads ("clock" in the row, bench::Clock in
+the harness).  Virtual rows are deterministic, and the bench_rows_golden
+ctest pins each one exactly, so this script leaves them alone.  It
+compares only the rows that CURRENT marks "wall" or "wall_cores": host
+timings of the simulator, every one a rate or a speedup, so higher is
+better and a drop of more than PCT percent (default 10) fails.  The
+baseline needs no clock field, so older artifacts and the committed seed
+(bench/baselines/BENCH_seed.json) load as they are.
 
-Direction is inferred from the row's unit: rates ("items/s", "frames/s",
-...) regress when they drop; durations ("us", "ms", "s", "ns") regress
-when they rise.  A few count rows carry a known direction by name rather
-than by unit: the deterministic event-queue structure-traffic counters
-("engine.wheel_l1_*"), the frame-pool occupancy rows
-("frame_pool.occupancy_*"), and the fabric routing-state rows
-("net.scale_route_kb.*", the O(clusters) gate of the paper-scale machine)
-regress when they rise — more spill, more promotions, a fatter pool, or a
-fatter routing table for the same machine is always a behaviour change
-for the worse.  The rest of the net.* sweep needs no special casing: the
-throughput rows end in "/s" and the p99 rows are in "us".  Metrics
-present in only one file are reported but are not failures — new rows
-appear and old ones retire as benches evolve.
+A "wall_cores" row (the shard-scaling speedups) also depends on the
+host's core count.  When both envelopes carry hardware_concurrency and
+the values differ, the row is skipped: reported, never failed.
 
-The slo.* rows (bench_workload_slo: service-level metrics under the
-production-traffic workload) override unit inference entirely: they are
-lower-is-better across the board — join/delivery latency percentiles, and
-especially slo.failed_joins_per_s, whose "/s" unit would otherwise read as
-a throughput where a rise is good.  The one exception is
-slo.sessions_active_peak (concurrency the machine sustained), which is
-higher-is-better.  The override runs BEFORE unit inference so the
-rate-suffix heuristic can never flip a failure rate into a throughput.
-
-The engine.* rows are wall-clock rates of the simulation substrate itself
-(the one bench allowed to read a real clock), so they are noisy across
-machines; CI compares artifacts produced on the same runner class and the
-threshold absorbs normal jitter.  Every other metric in the file is
-virtual-time deterministic and is guarded separately by the determinism
-goldens, not by this script.
-
-Shard-scaling speedup rows (engine.shard_speedup_*) additionally depend
-on how many cores ran the bench: a 2-shard speedup measured on a 16-wide
-machine is not comparable to one measured on a 2-wide runner.  When both
-artifacts carry the hardware_concurrency field and the values differ,
-those rows are skipped (reported, never failed) instead of compared.
+Rows present in only one file are reported as removed or new but are not
+failures: rows retire and appear as benches evolve, and the golden reviews
+every such change.
 
 --self-test exercises the comparator on synthetic documents, including a
-negative case verifying that an injected >threshold regression makes the
-script fail; CI runs it before trusting the real comparison.
+negative case verifying that an injected >threshold drop makes the
+comparison fail; CI runs it before trusting the real comparison.
 """
 import json
+import os
 import sys
 
-RATE_SUFFIX = "/s"
-DURATION_UNITS = {"ns", "us", "ms", "s", "sec", "seconds"}
-# Count rows whose direction the unit alone can't tell us, declared by
-# metric prefix: for all of these, a rise is the regression.  The
-# net.scale_route_kb rows are the fabric's resident routing state — the
-# O(clusters) acceptance gate for the paper-scale machine — so growth is
-# always a regression.
-LOWER_IS_BETTER_PREFIXES = (
-    "engine.wheel_l1_",
-    "frame_pool.occupancy_",
-    "net.scale_route_kb",
-)
-# ...and the mirror image: dimensionless ratio rows where a rise is the
-# improvement: the shard-scaling sweep's speedup rows (unit "x") and the
-# rx-coalescing ratio (arrival interrupts absorbed without a pump resume);
-# the events/s rows are rate-inferred like any other.
-HIGHER_IS_BETTER_PREFIXES = ("engine.shard_speedup_", "engine.coalesced_")
-# Rows whose value is a property of the machine's core count as much as of
-# the code: comparable only between artifacts recorded on equally-wide
-# machines (see hardware_concurrency in the envelope).
-CORE_SENSITIVE_PREFIXES = ("engine.shard_speedup_",)
-# slo.* service-level rows are lower-is-better by definition (latency
-# percentiles, failure rates) EXCEPT the sustained-concurrency peak.  This
-# must be consulted before unit inference: slo.failed_joins_per_s ends in
-# "/s" and would otherwise be read as a throughput.
-SLO_HIGHER_IS_BETTER_PREFIXES = ("slo.sessions_active_peak",)
+WALL_CLOCKS = ("wall", "wall_cores")
 DEFAULT_THRESHOLD = 10.0
-DEFAULT_PREFIXES = ["engine.", "frame_pool.", "slo.", "net."]
+SEED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                    "bench", "baselines", "BENCH_seed.json")
 
 
 def fail(msg):
@@ -98,7 +49,7 @@ def load_doc(path):
     rows = doc.get("rows")
     if not isinstance(rows, list):
         fail(f"{path}: 'rows' must be an array")
-    # Absent in pre-field artifacts (and 0 means "unknown" per the C++
+    # Absent in older artifacts (and 0 means "unknown" per the C++
     # std::thread contract): either way we don't know the machine width.
     hw = doc.get("hardware_concurrency")
     if not isinstance(hw, int) or hw <= 0:
@@ -106,402 +57,135 @@ def load_doc(path):
     return {r["metric"]: r for r in rows}, hw
 
 
-def higher_is_better(key, unit):
-    """True for rate-like units, False for duration-like, None if unknown."""
-    # Service-level rows first — their direction is semantic, not
-    # unit-derived (a failed-joins rate in "/s" must not read as
-    # throughput).
-    if key.startswith("slo."):
-        return key.startswith(SLO_HIGHER_IS_BETTER_PREFIXES)
-    if unit.endswith(RATE_SUFFIX):
-        return True
-    if unit in DURATION_UNITS:
-        return False
-    if key.startswith(LOWER_IS_BETTER_PREFIXES):
-        return False
-    if key.startswith(HIGHER_IS_BETTER_PREFIXES):
-        return True
-    return None
-
-
-def compare(base_rows, cur_rows, threshold, prefixes,
-            base_hw=None, cur_hw=None):
-    """Returns (regressions, compared, skipped) over the selected metrics."""
+def compare(base_rows, cur_rows, threshold, base_hw=None, cur_hw=None):
+    """Returns (regressions, compared, skipped) over the candidate's wall rows."""
     regressions = []
     compared = 0
     skipped = []
-    hw_mismatch = (
-        base_hw is not None and cur_hw is not None and base_hw != cur_hw
-    )
-    keys = sorted(
-        k
-        for k in set(base_rows) | set(cur_rows)
-        if any(k.startswith(p) for p in prefixes)
-    )
-    for key in keys:
-        if key not in cur_rows:
-            # A metric that existed in the baseline but vanished from the
-            # candidate run used to disappear from the diff silently —
-            # exactly how a deleted bench row escapes review.  Loudly warn
-            # (non-fatal: rows do legitimately retire) as a removed row.
-            print(f"compare_bench_json: WARNING: removed {key}: present in "
-                  f"baseline ({base_rows[key]['measured']:g} "
-                  f"{base_rows[key].get('unit', '')}) but missing from "
-                  f"candidate")
-            skipped.append((key, "removed: baseline only"))
+    hw_mismatch = None not in (base_hw, cur_hw) and base_hw != cur_hw
+    for key in sorted(set(base_rows) | set(cur_rows)):
+        base = base_rows.get(key)
+        cur = cur_rows.get(key)
+        if cur is None:
+            if base.get("clock") != "virtual":
+                print(f"compare_bench_json: WARNING: removed {key}: present "
+                      f"in baseline ({base['measured']:g} "
+                      f"{base.get('unit', '')}) but missing from candidate")
+                skipped.append((key, "removed: baseline only"))
             continue
-        if key not in base_rows:
+        if cur.get("clock") not in WALL_CLOCKS:
+            continue
+        if base is None:
             skipped.append((key, "new in candidate"))
             continue
-        if hw_mismatch and key.startswith(CORE_SENSITIVE_PREFIXES):
+        if cur["clock"] == "wall_cores" and hw_mismatch:
             skipped.append(
                 (key, f"core-count mismatch ({base_hw} vs {cur_hw} "
                       f"hardware threads)")
             )
             continue
-        base = base_rows[key]
-        cur = cur_rows[key]
-        direction = higher_is_better(key, cur.get("unit", ""))
-        if direction is None:
-            skipped.append((key, f"unknown unit {cur.get('unit')!r}"))
-            continue
         b = base["measured"]
         c = cur["measured"]
         if b == 0:
-            if not direction:
-                # A lower-is-better count at zero must stay at zero (the
-                # spill row's whole point); any rise is an unbounded
-                # regression.
-                delta_pct = 0.0 if c == 0 else float("inf")
-            else:
-                skipped.append((key, "baseline is zero"))
-                continue
-        else:
-            # Positive delta_pct == regression, regardless of direction.
-            delta_pct = 100.0 * ((b - c) / b if direction else (c - b) / b)
+            skipped.append((key, "baseline is zero"))
+            continue
+        drop_pct = 100.0 * (b - c) / b
         compared += 1
-        verdict = "REGRESSED" if delta_pct > threshold else "ok"
+        verdict = "REGRESSED" if drop_pct > threshold else "ok"
         print(
             f"compare_bench_json: {verdict:9s} {key}: "
             f"{b:g} -> {c:g} {cur['unit']} "
-            f"({'-' if delta_pct >= 0 else '+'}{abs(delta_pct):.1f}%)"
+            f"({'-' if drop_pct >= 0 else '+'}{abs(drop_pct):.1f}%)"
         )
-        if delta_pct > threshold:
-            regressions.append((key, delta_pct))
+        if drop_pct > threshold:
+            regressions.append((key, drop_pct))
     return regressions, compared, skipped
 
 
-def doc_of(metrics):
-    """A minimal hpcvorx-bench-v1 document from {key: (unit, measured)}."""
-    return {
-        "schema": "hpcvorx-bench-v1",
-        "quick": True,
-        "rows": [
-            {
-                "bench": "t",
-                "metric": k,
-                "unit": u,
-                "measured": m,
-                "paper": None,
-                "deviation_pct": None,
-            }
-            for k, (u, m) in metrics.items()
-        ],
-    }
-
-
 def rows_of(metrics):
-    return {r["metric"]: r for r in doc_of(metrics)["rows"]}
+    """{key: row} from {key: (unit, measured, clock-or-None)}; a None clock
+    leaves the field out, as in artifacts that predate it."""
+    rows = {}
+    for k, (unit, measured, clock) in metrics.items():
+        rows[k] = {"bench": "t", "metric": k, "unit": unit,
+                   "measured": measured, "paper": None,
+                   "deviation_pct": None}
+        if clock is not None:
+            rows[k]["clock"] = clock
+    return rows
+
+
+def check(what, got, want):
+    if got != want:
+        fail(f"self-test: {what}: got {got!r}, want {want!r}")
 
 
 def self_test():
-    # Positive case: jitter inside the threshold passes both directions.
-    base = rows_of(
-        {
-            "engine.rate_items_s": ("items/s", 1_000_000.0),
-            "engine.latency_us": ("us", 80.0),
-            "table1.ignored": ("us", 1.0),
-        }
-    )
-    good = rows_of(
-        {
-            "engine.rate_items_s": ("items/s", 950_000.0),  # -5%: ok
-            "engine.latency_us": ("us", 86.0),  # +7.5%: ok
-            "table1.ignored": ("us", 99.0),  # outside prefix: ignored
-        }
-    )
-    regs, compared, _ = compare(base, good, DEFAULT_THRESHOLD, DEFAULT_PREFIXES)
-    if regs or compared != 2:
-        fail(f"self-test: clean comparison produced {regs}, compared={compared}")
+    t = DEFAULT_THRESHOLD
+    base = rows_of({
+        "engine.rate_items_s": ("items/s", 1_000_000.0, "wall"),
+        "engine.shard_speedup_4x": ("x", 2.0, "wall_cores"),
+        "table1.latency_us": ("us", 100.0, "virtual"),
+    })
 
-    # Negative case: an injected >10% regression MUST be caught, for both a
-    # rate drop and a duration rise.
-    for key, bad_metrics in [
-        (
-            "engine.rate_items_s",
-            {
-                "engine.rate_items_s": ("items/s", 850_000.0),  # -15%
-                "engine.latency_us": ("us", 80.0),
-            },
-        ),
-        (
-            "engine.latency_us",
-            {
-                "engine.rate_items_s": ("items/s", 1_000_000.0),
-                "engine.latency_us": ("us", 95.0),  # +18.75%
-            },
-        ),
-    ]:
-        regs, _, _ = compare(
-            base, rows_of(bad_metrics), DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-        )
-        if [k for k, _ in regs] != [key]:
-            fail(f"self-test: injected regression in {key} not caught: {regs}")
+    def cur(rate, speedup, latency=100.0):
+        return rows_of({
+            "engine.rate_items_s": ("items/s", rate, "wall"),
+            "engine.shard_speedup_4x": ("x", speedup, "wall_cores"),
+            "table1.latency_us": ("us", latency, "virtual"),
+        })
 
-    # An improvement is never a regression.
-    better = rows_of({"engine.rate_items_s": ("items/s", 2_000_000.0)})
-    regs, _, _ = compare(base, better, DEFAULT_THRESHOLD, DEFAULT_PREFIXES)
-    if regs:
-        fail(f"self-test: improvement misread as regression: {regs}")
+    def regressed(*args, **kw):
+        regs, compared, _ = compare(*args, **kw)
+        return sorted(k for k, _ in regs), compared
 
-    # One-sided metrics: a baseline-only metric is a REMOVED row (reported,
-    # non-fatal), a candidate-only metric is new; neither ever fails the
-    # comparison or is silently dropped.
-    regs, compared, skipped = compare(
-        base,
-        rows_of(
-            {
-                "engine.rate_items_s": ("items/s", 1_000_000.0),
-                "engine.brand_new_metric": ("us", 1.0),
-                # engine.latency_us is gone from the candidate.
-            }
-        ),
-        DEFAULT_THRESHOLD,
-        DEFAULT_PREFIXES,
-    )
-    if regs or compared != 1:
-        fail(f"self-test: one-sided rows misread: {regs}, compared={compared}")
-    reasons = dict(skipped)
-    if reasons.get("engine.latency_us") != "removed: baseline only":
-        fail(f"self-test: removed row not reported as removed: {skipped}")
-    if reasons.get("engine.brand_new_metric") != "new in candidate":
-        fail(f"self-test: new row not reported as new: {skipped}")
+    # A >threshold drop in a wall row fails; jitter inside it and a rise
+    # pass.  A 50% move in a virtual row is never compared.
+    check("drop", regressed(base, cur(850_000.0, 1.5), t),
+          (["engine.rate_items_s", "engine.shard_speedup_4x"], 2))
+    check("jitter", regressed(base, cur(950_000.0, 1.9), t), ([], 2))
+    check("rise", regressed(base, cur(2_000_000.0, 3.0), t), ([], 2))
+    check("virtual", regressed(base, cur(1e6, 2.0, latency=150.0), t),
+          ([], 2))
 
-    # Known-direction count rows: the wheel/pool counters have no rate or
-    # duration unit, but by name a rise is a regression — including a rise
-    # off a zero baseline (the spill row must stay pinned at zero).
-    count_base = rows_of(
-        {
-            "engine.wheel_l1_promoted_events": ("events", 1000.0),
-            "engine.wheel_l1_spill_events": ("events", 0.0),
-            "frame_pool.occupancy_max_free_after_policy": ("buffers", 40.0),
-            "engine.mystery_count": ("widgets", 5.0),  # still unknown
-        }
-    )
-    count_same = rows_of(
-        {
-            "engine.wheel_l1_promoted_events": ("events", 1000.0),
-            "engine.wheel_l1_spill_events": ("events", 0.0),
-            "frame_pool.occupancy_max_free_after_policy": ("buffers", 38.0),
-            "engine.mystery_count": ("widgets", 500.0),
-        }
-    )
-    regs, compared, skipped = compare(
-        count_base, count_same, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if regs or compared != 3:
-        fail(f"self-test: stable counts misread: {regs}, compared={compared}")
-    if not any(k == "engine.mystery_count" for k, _ in skipped):
-        fail("self-test: unknown-unit count row was not skipped")
-    count_bad = rows_of(
-        {
-            "engine.wheel_l1_promoted_events": ("events", 1300.0),  # +30%
-            "engine.wheel_l1_spill_events": ("events", 7.0),  # 0 -> 7
-            "frame_pool.occupancy_max_free_after_policy": ("buffers", 60.0),
-            "engine.mystery_count": ("widgets", 5.0),
-        }
-    )
-    regs, _, _ = compare(
-        count_base, count_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if sorted(k for k, _ in regs) != [
-        "engine.wheel_l1_promoted_events",
-        "engine.wheel_l1_spill_events",
-        "frame_pool.occupancy_max_free_after_policy",
-    ]:
-        fail(f"self-test: count-row regressions not caught: {regs}")
+    # wall_cores rows: skipped across widths 16 vs 4, compared when the
+    # widths agree or either one is unknown.  Plain wall rows always are.
+    bad = cur(850_000.0, 1.5)
+    regs, compared, skipped = compare(base, bad, t, base_hw=16, cur_hw=4)
+    check("cross-width", (sorted(k for k, _ in regs), compared),
+          (["engine.rate_items_s"], 1))
+    check("cross-width skip", [k for k, why in skipped
+                               if why.startswith("core-count mismatch")],
+          ["engine.shard_speedup_4x"])
+    for base_hw, cur_hw in [(8, 8), (None, 4), (16, None)]:
+        check(f"widths {base_hw}/{cur_hw}",
+              regressed(base, bad, t, base_hw=base_hw, cur_hw=cur_hw),
+              (["engine.rate_items_s", "engine.shard_speedup_4x"], 2))
 
-    # Shard-speedup ratio rows (unit "x"): higher is better by name, so a
-    # drop beyond the threshold is the regression and a rise never is.
-    speedup_base = rows_of(
-        {
-            "engine.shard_speedup_4x": ("x", 2.0),
-            "engine.shard_events_s_4": ("events/s", 4_000_000.0),
-        }
-    )
-    speedup_bad = rows_of(
-        {
-            "engine.shard_speedup_4x": ("x", 1.5),  # -25%
-            "engine.shard_events_s_4": ("events/s", 4_000_000.0),
-        }
-    )
-    regs, compared, _ = compare(
-        speedup_base, speedup_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if [k for k, _ in regs] != ["engine.shard_speedup_4x"] or compared != 2:
-        fail(f"self-test: speedup drop not caught: {regs}, compared={compared}")
-    speedup_better = rows_of(
-        {
-            "engine.shard_speedup_4x": ("x", 3.0),
-            "engine.shard_events_s_4": ("events/s", 4_400_000.0),
-        }
-    )
-    regs, _, _ = compare(
-        speedup_base, speedup_better, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if regs:
-        fail(f"self-test: speedup rise misread as regression: {regs}")
+    # A baseline with no clock fields (artifacts older than the field)
+    # is compared through the candidate's clocks.
+    old = rows_of({k: (r["unit"], r["measured"], None)
+                   for k, r in base.items()})
+    check("clockless baseline", regressed(old, bad, t),
+          (["engine.rate_items_s", "engine.shard_speedup_4x"], 2))
+    seed_rows, seed_hw = load_doc(SEED)
+    key = "engine.event_queue_post_pop_items_s"
+    same = rows_of({key: ("items/s", seed_rows[key]["measured"], "wall")})
+    regs, compared, _ = compare(seed_rows, same, t, seed_hw, 4)
+    check("committed seed", (regs, compared), ([], 1))
 
-    # Core-count sensitivity: the same >threshold speedup drop is a
-    # regression on an equally-wide machine but must be skipped (reported,
-    # never failed) when the two artifacts disagree on core count; the
-    # rate row next to it is compared either way.  Unknown widths (either
-    # side missing the field) keep the old always-compare behaviour.
-    regs, compared, skipped = compare(
-        speedup_base, speedup_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-        base_hw=16, cur_hw=4,
-    )
-    if regs or compared != 1:
-        fail(
-            f"self-test: cross-width speedup not skipped: {regs}, "
-            f"compared={compared}"
-        )
-    if not any(k == "engine.shard_speedup_4x" and "core-count" in why
-               for k, why in skipped):
-        fail(f"self-test: core-count skip not reported: {skipped}")
-    regs, compared, _ = compare(
-        speedup_base, speedup_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-        base_hw=8, cur_hw=8,
-    )
-    if [k for k, _ in regs] != ["engine.shard_speedup_4x"] or compared != 2:
-        fail(f"self-test: same-width speedup drop not caught: {regs}")
-    regs, compared, _ = compare(
-        speedup_base, speedup_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-        base_hw=None, cur_hw=4,
-    )
-    if [k for k, _ in regs] != ["engine.shard_speedup_4x"] or compared != 2:
-        fail(f"self-test: unknown-width artifact skipped speedup row: {regs}")
-
-    # slo.* service-level rows: lower-is-better overrides unit inference —
-    # in particular the failed-joins rate ends in "/s" and must still
-    # regress on a RISE, and the latency percentiles regress on a rise like
-    # any duration.  sessions_active_peak is the higher-is-better exception.
-    slo_base = rows_of(
-        {
-            "slo.join_p99_us": ("us", 2_000.0),
-            "slo.failed_joins_per_s": ("/s", 10.0),
-            "slo.sessions_active_peak": ("sessions", 5_000.0),
-        }
-    )
-    slo_bad = rows_of(
-        {
-            "slo.join_p99_us": ("us", 2_600.0),  # +30%: regression
-            "slo.failed_joins_per_s": ("/s", 14.0),  # +40% failures: regression
-            "slo.sessions_active_peak": ("sessions", 4_000.0),  # -20%: regression
-        }
-    )
-    regs, compared, _ = compare(
-        slo_base, slo_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if sorted(k for k, _ in regs) != [
-        "slo.failed_joins_per_s",
-        "slo.join_p99_us",
-        "slo.sessions_active_peak",
-    ] or compared != 3:
-        fail(f"self-test: slo regressions not caught: {regs}, "
-             f"compared={compared}")
-    slo_good = rows_of(
-        {
-            "slo.join_p99_us": ("us", 1_500.0),  # faster joins
-            "slo.failed_joins_per_s": ("/s", 2.0),  # fewer failures
-            "slo.sessions_active_peak": ("sessions", 6_000.0),  # more load held
-        }
-    )
-    regs, _, _ = compare(
-        slo_base, slo_good, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if regs:
-        fail(f"self-test: slo improvement misread as regression: {regs}")
-    # A zero-failure baseline is a pin: any failed join at all regresses it
-    # (same rule as the wheel spill row).
-    regs, _, _ = compare(
-        rows_of({"slo.failed_joins_per_s": ("/s", 0.0)}),
-        rows_of({"slo.failed_joins_per_s": ("/s", 0.5)}),
-        DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-    )
-    if [k for k, _ in regs] != ["slo.failed_joins_per_s"]:
-        fail(f"self-test: rise off zero-failure baseline not caught: {regs}")
-
-    # The net.* scaling sweep: throughput rows are rate-inferred (a drop
-    # regresses), p99 rows are duration-inferred (a rise regresses), and
-    # the routing-state rows are lower-is-better by name — their unit
-    # ("KB") is neither a rate nor a duration, and a rise would otherwise
-    # be skipped as unknown.  All three directions must be caught, and the
-    # mirror-image improvements must pass.
-    net_base = rows_of(
-        {
-            "net.scale_frames_s.cube.adaptive.n4096": ("frames/s", 5e6),
-            "net.scale_p99_us.cube.adaptive.n4096": ("us", 4000.0),
-            "net.scale_route_kb.n4096": ("KB", 32.0),
-        }
-    )
-    net_bad = rows_of(
-        {
-            "net.scale_frames_s.cube.adaptive.n4096": ("frames/s", 4e6),  # -20%
-            "net.scale_p99_us.cube.adaptive.n4096": ("us", 5200.0),  # +30%
-            "net.scale_route_kb.n4096": ("KB", 64.0),  # O(n^2) table is back
-        }
-    )
-    regs, compared, _ = compare(
-        net_base, net_bad, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if sorted(k for k, _ in regs) != [
-        "net.scale_frames_s.cube.adaptive.n4096",
-        "net.scale_p99_us.cube.adaptive.n4096",
-        "net.scale_route_kb.n4096",
-    ] or compared != 3:
-        fail(f"self-test: net regressions not caught: {regs}, "
-             f"compared={compared}")
-    net_good = rows_of(
-        {
-            "net.scale_frames_s.cube.adaptive.n4096": ("frames/s", 6e6),
-            "net.scale_p99_us.cube.adaptive.n4096": ("us", 3000.0),
-            "net.scale_route_kb.n4096": ("KB", 30.0),
-        }
-    )
-    regs, _, _ = compare(
-        net_base, net_good, DEFAULT_THRESHOLD, DEFAULT_PREFIXES
-    )
-    if regs:
-        fail(f"self-test: net improvement misread as regression: {regs}")
-
-    # The rx-coalescing ratio: higher is better by name, so only a drop
-    # beyond the threshold regresses.
-    ratio_base = rows_of({"engine.coalesced_resumes_ratio": ("ratio", 0.8)})
-    regs, compared, _ = compare(
-        ratio_base,
-        rows_of({"engine.coalesced_resumes_ratio": ("ratio", 0.6)}),  # -25%
-        DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-    )
-    if [k for k, _ in regs] != ["engine.coalesced_resumes_ratio"]:
-        fail(f"self-test: coalescing-ratio drop not caught: {regs}")
-    regs, _, _ = compare(
-        ratio_base,
-        rows_of({"engine.coalesced_resumes_ratio": ("ratio", 0.95)}),
-        DEFAULT_THRESHOLD, DEFAULT_PREFIXES,
-    )
-    if regs:
-        fail(f"self-test: coalescing-ratio rise misread as regression: {regs}")
+    # One-sided rows: the retired cores-qualified key is reported removed,
+    # its successor new, and neither fails.  A removed virtual row is the
+    # golden's business and is not reported.
+    renamed_base = rows_of({
+        "engine.shard_speedup_8x_c4": ("x", 0.5, None),
+        "sec4.latency_4B_us": ("us", 300.0, "virtual"),
+    })
+    renamed_cur = rows_of({"engine.shard_speedup_8x": ("x", 0.1, "wall_cores")})
+    regs, compared, skipped = compare(renamed_base, renamed_cur, t, 4, 4)
+    check("renamed", (regs, compared, sorted(skipped)),
+          ([], 0, [("engine.shard_speedup_8x", "new in candidate"),
+                   ("engine.shard_speedup_8x_c4", "removed: baseline only")]))
 
     print("compare_bench_json: self-test OK")
     return 0
@@ -513,13 +197,9 @@ def main(argv):
         return self_test()
     paths = []
     threshold = DEFAULT_THRESHOLD
-    prefixes = []
     while args:
         if args[0] == "--threshold" and len(args) >= 2:
             threshold = float(args[1])
-            args = args[2:]
-        elif args[0] == "--prefix" and len(args) >= 2:
-            prefixes.append(args[1])
             args = args[2:]
         elif args[0].startswith("-"):
             fail(f"unknown argument {args[0]!r}")
@@ -529,13 +209,11 @@ def main(argv):
     if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    if not prefixes:
-        prefixes = DEFAULT_PREFIXES
 
     base_rows, base_hw = load_doc(paths[0])
     cur_rows, cur_hw = load_doc(paths[1])
     regressions, compared, skipped = compare(
-        base_rows, cur_rows, threshold, prefixes, base_hw, cur_hw
+        base_rows, cur_rows, threshold, base_hw, cur_hw
     )
     for key, why in skipped:
         print(f"compare_bench_json: skipped {key}: {why}")
@@ -546,7 +224,7 @@ def main(argv):
             f"{threshold:g}% (worst: {worst[0]} at -{worst[1]:.1f}%)"
         )
     print(
-        f"compare_bench_json: OK: {compared} metric(s) within "
+        f"compare_bench_json: OK: {compared} wall-clock metric(s) within "
         f"{threshold:g}% of baseline"
     )
     return 0
