@@ -321,18 +321,24 @@ TEST(ShardDifferential, MulticastDeliveryMatchesAcrossShardCounts) {
 struct RoutingRun {
   // Per receiver: sorted (src, seq) pairs — the delivered multiset.
   std::vector<std::vector<std::pair<int, int>>> got;
+  // Per receiver: the same pairs in arrival order.
+  std::vector<std::vector<std::pair<int, int>>> order;
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
 };
 
-RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
+RoutingRun run_routing(int shards, hw::TopologyKind topo, hw::RoutingMode mode,
+                       std::uint64_t seed) {
   constexpr int kStations = 1024;
   constexpr int kFramesPerStation = 3;
   sim::ShardRuntime rt(shards);
   hw::FabricParams params;
+  params.topo = topo;
   params.routing = mode;
   auto fab = hw::Fabric::make_sharded(rt, kStations, 4, params);
-  EXPECT_EQ(fab->num_clusters(), 256);
+  // 256 station clusters; the fat tree adds its 8 spines (12 - 4 uplinks).
+  EXPECT_EQ(fab->num_clusters(),
+            topo == hw::TopologyKind::kFatTree ? 256 + 8 : 256);
 
   RoutingRun run;
   run.got.resize(kStations);
@@ -407,6 +413,7 @@ RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
   }
 
   rt.run();
+  run.order = run.got;
   for (int s = 0; s < kStations; ++s) {
     run.sent += fab->endpoint(s).frames_sent();
     run.delivered += run.got[static_cast<std::size_t>(s)].size();
@@ -419,10 +426,12 @@ RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
 
 TEST(ShardDifferential, AdaptiveRoutingDeliversExactlyEcubesFrames1024Nodes) {
   constexpr std::uint64_t kSeed = 20260809;
-  const RoutingRun ecube =
-      run_routing(/*shards=*/4, hw::RoutingMode::kEcube, kSeed);
-  const RoutingRun adaptive =
-      run_routing(/*shards=*/4, hw::RoutingMode::kAdaptive, kSeed);
+  const RoutingRun ecube = run_routing(
+      /*shards=*/4, hw::TopologyKind::kHypercube, hw::RoutingMode::kEcube,
+      kSeed);
+  const RoutingRun adaptive = run_routing(
+      /*shards=*/4, hw::TopologyKind::kHypercube, hw::RoutingMode::kAdaptive,
+      kSeed);
   // Everything offered was injected and delivered in both modes (a
   // livelocked or deadlocked fabric would stall its senders).
   EXPECT_EQ(ecube.sent, 1024u * 3u);
@@ -436,6 +445,38 @@ TEST(ShardDifferential, AdaptiveRoutingDeliversExactlyEcubesFrames1024Nodes) {
               ecube.got[static_cast<std::size_t>(s)])
         << "receiver " << s;
   }
+}
+
+TEST(ShardDifferential, FatTreeDeliversSameFramesAtEveryShardCount1024Nodes) {
+  // The sharded fat tree: leaves split into contiguous blocks, spines dealt
+  // round-robin, so most leaf-spine cables of a multi-shard run are split
+  // into bridged halves.  Adaptive uplink choice reads port readiness on
+  // the leaf's own shard; the delivered frames must not depend on it.
+  constexpr std::uint64_t kSeed = 20260809;
+  const RoutingRun one = run_routing(
+      /*shards=*/1, hw::TopologyKind::kFatTree, hw::RoutingMode::kAdaptive,
+      kSeed);
+  EXPECT_EQ(one.sent, 1024u * 3u);
+  EXPECT_EQ(one.delivered, one.sent);
+  for (const int shards : {2, 4}) {
+    const RoutingRun sharded = run_routing(
+        shards, hw::TopologyKind::kFatTree, hw::RoutingMode::kAdaptive, kSeed);
+    EXPECT_EQ(sharded.sent, one.sent) << "shards " << shards;
+    EXPECT_EQ(sharded.delivered, one.delivered) << "shards " << shards;
+    for (int s = 0; s < 1024; ++s) {
+      ASSERT_EQ(sharded.got[static_cast<std::size_t>(s)],
+                one.got[static_cast<std::size_t>(s)])
+          << "receiver " << s << " shards " << shards;
+    }
+  }
+  // A 4-shard run is deterministic: the same arrival order every time.
+  const RoutingRun a = run_routing(
+      /*shards=*/4, hw::TopologyKind::kFatTree, hw::RoutingMode::kAdaptive,
+      kSeed);
+  const RoutingRun b = run_routing(
+      /*shards=*/4, hw::TopologyKind::kFatTree, hw::RoutingMode::kAdaptive,
+      kSeed);
+  EXPECT_EQ(a.order, b.order);
 }
 
 }  // namespace
