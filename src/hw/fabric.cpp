@@ -4,11 +4,28 @@
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "hw/shard_link.hpp"
 #include "sim/shard_runtime.hpp"
 
 namespace hpcvorx::hw {
+
+namespace {
+
+// The shape make() and make_sharded() build: one cluster when every
+// station fits on one and the machine runs on one simulator, else the cube
+// or tree params.topo names.  More than one shard always means a cube or
+// a tree, even for a machine that would fit one cluster.
+TopologyKind pick_shape(int shards, int stations, const FabricParams& p) {
+  if (shards == 1 && stations <= p.ports_per_cluster) {
+    return TopologyKind::kSingleCluster;
+  }
+  return p.topo == TopologyKind::kFatTree ? TopologyKind::kFatTree
+                                          : TopologyKind::kHypercube;
+}
+
+}  // namespace
 
 Fabric::~Fabric() = default;
 
@@ -28,15 +45,11 @@ Link* Fabric::new_link(sim::Simulator& sim, std::string name, Link::Params p) {
   return links_.back().get();
 }
 
-sim::Simulator& Fabric::cluster_sim(int c) {
-  return runtime_ == nullptr
-             ? sim_
-             : runtime_->shard(shard_of_cluster(c));
-}
+Fabric::Fabric(std::vector<sim::Simulator*> sims, Params params)
+    : sims_(std::move(sims)), params_(params), pools_(sims_.size()) {}
 
-FramePool& Fabric::pool_for_shard(int shard) {
-  return shard == 0 ? pool_
-                    : *shard_pools_.at(static_cast<std::size_t>(shard) - 1);
+sim::Simulator& Fabric::cluster_sim(int c) {
+  return *sims_[static_cast<std::size_t>(shard_of_cluster(c))];
 }
 
 void Fabric::add_station(int cluster_index, int local_port) {
@@ -68,59 +81,43 @@ void Fabric::add_station(int cluster_index, int local_port) {
                         down_p);
   cl.attach_out(local_port, down);
   ep->in_ = down;
-  ep->pool_ = &pool_for_shard(shard_of_cluster(cluster_index));
+  ep->pool_ =
+      &pools_[static_cast<std::size_t>(shard_of_cluster(cluster_index))];
 
   endpoints_.push_back(std::move(ep));
   station_cluster_.push_back(cluster_index);
   station_local_port_.push_back(local_port);
 }
 
-void Fabric::add_trunk_link(int from, int to, int port_out, int port_in,
-                            const Link::Params& p) {
+void Fabric::add_cable(sim::ShardRuntime* rt, int a, int port_a, int b,
+                       int port_b, const Link::Params& p) {
+  assert(a < b);
+  cable_at_[static_cast<std::size_t>(a * params_.ports_per_cluster + port_a)] =
+      static_cast<int>(cube_pairs_.size());
+  CubePair& e = cube_pairs_.emplace_back(CubePair{a, b, port_a, port_b});
+  std::tie(e.ab, e.ab_rx) = add_direction(rt, a, b, port_a, port_b, p);
+  std::tie(e.ba, e.ba_rx) = add_direction(rt, b, a, port_b, port_a, p);
+}
+
+std::pair<Link*, Link*> Fabric::add_direction(sim::ShardRuntime* rt,
+                                              int from, int to, int port_out,
+                                              int port_in,
+                                              const Link::Params& p) {
   const std::string name =
       "c" + std::to_string(from) + ">c" + std::to_string(to);
-  const int lo = std::min(from, to);
-  const int hi = std::max(from, to);
-  const int port_lo = from == lo ? port_out : port_in;
-  if (cable_at_.empty()) {
-    cable_at_.assign(static_cast<std::size_t>(num_clusters()) *
-                         static_cast<std::size_t>(params_.ports_per_cluster),
-                     -1);
-  }
-  int& idx = cable_at_[static_cast<std::size_t>(lo) *
-                           static_cast<std::size_t>(params_.ports_per_cluster) +
-                       static_cast<std::size_t>(port_lo)];
-  if (idx < 0) {
-    idx = static_cast<int>(cube_pairs_.size());
-    cube_pairs_.push_back(CubePair{});
-    CubePair& e = cube_pairs_.back();
-    e.a = lo;
-    e.b = hi;
-    e.port_a = port_lo;
-    e.port_b = from == lo ? port_in : port_out;
-  }
-  CubePair* entry = &cube_pairs_[static_cast<std::size_t>(idx)];
-  assert(entry->a == lo && entry->b == hi);
-  if (shard_of_cluster(from) == shard_of_cluster(to)) {
-    Link* l = new_link(cluster_sim(from), name, p);
-    clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, l);
-    clusters_[static_cast<std::size_t>(to)]->attach_in(port_in, l);
-    (from < to ? entry->ab : entry->ba) = l;
-    return;
-  }
-  Link* tx = new_link(cluster_sim(from), name + ".tx", p);
-  Link* rx = new_link(cluster_sim(to), name + ".rx", p);
+  const int from_shard = shard_of_cluster(from);
+  const int to_shard = shard_of_cluster(to);
+  const bool split = from_shard != to_shard;
+  Link* tx = new_link(cluster_sim(from), split ? name + ".tx" : name, p);
+  Link* rx = split ? new_link(cluster_sim(to), name + ".rx", p) : tx;
   clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, tx);
   clusters_[static_cast<std::size_t>(to)]->attach_in(port_in, rx);
-  if (from < to) {
-    entry->ab = tx;
-    entry->ab_rx = rx;
-  } else {
-    entry->ba = tx;
-    entry->ba_rx = rx;
-  }
-  bridges_.push_back(std::make_unique<ShardLinkBridge>(
-      *runtime_, shard_of_cluster(from), shard_of_cluster(to), *tx, *rx));
+  if (!split) return {tx, nullptr};
+  // Only a fabric with more than one shard splits a cable, and only
+  // make_sharded() builds one: the runtime is there.
+  bridges_.push_back(
+      std::make_unique<ShardLinkBridge>(*rt, from_shard, to_shard, *tx, *rx));
+  return {tx, rx};
 }
 
 void Fabric::program_routes() {
@@ -283,7 +280,7 @@ std::vector<std::pair<int, int>> Fabric::cube_edge_pairs() const {
 int Fabric::cube_pair_index(int a, int b) const {
   const int lo = std::min(a, b);
   const int hi = std::max(a, b);
-  if (lo < 0 || hi >= num_clusters() || cable_at_.empty()) return -1;
+  if (lo < 0 || hi >= num_clusters()) return -1;
   // The egress port at the lower end follows from the pair: the cube
   // dimension the labels differ in, or the spine index at a leaf.
   int port = -1;
@@ -296,10 +293,8 @@ int Fabric::cube_pair_index(int a, int b) const {
     port = hi - fat_.leaves;
   }
   if (port < 0 || port >= params_.ports_per_cluster) return -1;
-  const int idx =
-      cable_at_[static_cast<std::size_t>(lo) *
-                    static_cast<std::size_t>(params_.ports_per_cluster) +
-                static_cast<std::size_t>(port)];
+  const int idx = cable_at_[static_cast<std::size_t>(
+      lo * params_.ports_per_cluster + port)];
   assert(idx < 0 || (cube_pairs_[static_cast<std::size_t>(idx)].a == lo &&
                      cube_pairs_[static_cast<std::size_t>(idx)].b == hi));
   return idx;
@@ -434,223 +429,174 @@ std::uint64_t Fabric::frames_dropped() const {
   return total;
 }
 
-void Fabric::attach_runtime(sim::ShardRuntime& rt) {
-  runtime_ = &rt;
-  for (int i = 1; i < rt.num_shards(); ++i) {
-    shard_pools_.push_back(std::make_unique<FramePool>());
+std::unique_ptr<Fabric> Fabric::build(std::vector<sim::Simulator*> sims,
+                                      sim::ShardRuntime* rt,
+                                      TopologyKind topo, int stations,
+                                      int stations_per_cluster,
+                                      Params params) {
+  // The plan: `leaves` station-bearing clusters, each spending its low
+  // `trunk_ports` ports on trunk cables (cube dimensions or uplinks) and
+  // the next `stations_per_cluster` on stations; fat trees add `spines`
+  // clusters after the leaves.  Every check is always on (not assert): a
+  // Release-built 4096-node misconfiguration must fail loudly, not
+  // silently build a fabric whose station ports collide with trunk ports.
+  const int ports = params.ports_per_cluster;
+  int leaves = 1;
+  int trunk_ports = 0;
+  FatTreeShape fat;
+  switch (topo) {
+    case TopologyKind::kSingleCluster:
+      if (stations < 1 || stations > ports) {
+        throw std::invalid_argument(
+            "hw::Fabric::single_cluster: " + std::to_string(stations) +
+            " stations do not fit a " + std::to_string(ports) +
+            "-port cluster (need 1 <= stations <= ports); use hypercube()/"
+            "fat_tree() or raise FabricParams::ports_per_cluster");
+      }
+      stations_per_cluster = stations;
+      break;
+    case TopologyKind::kHypercube:
+      if (stations < 1 || stations_per_cluster < 1) {
+        throw std::invalid_argument(
+            "hw::Fabric::hypercube: need stations >= 1 and "
+            "stations_per_cluster >= 1 (got stations=" +
+            std::to_string(stations) + ", stations_per_cluster=" +
+            std::to_string(stations_per_cluster) + ")");
+      }
+      leaves = (stations + stations_per_cluster - 1) / stations_per_cluster;
+      trunk_ports = dimension_of(static_cast<CubeLabel>(leaves));
+      if (trunk_ports + stations_per_cluster > ports) {
+        throw std::invalid_argument(
+            "hw::Fabric::hypercube: cluster port budget exceeded — " +
+            std::to_string(stations) + " stations at " +
+            std::to_string(stations_per_cluster) + "/cluster need " +
+            std::to_string(leaves) + " clusters (a " +
+            std::to_string(trunk_ports) + "-dimension incomplete cube), so " +
+            std::to_string(trunk_ports) + " cube ports + " +
+            std::to_string(stations_per_cluster) + " station ports > the " +
+            std::to_string(ports) +
+            "-port cluster; raise FabricParams::ports_per_cluster (16 fits "
+            "the 4096-node machine), raise stations_per_cluster, or lower "
+            "the node count");
+      }
+      break;
+    case TopologyKind::kFatTree:
+      fat = FatTreeShape::plan(stations, stations_per_cluster, ports);
+      leaves = fat.leaves;
+      trunk_ports = fat.spines;
+      break;
   }
-}
-
-void Fabric::size_shard_pools() {
-  if (runtime_ == nullptr) return;  // unsharded: keep the classic default
-  const int n_shards = runtime_->num_shards();
-  std::vector<std::size_t> hosted(static_cast<std::size_t>(n_shards), 0);
-  for (const int c : station_cluster_) {
-    ++hosted[static_cast<std::size_t>(shard_of_cluster(c))];
-  }
-  for (int s = 0; s < n_shards; ++s) {
-    // Cap each shard's free lists in proportion to the stations it hosts
-    // (floor 1024 so small shards still recycle): the fabric-wide
-    // footprint tracks ~8 buffers/station instead of pinning n_shards
-    // full-size free lists at 4096 nodes.
-    pool_for_shard(s).set_max_free(
-        std::max<std::size_t>(1024, hosted[static_cast<std::size_t>(s)] * 8));
-  }
-}
-
-std::unique_ptr<Fabric> Fabric::single_cluster(sim::Simulator& sim,
-                                               int stations, Params params) {
-  if (stations < 1 || stations > params.ports_per_cluster) {
+  const int n_shards = static_cast<int>(sims.size());
+  if (n_shards > leaves) {
+    const std::string shape =
+        topo == TopologyKind::kFatTree
+            ? "a fat tree of " + std::to_string(leaves) +
+                  " leaves; every shard needs a leaf"
+            : "a " + std::to_string(leaves) +
+                  "-cluster hypercube; every shard needs a cluster";
     throw std::invalid_argument(
-        "hw::Fabric::single_cluster: " + std::to_string(stations) +
-        " stations do not fit a " + std::to_string(params.ports_per_cluster) +
-        "-port cluster (need 1 <= stations <= ports); use hypercube()/"
-        "fat_tree() or raise FabricParams::ports_per_cluster");
-  }
-  std::unique_ptr<Fabric> f(new Fabric(sim, params));
-  f->clusters_.push_back(
-      std::make_unique<Cluster>(sim, "c0", params.ports_per_cluster));
-  for (int s = 0; s < stations; ++s) f->add_station(0, s);
-  f->program_routes();
-  return f;
-}
-
-std::unique_ptr<Fabric> Fabric::hypercube_impl(sim::Simulator& sim0,
-                                               sim::ShardRuntime* rt,
-                                               int stations,
-                                               int stations_per_cluster,
-                                               Params params) {
-  // Always-on validation (not assert): a Release-built 4096-node
-  // misconfiguration must fail loudly, not silently build a fabric whose
-  // station ports collide with cube ports.
-  if (stations < 1 || stations_per_cluster < 1) {
-    throw std::invalid_argument(
-        "hw::Fabric::hypercube: need stations >= 1 and stations_per_cluster "
-        ">= 1 (got stations=" +
-        std::to_string(stations) + ", stations_per_cluster=" +
-        std::to_string(stations_per_cluster) + ")");
-  }
-  const int n_clusters =
-      (stations + stations_per_cluster - 1) / stations_per_cluster;
-  const int dims = dimension_of(static_cast<CubeLabel>(n_clusters));
-  if (dims + stations_per_cluster > params.ports_per_cluster) {
-    throw std::invalid_argument(
-        "hw::Fabric::hypercube: cluster port budget exceeded — " +
-        std::to_string(stations) + " stations at " +
-        std::to_string(stations_per_cluster) + "/cluster need " +
-        std::to_string(n_clusters) + " clusters (a " + std::to_string(dims) +
-        "-dimension incomplete cube), so " + std::to_string(dims) +
-        " cube ports + " + std::to_string(stations_per_cluster) +
-        " station ports > the " + std::to_string(params.ports_per_cluster) +
-        "-port cluster; raise FabricParams::ports_per_cluster (16 fits the "
-        "4096-node machine), raise stations_per_cluster, or lower the node "
-        "count");
+        "hw::Fabric::make_sharded: " + std::to_string(n_shards) +
+        " shards for " + shape + ", so use at most " +
+        std::to_string(leaves) + " shards");
   }
 
-  std::unique_ptr<Fabric> f(new Fabric(sim0, params));
-  f->topo_ = TopologyKind::kHypercube;
-  if (rt != nullptr) {
-    const int n_shards = rt->num_shards();
-    if (n_shards > n_clusters) {
-      throw std::invalid_argument(
-          "hw::Fabric::make_sharded: " + std::to_string(n_shards) +
-          " shards for a " + std::to_string(n_clusters) +
-          "-cluster hypercube; every shard needs a cluster, so use at most " +
-          std::to_string(n_clusters) + " shards");
-    }
-    // Partitioning rule (DESIGN.md §12): contiguous cluster blocks, one
-    // block per shard.  Purely positional, so the assignment depends only
-    // on the topology — never on run order.
+  std::unique_ptr<Fabric> f(new Fabric(std::move(sims), params));
+  f->topo_ = topo;
+  f->fat_ = fat;
+  const int n_clusters = leaves + fat.spines;
+  if (n_shards > 1) {
+    // Partitioning rule (DESIGN.md §12): station-bearing clusters in
+    // contiguous blocks, one block per shard; fat-tree spines dealt
+    // round-robin, so the top stage every shard's traffic crosses spreads
+    // instead of piling onto the last shard.  Purely positional: the
+    // assignment depends only on the topology, never on run order.
     f->cluster_shard_.reserve(static_cast<std::size_t>(n_clusters));
-    for (int c = 0; c < n_clusters; ++c) {
-      f->cluster_shard_.push_back(c * n_shards / n_clusters);
+    for (int c = 0; c < leaves; ++c) {
+      f->cluster_shard_.push_back(c * n_shards / leaves);
     }
-    f->attach_runtime(*rt);
-  }
-  for (int c = 0; c < n_clusters; ++c) {
-    f->clusters_.push_back(std::make_unique<Cluster>(
-        f->cluster_sim(c), "c" + std::to_string(c), params.ports_per_cluster));
-  }
-  // Inter-cluster links: port b of cluster c carries dimension b.  Each
-  // direction is an independent link (full-duplex port sections),
-  // registered with the cable's fault-registry entry by add_trunk_link.
-  const Link::Params cube_p =
-      params.cluster_link ? *params.cluster_link : params.link;
-  for (int c = 0; c < n_clusters; ++c) {
-    for (int b = 0; b < dims; ++b) {
-      const int m = c ^ (1 << b);
-      if (m >= n_clusters || m < c) continue;  // build each pair once
-      f->add_trunk_link(c, m, b, b, cube_p);
-      f->add_trunk_link(m, c, b, b, cube_p);
-    }
-  }
-  for (int s = 0; s < stations; ++s) {
-    f->add_station(s / stations_per_cluster, dims + s % stations_per_cluster);
-  }
-  f->size_shard_pools();
-  f->program_routes();
-  return f;
-}
-
-std::unique_ptr<Fabric> Fabric::fat_tree_impl(sim::Simulator& sim0,
-                                              sim::ShardRuntime* rt,
-                                              int stations,
-                                              int stations_per_cluster,
-                                              Params params) {
-  const FatTreeShape shape =
-      FatTreeShape::plan(stations, stations_per_cluster,
-                         params.ports_per_cluster, params.fat_tree_spines);
-  const int n_clusters = shape.num_clusters();
-  std::unique_ptr<Fabric> f(new Fabric(sim0, params));
-  f->topo_ = TopologyKind::kFatTree;
-  f->fat_ = shape;
-  if (rt != nullptr) {
-    const int n_shards = rt->num_shards();
-    if (n_shards > shape.leaves) {
-      throw std::invalid_argument(
-          "hw::Fabric::make_sharded: " + std::to_string(n_shards) +
-          " shards for a fat tree of " + std::to_string(shape.leaves) +
-          " leaves; every shard needs a leaf, so use at most " +
-          std::to_string(shape.leaves) + " shards");
-    }
-    // Leaves partition as contiguous blocks (same rule as the cube);
-    // spines deal round-robin across shards so the top stage's load —
-    // which every shard's traffic crosses — spreads instead of piling
-    // onto the last shard.  Purely positional, topology-only.
-    f->cluster_shard_.reserve(static_cast<std::size_t>(n_clusters));
-    for (int l = 0; l < shape.leaves; ++l) {
-      f->cluster_shard_.push_back(l * n_shards / shape.leaves);
-    }
-    for (int sp = 0; sp < shape.spines; ++sp) {
+    for (int sp = 0; sp < fat.spines; ++sp) {
       f->cluster_shard_.push_back(sp % n_shards);
     }
-    f->attach_runtime(*rt);
   }
-  for (int l = 0; l < shape.leaves; ++l) {
-    f->clusters_.push_back(std::make_unique<Cluster>(
-        f->cluster_sim(l), "c" + std::to_string(l), params.ports_per_cluster));
-  }
-  for (int sp = 0; sp < shape.spines; ++sp) {
+  for (int c = 0; c < n_clusters; ++c) {
     // A spine is the "fat" upper stage: one wide crossbar with a port per
     // leaf (paper-era fat trees concentrate bandwidth upward; we model
     // the concentration as port count).
-    const int c = shape.leaves + sp;
     f->clusters_.push_back(std::make_unique<Cluster>(
-        f->cluster_sim(c), "c" + std::to_string(c), shape.leaves));
+        f->cluster_sim(c), "c" + std::to_string(c),
+        c < leaves ? ports : leaves));
   }
-  const Link::Params trunk_p =
-      params.cluster_link ? *params.cluster_link : params.link;
-  for (int l = 0; l < shape.leaves; ++l) {
-    for (int sp = 0; sp < shape.spines; ++sp) {
-      // Leaf l's uplink port sp <-> spine sp's port l, both directions.
-      f->add_trunk_link(l, shape.leaves + sp, sp, l, trunk_p);
-      f->add_trunk_link(shape.leaves + sp, l, l, sp, trunk_p);
+  f->cable_at_.assign(static_cast<std::size_t>(n_clusters * ports), -1);
+  const Link::Params trunk_p = params.cluster_link.value_or(params.link);
+  if (topo == TopologyKind::kHypercube) {
+    // Port d of cluster c carries dimension d; each pair is built once.
+    for (int c = 0; c < leaves; ++c) {
+      for (int d = 0; d < trunk_ports; ++d) {
+        const int m = c ^ (1 << d);
+        if (m > c && m < leaves) f->add_cable(rt, c, d, m, d, trunk_p);
+      }
+    }
+  }
+  for (int l = 0; l < leaves; ++l) {
+    // Leaf l's uplink port sp <-> spine sp's port l.
+    for (int sp = 0; sp < fat.spines; ++sp) {
+      f->add_cable(rt, l, sp, leaves + sp, l, trunk_p);
     }
   }
   for (int s = 0; s < stations; ++s) {
     f->add_station(s / stations_per_cluster,
-                   shape.spines + s % stations_per_cluster);
+                   trunk_ports + s % stations_per_cluster);
   }
-  f->size_shard_pools();
+  if (n_shards > 1) {
+    // Cap each shard's payload free lists in proportion to the stations
+    // it hosts (floor 1024 so small shards still recycle): the
+    // fabric-wide footprint tracks ~8 buffers/station instead of pinning
+    // n_shards full-size free lists at 4096 nodes.  Unsharded and 1-shard
+    // fabrics keep the classic default caps.
+    std::vector<std::size_t> hosted(static_cast<std::size_t>(n_shards), 0);
+    for (const int c : f->station_cluster_) {
+      ++hosted[static_cast<std::size_t>(f->shard_of_cluster(c))];
+    }
+    for (std::size_t sh = 0; sh < hosted.size(); ++sh) {
+      f->pools_[sh].set_max_free(std::max<std::size_t>(1024, hosted[sh] * 8));
+    }
+  }
   f->program_routes();
   return f;
+}
+
+std::unique_ptr<Fabric> Fabric::single_cluster(sim::Simulator& sim,
+                                               int stations, Params params) {
+  return build({&sim}, nullptr, TopologyKind::kSingleCluster, stations,
+               stations, params);
 }
 
 std::unique_ptr<Fabric> Fabric::hypercube(sim::Simulator& sim, int stations,
                                           int stations_per_cluster,
                                           Params params) {
-  return hypercube_impl(sim, nullptr, stations, stations_per_cluster, params);
+  return build({&sim}, nullptr, TopologyKind::kHypercube, stations,
+               stations_per_cluster, params);
 }
 
 std::unique_ptr<Fabric> Fabric::fat_tree(sim::Simulator& sim, int stations,
                                          int stations_per_cluster,
                                          Params params) {
-  return fat_tree_impl(sim, nullptr, stations, stations_per_cluster, params);
+  return build({&sim}, nullptr, TopologyKind::kFatTree, stations,
+               stations_per_cluster, params);
 }
 
 std::unique_ptr<Fabric> Fabric::make(sim::Simulator& sim, int stations,
                                      int stations_per_cluster, Params params) {
-  if (stations <= params.ports_per_cluster) {
-    return single_cluster(sim, stations, params);
-  }
-  return params.topo == TopologyKind::kFatTree
-             ? fat_tree(sim, stations, stations_per_cluster, params)
-             : hypercube(sim, stations, stations_per_cluster, params);
+  return build({&sim}, nullptr, pick_shape(1, stations, params), stations,
+               stations_per_cluster, params);
 }
 
 std::unique_ptr<Fabric> Fabric::make_sharded(sim::ShardRuntime& rt,
                                              int stations,
                                              int stations_per_cluster,
                                              Params params) {
-  if (rt.num_shards() == 1) {
-    // One shard is the single-threaded machine, construction order and all.
-    return make(rt.shard(0), stations, stations_per_cluster, params);
-  }
-  return params.topo == TopologyKind::kFatTree
-             ? fat_tree_impl(rt.shard(0), &rt, stations, stations_per_cluster,
-                             params)
-             : hypercube_impl(rt.shard(0), &rt, stations,
-                              stations_per_cluster, params);
+  return build(rt.shards(), &rt, pick_shape(rt.num_shards(), stations, params),
+               stations, stations_per_cluster, params);
 }
 
 int Fabric::cluster_of(StationId s) const {

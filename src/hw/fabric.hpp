@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/cluster.hpp"
@@ -103,11 +104,9 @@ struct FabricParams {
   std::optional<Link::Params> cluster_link;
   // Multi-cluster shape make()/make_sharded() build (single-cluster
   // machines ignore it) and how clusters pick egress ports (DESIGN.md §15).
+  // A fat tree is always the widest the leaf port budget allows.
   TopologyKind topo = TopologyKind::kHypercube;
   RoutingMode routing = RoutingMode::kEcube;
-  // Fat tree only: spine count; 0 picks the widest tree the leaf port
-  // budget allows (ports_per_cluster - stations_per_cluster uplinks).
-  int fat_tree_spines = 0;
 };
 
 class Fabric {
@@ -200,7 +199,7 @@ class Fabric {
 
   /// The pool Frame payload buffers are recycled through (also reachable
   /// per station via Endpoint::frame_pool()).
-  [[nodiscard]] FramePool& frame_pool() { return pool_; }
+  [[nodiscard]] FramePool& frame_pool() { return pools_.front(); }
 
   // ---- fault injection (DESIGN.md §14) ----
   //
@@ -251,15 +250,31 @@ class Fabric {
                            const std::vector<StationId>& members);
 
  private:
-  Fabric(sim::Simulator& sim, Params params) : sim_(sim), params_(params) {}
+  Fabric(std::vector<sim::Simulator*> sims, Params params);
+  /// The one construction body behind every public factory.  `sims` holds
+  /// one simulator per shard (a single entry for an unsharded fabric); `rt`
+  /// drives them and is read only to bridge cables that cross shards.
+  /// Builds the clusters, then the trunk cables, then the stations — the
+  /// order that fixes link creation and bridge registration, and so every
+  /// event sequence (DESIGN.md §2.2).
+  static std::unique_ptr<Fabric> build(std::vector<sim::Simulator*> sims,
+                                       sim::ShardRuntime* rt,
+                                       TopologyKind topo, int stations,
+                                       int stations_per_cluster,
+                                       Params params);
   Link* new_link(sim::Simulator& sim, std::string name, Link::Params p);
   void add_station(int cluster_index, int local_port);
-  /// One direction of an inter-cluster cable: out of `from` port
-  /// `port_out`, into `to` port `port_in` (full-duplex pairs share the
-  /// port index on each side).  Registers the cable in the fault registry
-  /// and splits the link into bridged TX/RX halves when it crosses shards.
-  void add_trunk_link(int from, int to, int port_out, int port_in,
-                      const Link::Params& p);
+  /// An inter-cluster cable between cluster `a`'s port `port_a` and
+  /// cluster `b`'s port `port_b` (a < b): registers it in the fault
+  /// registry, then builds its two directions, a -> b first.
+  void add_cable(sim::ShardRuntime* rt, int a, int port_a, int b, int port_b,
+                 const Link::Params& p);
+  /// One direction of a cable, out of `from` port `port_out` into `to` port
+  /// `port_in`.  Returns the link, or — when the ends live on different
+  /// shards — its TX and RX halves, bridged through `rt`.
+  std::pair<Link*, Link*> add_direction(sim::ShardRuntime* rt, int from,
+                                        int to, int port_out, int port_in,
+                                        const Link::Params& p);
   /// Hands every cluster its computed route function.
   void program_routes();
   /// The per-cluster routing oracle (bound into Cluster::set_route_fn):
@@ -273,24 +288,7 @@ class Fabric {
   /// productive port as a candidate, so the arbiter knows when a rip-up
   /// cannot move the head.
   [[nodiscard]] Cluster::Route adaptive_next_port(int from, int to) const;
-  /// Shared builders; rt == nullptr builds the classic single-simulator
-  /// fabric (the historical hypercube() path).
-  static std::unique_ptr<Fabric> hypercube_impl(sim::Simulator& sim0,
-                                                sim::ShardRuntime* rt,
-                                                int stations,
-                                                int stations_per_cluster,
-                                                Params params);
-  static std::unique_ptr<Fabric> fat_tree_impl(sim::Simulator& sim0,
-                                               sim::ShardRuntime* rt,
-                                               int stations,
-                                               int stations_per_cluster,
-                                               Params params);
-  void attach_runtime(sim::ShardRuntime& rt);
-  /// Per-shard-aware payload-pool caps: each shard's free lists scale
-  /// with the stations it hosts instead of a fabric-wide constant.
-  void size_shard_pools();
   [[nodiscard]] sim::Simulator& cluster_sim(int c);
-  [[nodiscard]] FramePool& pool_for_shard(int shard);
   /// Registry index of the cable between clusters `a` and `b` (-1: no
   /// cable): O(1) through cable_at_.
   [[nodiscard]] int cube_pair_index(int a, int b) const;
@@ -299,11 +297,10 @@ class Fabric {
   /// Rebuilds `shard`'s fault-route table from its link-state mirror.
   void recompute_shard_routes(int shard);
   [[nodiscard]] int num_fault_domains() const {
-    return runtime_ == nullptr ? 1 : runtime_->num_shards();
+    return static_cast<int>(sims_.size());
   }
 
-  sim::Simulator& sim_;  // shard 0 (the only simulator when unsharded)
-  sim::ShardRuntime* runtime_ = nullptr;
+  std::vector<sim::Simulator*> sims_;  // one per shard
   Params params_;
   TopologyKind topo_ = TopologyKind::kSingleCluster;
   FatTreeShape fat_;  // valid only when topo_ == kFatTree
@@ -342,8 +339,7 @@ class Fabric {
   //     live.  Each shard's thread reads and writes only its own rows.
   std::vector<std::vector<char>> shard_edge_up_;
   std::vector<std::vector<std::int16_t>> fault_next_port_;
-  FramePool pool_;  // shard 0's payload pool
-  std::vector<std::unique_ptr<FramePool>> shard_pools_;  // shards 1..N-1
+  std::vector<FramePool> pools_;  // one payload pool per shard
 };
 
 }  // namespace hpcvorx::hw

@@ -6,7 +6,7 @@
 namespace hpcvorx::hw {
 
 FatTreeShape FatTreeShape::plan(int stations, int stations_per_leaf,
-                                int leaf_ports, int spines) {
+                                int leaf_ports) {
   if (stations < 1 || stations_per_leaf < 1) {
     throw std::invalid_argument(
         "hw::Fabric fat tree: need stations >= 1 and stations_per_leaf >= 1 "
@@ -26,15 +26,9 @@ FatTreeShape FatTreeShape::plan(int stations, int stations_per_leaf,
         " ports for uplinks; lower stations_per_cluster or raise "
         "FabricParams::ports_per_cluster");
   }
-  shape.spines = spines == 0 ? std::min(uplink_budget, shape.leaves) : spines;
-  if (shape.spines < 1 || shape.spines + stations_per_leaf > leaf_ports) {
-    throw std::invalid_argument(
-        "hw::Fabric fat tree: " + std::to_string(shape.spines) +
-        " spines + " + std::to_string(stations_per_leaf) +
-        " stations/leaf exceed the " + std::to_string(leaf_ports) +
-        "-port leaf budget; lower FabricParams::fat_tree_spines or raise "
-        "ports_per_cluster");
-  }
+  // At least one leaf and one uplink, so at least one spine, and never
+  // more uplinks than the budget.
+  shape.spines = std::min(uplink_budget, shape.leaves);
   return shape;
 }
 

@@ -43,14 +43,14 @@ struct FatTreeShape {
   int stations_per_leaf = 0;
 
   /// Plans the shape for `stations` total stations with
-  /// `stations_per_leaf` per leaf and `leaf_ports` ports per leaf switch.
-  /// `spines` == 0 picks the widest tree the leaf port budget allows
-  /// (leaf_ports - stations_per_leaf uplinks, capped at the leaf count).
-  /// Throws std::invalid_argument with an actionable message on an
-  /// infeasible shape (always-on: misconfigurations must not silently
-  /// build a broken fabric).
+  /// `stations_per_leaf` per leaf and `leaf_ports` ports per leaf switch:
+  /// the widest tree the leaf port budget allows (leaf_ports -
+  /// stations_per_leaf uplinks, capped at the leaf count).  Throws
+  /// std::invalid_argument with an actionable message on an infeasible
+  /// shape (always-on: misconfigurations must not silently build a broken
+  /// fabric).
   static FatTreeShape plan(int stations, int stations_per_leaf,
-                           int leaf_ports, int spines);
+                           int leaf_ports);
 
   /// Total clusters: leaves first (0..leaves-1), then spines.
   [[nodiscard]] int num_clusters() const { return leaves + spines; }

@@ -89,26 +89,14 @@ class InlineFn {
 
   void operator()() { ops_->invoke(&storage_); }
 
-  /// Invokes the callable and destroys its capture in one fused indirect
-  /// call, leaving this empty.  The batched dispatcher's fire path pays
-  /// one table call per event instead of two (invoke, then destroy via
-  /// reset()).  If the callable throws, the capture is intentionally not
-  /// destroyed — the same leak-on-throw the separate reset() path had.
-  void call_and_reset() {
-    const Ops* ops = ops_;
-    ops_ = nullptr;
-    ops->invoke_destroy(&storage_);
-  }
-
   /// Fires a callable whose storage may be reclaimed or relocated *by the
   /// call itself*: one fused indirect call first moves the capture out of
   /// this object (into the op's own frame — registers for small captures),
   /// destroys the source, and only then invokes.  By the time user code
   /// runs, this InlineFn is empty and its storage is dead, so the event
   /// queue's batch cursor can return a slab node to the free list *before*
-  /// firing it — no stack-relocate round trip per event.  Unlike
-  /// call_and_reset(), a throwing callable destroys its capture normally
-  /// (it is a local by then).
+  /// firing it — no stack-relocate round trip per event.  A throwing
+  /// callable destroys its capture normally (it is a local by then).
   void consume_invoke() {
     const Ops* ops = ops_;
     ops_ = nullptr;
@@ -120,7 +108,6 @@ class InlineFn {
     void (*invoke)(void* p);
     void (*relocate)(void* dst, void* src) noexcept;  // move-construct + destroy src
     void (*destroy)(void* p) noexcept;
-    void (*invoke_destroy)(void* p);  // invoke, then destroy, one call
     void (*move_invoke)(void* p);  // move capture out, destroy src, invoke
     bool heap;
   };
@@ -138,19 +125,14 @@ class InlineFn {
       static_cast<D*>(src)->~D();
     }
     static void destroy(void* p) noexcept { static_cast<D*>(p)->~D(); }
-    static void invoke_destroy(void* p) {
-      D* d = static_cast<D*>(p);
-      (*d)();
-      d->~D();
-    }
     static void move_invoke(void* p) {
       D* src = static_cast<D*>(p);
       D d(std::move(*src));
       src->~D();
       d();
     }
-    static constexpr Ops ops{&invoke, &relocate, &destroy, &invoke_destroy,
-                             &move_invoke, false};
+    static constexpr Ops ops{&invoke, &relocate, &destroy, &move_invoke,
+                             false};
   };
 
   template <typename D>
@@ -161,11 +143,6 @@ class InlineFn {
       ::new (dst) D*(slot(src));
     }
     static void destroy(void* p) noexcept { delete slot(p); }
-    static void invoke_destroy(void* p) {
-      D* d = slot(p);
-      (*d)();
-      delete d;
-    }
     static void move_invoke(void* p) {
       // Heap captures are already storage-stable; only the 8-byte slot
       // lived in the slab, and it was read before user code ran.
@@ -173,8 +150,8 @@ class InlineFn {
       (*d)();
       delete d;
     }
-    static constexpr Ops ops{&invoke, &relocate, &destroy, &invoke_destroy,
-                             &move_invoke, true};
+    static constexpr Ops ops{&invoke, &relocate, &destroy, &move_invoke,
+                             true};
   };
 
   template <typename F>

@@ -15,6 +15,13 @@ ShardRuntime::ShardRuntime(int shards) {
   mins_.resize(static_cast<std::size_t>(shards));
 }
 
+std::vector<Simulator*> ShardRuntime::shards() const {
+  std::vector<Simulator*> out;
+  out.reserve(sims_.size());
+  for (const std::unique_ptr<Simulator>& s : sims_) out.push_back(s.get());
+  return out;
+}
+
 void ShardRuntime::note_cross_shard_latency(Duration latency) {
   assert(latency >= 1 &&
          "a zero-latency link may not cross shards: the lookahead window "

@@ -71,6 +71,8 @@ class ShardRuntime {
 
   [[nodiscard]] int num_shards() const { return static_cast<int>(sims_.size()); }
   [[nodiscard]] Simulator& shard(int i) { return *sims_.at(static_cast<std::size_t>(i)); }
+  /// Every shard's simulator, in shard order.
+  [[nodiscard]] std::vector<Simulator*> shards() const;
 
   /// Folds one cross-shard link latency into the lookahead window (the
   /// window is the minimum over all registered links).  Zero-latency links

@@ -58,34 +58,16 @@ Oscilloscope::Util Oscilloscope::utilization(hw::StationId s, sim::SimTime t0,
 
 std::string Oscilloscope::render(sim::SimTime t0, sim::SimTime t1,
                                  int cols) const {
-  std::string out;
-  char head[128];
-  std::snprintf(head, sizeof head, "time %s .. %s  (%d buckets)\n",
-                sim::format_duration(t0).c_str(),
-                sim::format_duration(t1).c_str(), cols);
-  out += head;
   const int stations = sys_.num_nodes() + sys_.num_hosts();
+  std::vector<std::string> names;
+  std::vector<std::vector<sim::Interval>> intervals;
   for (int s = 0; s < stations; ++s) {
-    std::string row;
-    for (int b = 0; b < cols; ++b) {
-      const sim::SimTime a = t0 + (t1 - t0) * b / cols;
-      const sim::SimTime z = t0 + (t1 - t0) * (b + 1) / cols;
-      const auto totals = bucket_totals(s, a, z);
-      // Dominant category wins the bucket glyph.
-      std::size_t best = 0;
-      for (std::size_t c = 1; c < totals.size(); ++c) {
-        if (totals[c] > totals[best]) best = c;
-      }
-      sim::Duration sum = 0;
-      for (sim::Duration d : totals) sum += d;
-      row += sum == 0 ? ' ' : glyph_for(static_cast<sim::Category>(best));
-    }
-    char label[32];
-    std::snprintf(label, sizeof label, "%-6s |", sys_.station(s).name().c_str());
-    out += label + row + "|\n";
+    names.push_back(sys_.station(s).name());
+    intervals.push_back(sys_.station(s).cpu().ledger().intervals());
   }
-  out += "legend: U user, S system, i idle-input, o idle-output, m idle-mixed, . idle-other\n";
-  return out;
+  return render_interval_timeline(names, intervals, t0, t1, cols) +
+         "legend: U user, S system, i idle-input, o idle-output, m "
+         "idle-mixed, . idle-other\n";
 }
 
 std::string Oscilloscope::render_csv(sim::SimTime t0, sim::SimTime t1,
@@ -107,65 +89,6 @@ std::string Oscilloscope::render_csv(sim::SimTime t0, sim::SimTime t1,
     }
   }
   return out;
-}
-
-std::string Oscilloscope::save_recording() const {
-  std::string out = "oscilloscope-recording v1\n";
-  const int stations = sys_.num_nodes() + sys_.num_hosts();
-  char line[96];
-  for (int s = 0; s < stations; ++s) {
-    const auto& iv = sys_.station(s).cpu().ledger().intervals();
-    std::snprintf(line, sizeof line, "station %s %zu\n",
-                  sys_.station(s).name().c_str(), iv.size());
-    out += line;
-    for (const sim::Interval& i : iv) {
-      std::snprintf(line, sizeof line, "%lld %lld %d\n",
-                    static_cast<long long>(i.start),
-                    static_cast<long long>(i.end),
-                    static_cast<int>(i.category));
-      out += line;
-    }
-  }
-  return out;
-}
-
-Oscilloscope::Recording Oscilloscope::Recording::parse(const std::string& text) {
-  Recording rec;
-  std::size_t pos = text.find('\n');  // skip the header line
-  auto next_line = [&]() -> std::string {
-    if (pos == std::string::npos) return {};
-    const std::size_t start = pos + 1;
-    pos = text.find('\n', start);
-    return text.substr(start, pos == std::string::npos ? std::string::npos
-                                                       : pos - start);
-  };
-  for (std::string line = next_line(); !line.empty(); line = next_line()) {
-    char name[64];
-    std::size_t count = 0;
-    if (std::sscanf(line.c_str(), "station %63s %zu", name, &count) == 2) {
-      rec.names_.emplace_back(name);
-      rec.intervals_.emplace_back();
-      rec.intervals_.back().reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::string row = next_line();
-        long long a = 0, b = 0;
-        int cat = 0;
-        if (std::sscanf(row.c_str(), "%lld %lld %d", &a, &b, &cat) == 3) {
-          rec.intervals_.back().push_back(
-              sim::Interval{a, b, static_cast<sim::Category>(cat)});
-        }
-      }
-    }
-  }
-  return rec;
-}
-
-sim::SimTime Oscilloscope::Recording::end_time() const {
-  sim::SimTime t = 0;
-  for (const auto& iv : intervals_) {
-    if (!iv.empty()) t = std::max(t, iv.back().end);
-  }
-  return t;
 }
 
 std::string render_interval_timeline(
@@ -202,11 +125,6 @@ std::string render_interval_timeline(
     out += label + row + "|\n";
   }
   return out;
-}
-
-std::string Oscilloscope::Recording::render(sim::SimTime t0, sim::SimTime t1,
-                                            int cols) const {
-  return render_interval_timeline(names_, intervals_, t0, t1, cols);
 }
 
 }  // namespace hpcvorx::tools

@@ -14,9 +14,10 @@
 // slower than real-time, or seek to any moment in execution time."
 //
 // Recording is the CPU models' interval ledgers (SystemConfig::
-// record_intervals).  Rendering produces synchronized per-processor
-// character timelines; freeze/zoom/seek are expressed as the [t0, t1)
-// window and column count of render().
+// record_intervals); the saved recording is the trace tools::TraceExporter
+// writes, which tools::TraceReplay renders offline.  Rendering produces
+// synchronized per-processor character timelines; freeze/zoom/seek are
+// expressed as the [t0, t1) window and column count of render().
 #pragma once
 
 #include <array>
@@ -29,8 +30,8 @@ namespace hpcvorx::tools {
 
 /// The oscilloscope-style timeline renderer over raw per-station interval
 /// lists: one row per station, `cols` dominant-category glyph buckets over
-/// [t0, t1).  Shared by the live tool's Recording and by tools::TraceReplay
-/// so a trace re-rendered offline matches a recording rendered in-process.
+/// [t0, t1).  Shared by the live tool and by tools::TraceReplay, so a trace
+/// re-rendered offline matches the running System's timeline.
 [[nodiscard]] std::string render_interval_timeline(
     const std::vector<std::string>& names,
     const std::vector<std::vector<sim::Interval>>& intervals, sim::SimTime t0,
@@ -52,46 +53,17 @@ class Oscilloscope {
   [[nodiscard]] Util utilization(hw::StationId s, sim::SimTime t0,
                                  sim::SimTime t1) const;
 
-  /// Synchronized timelines, one row per station, `cols` time buckets wide.
-  /// Bucket glyphs: U user, S system (incl. switches), i idle-input,
-  /// o idle-output, m idle-mixed, '.' idle-other.  Any [t0, t1) window may
-  /// be rendered: that is the freeze/zoom/seek capability.
+  /// Synchronized timelines, one row per station, `cols` time buckets wide
+  /// (render_interval_timeline), then a legend line.  Bucket glyphs: U
+  /// user, S system (incl. switches), i idle-input, o idle-output, m
+  /// idle-mixed, '.' idle-other.  Any [t0, t1) window may be rendered: that
+  /// is the freeze/zoom/seek capability.
   [[nodiscard]] std::string render(sim::SimTime t0, sim::SimTime t1,
                                    int cols) const;
 
   /// Machine-readable export: one row per (station, bucket) with shares.
   [[nodiscard]] std::string render_csv(sim::SimTime t0, sim::SimTime t1,
                                        int buckets) const;
-
-  // ---- recordings (§6.2: "Execution data is recorded while the
-  // application is running and later the software oscilloscope is used to
-  // display the data") ----
-
-  /// Serializes every station's interval recording.
-  [[nodiscard]] std::string save_recording() const;
-
-  /// A stand-alone recording: per-station interval lists restored from
-  /// save_recording() output, renderable long after the run (and System)
-  /// are gone.
-  class Recording {
-   public:
-    static Recording parse(const std::string& text);
-    [[nodiscard]] int stations() const { return static_cast<int>(names_.size()); }
-    [[nodiscard]] const std::string& station_name(int s) const {
-      return names_[static_cast<std::size_t>(s)];
-    }
-    [[nodiscard]] const std::vector<sim::Interval>& intervals(int s) const {
-      return intervals_[static_cast<std::size_t>(s)];
-    }
-    [[nodiscard]] sim::SimTime end_time() const;
-    /// Same synchronized-timeline rendering as the live tool.
-    [[nodiscard]] std::string render(sim::SimTime t0, sim::SimTime t1,
-                                     int cols) const;
-
-   private:
-    std::vector<std::string> names_;
-    std::vector<std::vector<sim::Interval>> intervals_;
-  };
 
  private:
   // Time per category within [t0, t1) for one station.

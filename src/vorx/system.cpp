@@ -18,29 +18,24 @@ std::uint64_t name_hash(const std::string& s) {
 }  // namespace
 
 System::System(sim::Simulator& sim, SystemConfig cfg)
-    : sim_(sim), cfg_(cfg) {
-  const int stations = cfg_.nodes + cfg_.hosts;
-  if (cfg_.record_counters) sim_.counters().enable(true);
-  fabric_ = hw::Fabric::make(sim, stations, cfg_.stations_per_cluster,
-                             cfg_.fabric);
-  build_stations();
-}
+    : System(cfg, {&sim}, nullptr,
+             hw::Fabric::make(sim, cfg.nodes + cfg.hosts,
+                              cfg.stations_per_cluster, cfg.fabric)) {}
 
 System::System(sim::ShardRuntime& rt, SystemConfig cfg)
-    : sim_(rt.shard(0)), runtime_(&rt), cfg_(cfg) {
-  const int stations = cfg_.nodes + cfg_.hosts;
-  if (cfg_.record_counters) {
-    for (int i = 0; i < rt.num_shards(); ++i) {
-      rt.shard(i).counters().enable(true);
-    }
-  }
-  fabric_ =
-      hw::Fabric::make_sharded(rt, stations, cfg_.stations_per_cluster,
-                               cfg_.fabric);
-  build_stations();
-}
+    : System(cfg, rt.shards(), &rt,
+             hw::Fabric::make_sharded(rt, cfg.nodes + cfg.hosts,
+                                      cfg.stations_per_cluster, cfg.fabric)) {}
 
-void System::build_stations() {
+System::System(SystemConfig cfg, std::vector<sim::Simulator*> sims,
+               sim::ShardRuntime* rt, std::unique_ptr<hw::Fabric> fabric)
+    : sims_(std::move(sims)),
+      runtime_(rt),
+      cfg_(cfg),
+      fabric_(std::move(fabric)) {
+  if (cfg_.record_counters) {
+    for (sim::Simulator* s : sims_) s->counters().enable(true);
+  }
   const int stations = cfg_.nodes + cfg_.hosts;
   Node::Options opts;
   opts.side_buffers = cfg_.channel_side_buffers;
@@ -66,14 +61,16 @@ System::~System() {
   // Every station's processes registered with that station's simulator (or
   // the thread fallback for frames created with nothing bound); drain each
   // distinct registry while the nodes are still alive.
-  if (runtime_ != nullptr) {
-    for (int i = 0; i < runtime_->num_shards(); ++i) {
-      runtime_->shard(i).proc_registry().destroy_all();
-    }
-  } else {
-    sim_.proc_registry().destroy_all();
-  }
+  for (sim::Simulator* s : sims_) s->proc_registry().destroy_all();
   sim::ProcRegistry::thread_fallback().destroy_all();
+}
+
+void System::run_until(sim::SimTime deadline) {
+  if (runtime_ != nullptr) {
+    runtime_->run_until(deadline);
+  } else {
+    sims_.front()->run_until(deadline);
+  }
 }
 
 hw::StationId System::manager_for(const std::string& name) const {

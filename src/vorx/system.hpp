@@ -74,9 +74,15 @@ class System {
   [[nodiscard]] hw::StationId host_station(int j) const { return cfg_.nodes + j; }
 
   /// Shard-0 simulator (the only one for non-sharded systems).
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  /// The shard runtime, or nullptr when built over a single Simulator.
-  [[nodiscard]] sim::ShardRuntime* shard_runtime() { return runtime_; }
+  [[nodiscard]] sim::Simulator& simulator() { return *sims_.front(); }
+  /// Every simulator a station lives on, in shard order: one entry for a
+  /// System built over a single Simulator.
+  [[nodiscard]] const std::vector<sim::Simulator*>& simulators() const {
+    return sims_;
+  }
+  /// Runs the machine until virtual time `deadline`: the shard runtime's
+  /// rounds when there is one, else the single Simulator.
+  void run_until(sim::SimTime deadline);
   [[nodiscard]] hw::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
 
@@ -95,10 +101,13 @@ class System {
   void finalize_accounting();
 
  private:
-  void build_stations();
+  /// The one constructor body: `sims` are the fabric's shard simulators,
+  /// `rt` drives them (null over a single Simulator).
+  System(SystemConfig cfg, std::vector<sim::Simulator*> sims,
+         sim::ShardRuntime* rt, std::unique_ptr<hw::Fabric> fabric);
 
-  sim::Simulator& sim_;
-  sim::ShardRuntime* runtime_ = nullptr;
+  std::vector<sim::Simulator*> sims_;
+  sim::ShardRuntime* runtime_;
   SystemConfig cfg_;
   std::unique_ptr<hw::Fabric> fabric_;
   std::vector<std::unique_ptr<Node>> stations_;

@@ -104,6 +104,57 @@ std::int64_t percentile_us(const std::vector<sim::Duration>& sorted,
   return sorted[rank - 1] / 1000;
 }
 
+// ---- the fixed traffic shape (DESIGN.md §14.1) ----------------------------
+//
+// Only the user count and the horizon vary between runs (WorkloadConfig);
+// everything else about a conference day is fixed here.
+
+// Offered load.
+constexpr double kSessionsPerUser = 1.0;  // mean sessions each user originates
+constexpr int kMinMembers = 2;            // conference size drawn uniform in
+constexpr int kMaxMembers = 6;            //   [kMinMembers, kMaxMembers] nodes
+// Diurnal modulation: arrival rate ramps linearly from (1 - swing) of the
+// mean at the horizon's edges to (1 + swing) at its midpoint — a
+// triangle-wave "busy hour" (integer arithmetic; no libm in the path).
+constexpr double kDiurnalSwing = 0.4;
+
+// Talk spurts (heavy-tailed: Pareto, the classic voice model).
+constexpr int kMinSpurts = 1;  // spurts per session, uniform
+constexpr int kMaxSpurts = 5;
+constexpr sim::Duration kSpurtGap = sim::msec(20);  // mean silence between
+constexpr sim::Duration kGapCap = 20 * kSpurtGap;   // gaps truncated here
+constexpr sim::Duration kSpurtXm = sim::msec(40);   // Pareto scale (minimum)
+constexpr double kSpurtAlpha = 1.6;  // Pareto shape (infinite variance < 2)
+constexpr sim::Duration kSpurtCap = sim::sec(2);        // truncation
+constexpr sim::Duration kFrameInterval = sim::msec(40);  // media frame spacing
+constexpr std::uint32_t kFrameBytes = 160;  // per media frame (timing only;
+                                            // no payload carried)
+
+// Membership churn: P(a non-root member leaves mid-session).
+constexpr double kChurnProb = 0.15;
+
+// Control-plane budget (the recovery contracts, DESIGN.md §14).  Budgets
+// must cover the worst-case control RTT on the biggest machine (a ~2^7
+// cube at 50 us per cable, plus convergecast queueing at the hosts) —
+// too-tight timeouts turn a load spike into a retry spiral.
+constexpr sim::Duration kAllocTimeout = sim::msec(15);  // per-attempt reply
+constexpr int kAllocAttempts = 3;  // hosts tried before the join fails
+constexpr sim::Duration kInviteTimeout = sim::msec(15);  // per-round accepts
+constexpr int kInviteRounds = 2;   // rounds before non-responders are pruned
+constexpr int kHostSlots = 4096;   // session slots per host workstation
+// Watchdog: a session not done by start + ttl is LOST (a bug).
+constexpr sim::Duration kSessionTtl = sim::sec(3);
+
+// The watchdog must never fire on a healthy session, so its delay is at
+// least the longest possible life, bounded from the control-plane budgets
+// and the spurt caps.
+constexpr sim::Duration kTtlEff = std::max(
+    kSessionTtl, kAllocAttempts * kAllocTimeout +
+                     kInviteRounds * kInviteTimeout +
+                     static_cast<sim::Duration>(kMaxSpurts) *
+                         (kGapCap + kSpurtCap + kFrameInterval) +
+                     sim::msec(50));
+
 }  // namespace
 
 // ---- pre-generated session descriptors -----------------------------------
@@ -298,12 +349,11 @@ struct WorkloadGen::Impl {
   static void resolve(RootSession& rs) { rs = RootSession{}; }
 
   [[nodiscard]] sim::SimTime end_time() const {
-    return cfg.horizon + ttl_eff + sim::msec(10);
+    return cfg.horizon + kTtlEff + sim::msec(10);
   }
 
   System& sys;
   WorkloadConfig cfg;
-  sim::Duration ttl_eff = 0;  // watchdog delay >= worst-case session life
   std::vector<SessionDesc> descs;
   std::vector<std::unique_ptr<NodeAgent>> node_agents;
   std::vector<std::unique_ptr<HostAgent>> host_agents;
@@ -312,16 +362,6 @@ struct WorkloadGen::Impl {
 
 WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
     : sys(s), cfg(std::move(c)) {
-  // The watchdog must never fire on a healthy session: bound the longest
-  // possible life from the control-plane budgets and the spurt caps.
-  const sim::Duration gap_cap = 20 * cfg.spurt_gap;
-  const sim::Duration max_life =
-      cfg.alloc_attempts * cfg.alloc_timeout +
-      cfg.invite_rounds * cfg.invite_timeout +
-      static_cast<sim::Duration>(cfg.max_spurts) *
-          (gap_cap + cfg.spurt_cap + cfg.frame_interval) +
-      sim::msec(50);
-  ttl_eff = std::max(cfg.session_ttl, max_life);
   install();
   generate(seed);
   schedule();
@@ -338,14 +378,13 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
   std::vector<std::uint32_t> root_slots(static_cast<std::size_t>(nodes), 0);
   std::vector<std::uint32_t> member_slots(static_cast<std::size_t>(nodes), 0);
   const double mean_members =
-      (static_cast<double>(cfg.min_members) + cfg.max_members) / 2.0;
+      (static_cast<double>(kMinMembers) + kMaxMembers) / 2.0;
   const double expected =
-      static_cast<double>(cfg.users) * cfg.sessions_per_user / mean_members;
+      static_cast<double>(cfg.users) * kSessionsPerUser / mean_members;
   if (expected <= 0.0 || cfg.horizon <= 0) return;
   const double horizon_ns = static_cast<double>(cfg.horizon);
   const double rate_mean = expected / horizon_ns;       // arrivals per ns
-  const double rate_max = rate_mean * (1.0 + cfg.diurnal_swing);
-  const sim::Duration gap_cap = 20 * cfg.spurt_gap;
+  const double rate_max = rate_mean * (1.0 + kDiurnalSwing);
 
   double t = 0.0;
   std::uint64_t next_id = 1;
@@ -357,8 +396,8 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
     const double x = t / horizon_ns;
     const double tri = 1.0 - (x < 0.5 ? 1.0 - 2.0 * x : 2.0 * x - 1.0);
     const double accept =
-        (1.0 - cfg.diurnal_swing + 2.0 * cfg.diurnal_swing * tri) /
-        (1.0 + cfg.diurnal_swing);
+        (1.0 - kDiurnalSwing + 2.0 * kDiurnalSwing * tri) /
+        (1.0 + kDiurnalSwing);
     if (!rng.chance(accept)) continue;
 
     SessionDesc d;
@@ -367,7 +406,7 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
     d.root = static_cast<int>(rng.below(static_cast<std::uint64_t>(nodes)));
     d.root_slot = root_slots[static_cast<std::size_t>(d.root)]++;
     const int want = static_cast<int>(
-        rng.range(cfg.min_members, cfg.max_members));
+        rng.range(kMinMembers, kMaxMembers));
     const int size = std::min(want, nodes);  // distinct nodes available
     while (static_cast<int>(d.members.size()) < size - 1) {
       const int m =
@@ -381,20 +420,20 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
       d.member_slot.push_back(member_slots[static_cast<std::size_t>(m)]++);
     }
     const int nspurts =
-        static_cast<int>(rng.range(cfg.min_spurts, cfg.max_spurts));
+        static_cast<int>(rng.range(kMinSpurts, kMaxSpurts));
     sim::Duration nominal = 0;
     for (int i = 0; i < nspurts; ++i) {
       SpurtDesc sp;
-      sp.gap = sample_exp(rng, cfg.spurt_gap, gap_cap);
+      sp.gap = sample_exp(rng, kSpurtGap, kGapCap);
       const sim::Duration len =
-          sample_pareto(rng, cfg.spurt_xm, cfg.spurt_alpha, cfg.spurt_cap);
-      sp.frames = 1 + static_cast<int>(len / cfg.frame_interval);
+          sample_pareto(rng, kSpurtXm, kSpurtAlpha, kSpurtCap);
+      sp.frames = 1 + static_cast<int>(len / kFrameInterval);
       nominal += sp.gap + static_cast<sim::Duration>(sp.frames) *
-                              cfg.frame_interval;
+                              kFrameInterval;
       d.spurts.push_back(sp);
     }
     for (std::size_t i = 0; i < d.members.size(); ++i) {
-      if (rng.chance(cfg.churn_prob) && nominal > 0) {
+      if (rng.chance(kChurnProb) && nominal > 0) {
         d.leaves.emplace_back(
             i, static_cast<sim::Duration>(
                    rng.below(static_cast<std::uint64_t>(nominal))));
@@ -470,14 +509,14 @@ void WorkloadGen::Impl::schedule() {
     sim::Simulator& rsim = root.node->simulator();
     root.arrivals->items.push_back(
         {d.start, rsim.reserve(), d.id, d.root, 0, FeedKind::kStart});
-    root.arrivals->items.push_back({d.start + ttl_eff, rsim.reserve(), d.id,
+    root.arrivals->items.push_back({d.start + kTtlEff, rsim.reserve(), d.id,
                                     d.root, 0, FeedKind::kWatchdog});
     for (const auto& [i, offset] : d.leaves) {
       NodeAgent& mem = *node_agents[static_cast<std::size_t>(d.members[i])];
       // Earliest the member could be active; if the invite never arrived
       // (faults) the leave finds no local session and is a no-op.
       const sim::SimTime leave_at =
-          d.start + cfg.alloc_timeout + cfg.invite_timeout + offset;
+          d.start + kAllocTimeout + kInviteTimeout + offset;
       mem.arrivals->items.push_back({leave_at, mem.node->simulator().reserve(),
                                      d.id, mem.index, d.member_slot[i],
                                      FeedKind::kLeave});
@@ -518,7 +557,7 @@ void WorkloadGen::Impl::start_session(NodeAgent& ag, std::uint64_t sid) {
 }
 
 void WorkloadGen::Impl::send_alloc(NodeAgent& ag, RootSession& rs) {
-  if (rs.attempt >= cfg.alloc_attempts) {
+  if (rs.attempt >= kAllocAttempts) {
     fail_join(ag, rs.desc->id);
     return;
   }
@@ -535,7 +574,7 @@ void WorkloadGen::Impl::send_alloc(NodeAgent& ag, RootSession& rs) {
   ag.node->kernel().send(std::move(f));
   const std::uint32_t e = ++rs.epoch;
   // vorx-lint: allow(R8) ag lives in Impl's per-node table for the whole run
-  ag.node->simulator().post_after(cfg.alloc_timeout, [this, &ag, sid, e] {
+  ag.node->simulator().post_after(kAllocTimeout, [this, &ag, sid, e] {
     RootSession* r = live_root(ag, sid);
     if (r == nullptr || r->phase != kAllocating || r->epoch != e) return;
     ++ag.alloc_timeouts;
@@ -590,7 +629,7 @@ void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
   }
   const std::uint32_t e = ++rs.epoch;
   ag.node->simulator().post_after(
-      cfg.invite_timeout,
+      kInviteTimeout,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
       [this, &ag, sid, e] { invite_timeout(ag, sid, e); });
 }
@@ -616,7 +655,7 @@ void WorkloadGen::Impl::invite_timeout(NodeAgent& ag, std::uint64_t sid,
   if (r == nullptr || r->phase != kInviting || r->epoch != epoch) return;
   RootSession& rs = *r;
   ++rs.round;
-  if (rs.round < cfg.invite_rounds) {
+  if (rs.round < kInviteRounds) {
     ++ag.reinvite_rounds;
     start_invites(ag, rs, /*resend_only=*/true);
     return;
@@ -678,14 +717,14 @@ void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
     f.obj = sid;
     f.seq = m.slot;
     f.aux = static_cast<std::uint64_t>(now);  // end-to-end latency origin
-    f.payload_bytes = cfg.frame_bytes;        // timing-only media frame
+    f.payload_bytes = kFrameBytes;        // timing-only media frame
     ag.node->kernel().send(std::move(f));
     ++ag.data_sent;
   }
   --rs.frames_left;
   if (rs.frames_left > 0) {
     ag.node->simulator().post_after(
-        cfg.frame_interval,
+        kFrameInterval,
         // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
         [this, &ag, sid, epoch] { spurt_step(ag, sid, epoch); });
     return;
@@ -780,7 +819,7 @@ void WorkloadGen::Impl::on_invite(NodeAgent& ag, const hw::Frame& f) {
     // the session cannot possibly still be live.  Deadlines arrive in
     // order, so the node's GC feed needs no sort.
     sim::Simulator& s = ag.node->simulator();
-    ag.member_gc_feed.append({s.now() + ttl_eff, s.reserve(), f.obj,
+    ag.member_gc_feed.append({s.now() + kTtlEff, s.reserve(), f.obj,
                               ag.index, slot, FeedKind::kMemberGc});
   }
 }
@@ -823,7 +862,7 @@ void WorkloadGen::Impl::on_alloc_req(HostAgent& h, const hw::Frame& f) {
   if (it != h.slots.end()) {
     r.aux = 1;  // duplicate request: same slot, idempotent grant
   } else if (h.slots.size() >=
-             static_cast<std::size_t>(cfg.host_slots)) {
+             static_cast<std::size_t>(kHostSlots)) {
     r.aux = 0;  // full: deny, the root retries elsewhere
   } else {
     // Grant: the session's host-side presence is a real VORX stub process
@@ -868,14 +907,7 @@ WorkloadGen::WorkloadGen(System& sys, WorkloadConfig cfg, std::uint64_t seed)
 
 WorkloadGen::~WorkloadGen() = default;
 
-void WorkloadGen::run() {
-  const sim::SimTime end = impl_->end_time();
-  if (sim::ShardRuntime* rt = sys_.shard_runtime()) {
-    rt->run_until(end);
-  } else {
-    sys_.simulator().run_until(end);
-  }
-}
+void WorkloadGen::run() { sys_.run_until(impl_->end_time()); }
 
 std::uint64_t WorkloadGen::sessions_generated() const {
   return impl_->descs.size();
@@ -982,10 +1014,10 @@ FaultInjector::FaultInjector(System& sys, WorkloadGen* gen)
 
 void FaultInjector::install(const sim::FaultPlan& plan) {
   hw::Fabric& fab = sys_.fabric();
-  sim::ShardRuntime* rt = sys_.shard_runtime();
-  const int domains = rt == nullptr ? 1 : rt->num_shards();
+  const std::vector<sim::Simulator*>& sims = sys_.simulators();
+  const int domains = static_cast<int>(sims.size());
   auto sim_of = [&](int s) -> sim::Simulator& {
-    return rt == nullptr ? sys_.simulator() : rt->shard(s);
+    return *sims[static_cast<std::size_t>(s)];
   };
   for (const sim::FaultEvent& ev : plan.events()) {
     switch (ev.kind) {

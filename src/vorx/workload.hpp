@@ -40,44 +40,12 @@
 
 namespace hpcvorx::vorx {
 
+// What varies between workload runs.  The rest of the traffic shape —
+// conference sizes, talk-spurt law, churn, the control-plane budgets — is
+// fixed in workload.cpp and listed in DESIGN.md §14.1.
 struct WorkloadConfig {
-  // ---- offered load ----
-  int users = 10'000;            // simulated conference users
-  double sessions_per_user = 1.0;  // mean sessions each user originates
+  int users = 10'000;                      // simulated conference users
   sim::Duration horizon = sim::msec(500);  // arrival window (one "day")
-  int min_members = 2;           // conference size drawn uniform in
-  int max_members = 6;           //   [min_members, max_members] nodes
-  // Diurnal modulation: arrival rate ramps linearly from (1 - swing) of
-  // the mean at the horizon's edges to (1 + swing) at its midpoint — a
-  // triangle-wave "busy hour" (integer arithmetic; no libm in the path).
-  double diurnal_swing = 0.4;
-
-  // ---- talk spurts (heavy-tailed: Pareto, the classic voice model) ----
-  int min_spurts = 1;            // spurts per session, uniform
-  int max_spurts = 5;
-  sim::Duration spurt_gap = sim::msec(20);     // mean silence between spurts
-  sim::Duration spurt_xm = sim::msec(40);      // Pareto scale (minimum)
-  double spurt_alpha = 1.6;                    // Pareto shape (infinite
-                                               // variance below 2)
-  sim::Duration spurt_cap = sim::sec(2);       // truncation
-  sim::Duration frame_interval = sim::msec(40);  // media frame spacing
-  std::uint32_t frame_bytes = 160;             // per media frame (timing
-                                               // only; no payload carried)
-
-  // ---- membership churn ----
-  double churn_prob = 0.15;      // P(a non-root member leaves mid-session)
-
-  // ---- control-plane budget (the recovery contracts, DESIGN.md §14) ----
-  // Budgets must cover the worst-case control RTT on the biggest machine
-  // (a ~2^7 cube at 50 us per cable, plus convergecast queueing at the
-  // hosts) — too-tight timeouts turn a load spike into a retry spiral.
-  sim::Duration alloc_timeout = sim::msec(15);  // per-attempt reply budget
-  int alloc_attempts = 3;        // hosts tried before the join fails
-  sim::Duration invite_timeout = sim::msec(15);  // per-round accept budget
-  int invite_rounds = 2;         // rounds before non-responders are pruned
-  int host_slots = 4096;         // session slots per host workstation
-  sim::Duration session_ttl = sim::sec(3);  // watchdog: a session not done
-                                            // by start+ttl is LOST (bug)
 };
 
 /// Virtual-time summary of one workload run.  Every field is integral and

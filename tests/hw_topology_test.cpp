@@ -32,19 +32,20 @@ void drain_into(Fabric& fab, StationId station, std::vector<Frame>& out) {
 
 TEST(FatTreeShape, PlansWidestTreeFromPortBudget) {
   // 12-port leaves with 4 stations each leave 8 uplink ports.
-  const FatTreeShape s = FatTreeShape::plan(1024, 4, 12, 0);
+  const FatTreeShape s = FatTreeShape::plan(1024, 4, 12);
   EXPECT_EQ(s.leaves, 256);
   EXPECT_EQ(s.spines, 8);
   EXPECT_EQ(s.stations_per_leaf, 4);
   EXPECT_EQ(s.num_clusters(), 264);
   // Few leaves: the spine count caps at the leaf count.
-  const FatTreeShape tiny = FatTreeShape::plan(8, 4, 12, 0);
+  const FatTreeShape tiny = FatTreeShape::plan(8, 4, 12);
   EXPECT_EQ(tiny.leaves, 2);
   EXPECT_EQ(tiny.spines, 2);
 }
 
 TEST(FatTreeShape, NextHopsClimbThenDescend) {
-  const FatTreeShape s = FatTreeShape::plan(16, 4, 12, 2);
+  // 6-port leaves with 4 stations each leave 2 uplinks: two spines.
+  const FatTreeShape s = FatTreeShape::plan(16, 4, 6);
   ASSERT_EQ(s.leaves, 4);
   ASSERT_EQ(s.spines, 2);
   // Leaf 0 -> leaf 3: uplink port spine_for(3) == 1, to spine cluster 4+1.
@@ -57,11 +58,9 @@ TEST(FatTreeShape, NextHopsClimbThenDescend) {
 
 TEST(FatTreeShape, PlanRejectsInfeasibleShapes) {
   // No uplink budget: 12 stations fill all 12 leaf ports.
-  EXPECT_THROW(FatTreeShape::plan(24, 12, 12, 0), std::invalid_argument);
-  // Explicit spine count that overflows the leaf port budget.
-  EXPECT_THROW(FatTreeShape::plan(64, 4, 12, 9), std::invalid_argument);
-  EXPECT_THROW(FatTreeShape::plan(0, 4, 12, 0), std::invalid_argument);
-  EXPECT_THROW(FatTreeShape::plan(16, 0, 12, 0), std::invalid_argument);
+  EXPECT_THROW(FatTreeShape::plan(24, 12, 12), std::invalid_argument);
+  EXPECT_THROW(FatTreeShape::plan(0, 4, 12), std::invalid_argument);
+  EXPECT_THROW(FatTreeShape::plan(16, 0, 12), std::invalid_argument);
 }
 
 TEST(Topology, FlagSpellingsRoundTrip) {

@@ -1,10 +1,12 @@
-// Tests for oscilloscope recordings (save/parse/offline render) and the
-// fixed-priority S/NET arbitration starvation mode.
+// Tests for oscilloscope recordings (trace export, replay, offline render)
+// and the fixed-priority S/NET arbitration starvation mode.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "tools/oscilloscope.hpp"
+#include "tools/trace_export.hpp"
+#include "tools/trace_replay.hpp"
 #include "vorx/protocols/snet_recovery.hpp"
 #include "vorx_test_util.hpp"
 
@@ -14,6 +16,12 @@ namespace {
 using vorx::Subprocess;
 using vorx::System;
 using vorx::SystemConfig;
+
+// The saved recording is the exported trace: export it, replay it, and
+// the stations, their intervals and the timeline come back exactly.
+TraceReplay save_and_parse(System& sys) {
+  return TraceReplay::parse(TraceExporter::from_system(sys).render());
+}
 
 TEST(OscilloscopeRecording, SaveParseRenderMatchesLiveTool) {
   sim::Simulator sim;
@@ -37,19 +45,19 @@ TEST(OscilloscopeRecording, SaveParseRenderMatchesLiveTool) {
   Oscilloscope osc(sys);
   const std::string live = osc.render(0, sim.now(), 32);
 
-  // Round-trip through the serialized recording.
-  const std::string saved = osc.save_recording();
-  const auto rec = Oscilloscope::Recording::parse(saved);
+  // Round-trip through the exported trace.
+  const TraceReplay rec = save_and_parse(sys);
+  ASSERT_TRUE(rec.ok());
   ASSERT_EQ(rec.stations(), 5);  // 4 nodes + 1 workstation
   EXPECT_EQ(rec.station_name(0), "n0");
   EXPECT_EQ(rec.station_name(4), "ws0");
   EXPECT_EQ(rec.end_time(), sim.now());
 
   const std::string offline = rec.render(0, rec.end_time(), 32);
-  // The offline rendering shows the identical timelines (the live render
-  // has an extra legend line at the end).
-  EXPECT_NE(live.find(offline.substr(offline.find('\n') + 1)),
-            std::string::npos);
+  // The offline rendering is the live one without its trailing legend.
+  EXPECT_EQ(live, offline +
+                      "legend: U user, S system, i idle-input, o idle-output, "
+                      "m idle-mixed, . idle-other\n");
 }
 
 TEST(OscilloscopeRecording, IntervalsSurviveExactly) {
@@ -66,8 +74,7 @@ TEST(OscilloscopeRecording, IntervalsSurviveExactly) {
   });
   sim.run();
   sys.finalize_accounting();
-  Oscilloscope osc(sys);
-  const auto rec = Oscilloscope::Recording::parse(osc.save_recording());
+  const TraceReplay rec = save_and_parse(sys);
   ASSERT_EQ(rec.stations(), 1);
   const auto& live = sys.node(0).cpu().ledger().intervals();
   const auto& loaded = rec.intervals(0);

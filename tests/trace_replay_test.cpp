@@ -80,14 +80,15 @@ TEST(TraceReplay, RoundTripRenderMatchesLiveOscilloscope) {
     EXPECT_EQ(rep.station_name(s), run.sys->station(s).cpu().name())
         << "station " << s;
   }
-  const Oscilloscope::Recording rec =
-      Oscilloscope::Recording::parse(osc.save_recording());
-  EXPECT_EQ(rep.render(0, t1, 72), rec.render(0, t1, 72));
-  EXPECT_EQ(rep.render(0, t1, 31), rec.render(0, t1, 31));
-  EXPECT_EQ(rep.render(t1 / 3, (2 * t1) / 3, 48),
-            rec.render(t1 / 3, (2 * t1) / 3, 48));
   // The live view is the same timeline plus its trailing legend line.
-  EXPECT_EQ(osc.render(0, t1, 72).rfind(rep.render(0, t1, 72), 0), 0u);
+  const auto live = [&osc](sim::SimTime a, sim::SimTime z, int cols) {
+    const std::string out = osc.render(a, z, cols);
+    return out.substr(0, out.rfind("legend: "));
+  };
+  EXPECT_EQ(rep.render(0, t1, 72), live(0, t1, 72));
+  EXPECT_EQ(rep.render(0, t1, 31), live(0, t1, 31));
+  EXPECT_EQ(rep.render(t1 / 3, (2 * t1) / 3, 48),
+            live(t1 / 3, (2 * t1) / 3, 48));
   EXPECT_GE(rep.end_time(), t1 / 2);
 }
 
