@@ -263,6 +263,12 @@ void Cluster::on_input(int in_port) {
   // Open the head-of-line wait span now; take_input closes it (a frame
   // forwarded within this event cascade accrues zero, as time stands still).
   if (in.hol_since < 0) in.hol_since = sim_.now();
+  serve_head(in_port);
+}
+
+void Cluster::serve_head(int in_port, int skip_out) {
+  const Frame* head = ins_[static_cast<std::size_t>(in_port)].link->peek();
+  if (head == nullptr) return;
   if (head->group != 0) {
     forward_head(in_port);
     return;
@@ -270,26 +276,17 @@ void Cluster::on_input(int in_port) {
   const int r = head_route(in_port);
   if (r < 0) {
     drop_unroutable(in_port);
-    return;
+  } else if (r != skip_out) {
+    try_output(r);
   }
-  try_output(r);
 }
 
-// Attempts to forward the head frame of `in_port`; handles both unicast
-// and multicast heads.  Returns true if the head was consumed.
+// Attempts to replicate the multicast head frame of `in_port`.  Returns
+// true if the head was consumed.
 bool Cluster::forward_head(int in_port) {
   const Link* in = ins_[static_cast<std::size_t>(in_port)].link;
   const Frame* head = in->peek();
-  if (head == nullptr) return false;
-  if (head->group == 0) {
-    const int r = head_route(in_port);
-    if (r < 0) {
-      drop_unroutable(in_port);
-      return true;
-    }
-    try_output(r);
-    return in->peek() != head;
-  }
+  assert(head != nullptr && head->group != 0);
   // Hardware multicast: the frame is replicated to every port in the
   // group's replication set, and may proceed only when *all* of them can
   // accept a whole frame (replication cannot be half-done).  A claimed
@@ -328,18 +325,7 @@ bool Cluster::forward_head(int in_port) {
   sample_forwarded();
   sample_mcast_copies(f.group);
   // The next head may be unicast or multicast; give it a chance now.
-  if (const Frame* next = in->peek()) {
-    if (next->group != 0) {
-      forward_head(in_port);
-    } else {
-      const int r = head_route(in_port);
-      if (r < 0) {
-        drop_unroutable(in_port);
-      } else {
-        try_output(r);
-      }
-    }
-  }
+  serve_head(in_port);
   return true;
 }
 
@@ -470,19 +456,7 @@ void Cluster::try_output(int out_port) {
     // Head-of-line unblocking: the frame now at the head of this input may
     // route to a *different* output that has been idle all along (so its
     // ready callback will never fire).  Kick that output's arbiter.
-    const Link* in = ins_[static_cast<std::size_t>(chosen)].link;
-    if (const Frame* next_head = in->peek()) {
-      if (next_head->group != 0) {
-        forward_head(chosen);
-      } else {
-        const int other = head_route(chosen);
-        if (other < 0) {
-          drop_unroutable(chosen);
-        } else if (other != out_port) {
-          try_output(other);
-        }
-      }
-    }
+    serve_head(chosen, out_port);
   }
 }
 

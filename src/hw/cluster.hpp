@@ -233,7 +233,14 @@ class Cluster {
   void collect_candidates(int out_port);
   /// First offset >= `from` (from the cursor `start`) in walk(); n if none.
   [[nodiscard]] int next_candidate(int start, int from);
-  bool forward_head(int in_port);  // returns whether the head was consumed
+  /// Replicates `in_port`'s multicast head if every port of its set can
+  /// take it; returns whether the head was consumed.
+  bool forward_head(int in_port);
+  /// Serves `in_port`'s current head, if any: a multicast head tries its
+  /// replication, an unroutable unicast head is dropped, and a routable
+  /// one kicks its output's arbiter unless that output is `skip_out`
+  /// (the arbiter already running).
+  void serve_head(int in_port, int skip_out = -1);
   void on_input(int in_port);
   void try_output(int out_port);
   Frame take_input(int in_port);   // take + head-of-line accounting

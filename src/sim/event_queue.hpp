@@ -47,13 +47,19 @@
 // order, which an older sequence number would break — and the heap already
 // orders on (time, seq) against both wheels.
 //
-// The per-bucket head arrays of both wheel levels are allocated
-// uninitialized and consulted only when the bucket's occupancy bit is set,
-// which keeps queue construction cheap (a 2.5 KB bitmap clear) —
-// benchmarks build thousands of Simulators.
+// Both wheel levels are one Level type (head array, occupancy bitmap,
+// count, earliest bucket start) instantiated at two tick widths.  Their
+// head arrays are allocated uninitialized and consulted only when the
+// bucket's occupancy bit is set, which keeps queue construction cheap (a
+// 2.5 KB bitmap clear) — benchmarks build thousands of Simulators.
+//
+// Batched dispatch has one drain path: drain_bucket() finds the head
+// through next_head(), exactly as pop() does, and sweeps the ring from
+// there.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -88,8 +94,8 @@ class EventQueue {
   static constexpr std::uint64_t kL1TickLog2 = 12;
   static constexpr std::uint64_t kL1Tick = std::uint64_t{1} << kL1TickLog2;
   static constexpr std::uint64_t kL1Buckets = 4096;
-  /// Level-1 horizon: events within [frontier, l1_bucket_start(frontier)
-  /// + kL1Span) avoid the heap entirely — i.e. the full span minus the
+  /// Level-1 horizon: events within [frontier, Level1::start(frontier) +
+  /// kL1Span) avoid the heap entirely — i.e. the full span minus the
   /// frontier's offset into its own level-1 bucket, so an accepted
   /// event's bucket index never aliases the frontier's bucket (the last
   /// partial bucket spills to the heap; see insert()).  4096 buckets x
@@ -149,7 +155,7 @@ class EventQueue {
 
   /// Number of scheduled events.
   [[nodiscard]] std::size_t size() const {
-    return wheel_count_ + l1_count_ + heap_.size();
+    return l0_.count + l1_.count + heap_.size();
   }
 
   /// Time of the earliest event.  Precondition: !empty().
@@ -173,7 +179,7 @@ class EventQueue {
   };
 
   /// An entry's (time, seq) order key plus its slab handle: the spill
-  /// heap's element, and the direct level-1 drain's sort record.
+  /// heap's element.
   struct Key {
     SimTime at;
     std::uint64_t seq;
@@ -240,19 +246,18 @@ class EventQueue {
     }
     const EventQueue* q_ = nullptr;  // rebound on every drain_bucket()
     std::vector<std::uint32_t> idx_;  // slab handles, (time, seq) order
-    // Drain-time scratch for the direct level-1 path: keys sorted
-    // contiguously instead of chasing slab nodes from the sort comparator.
-    std::vector<Key> keys_;
     std::size_t pos_ = 0;
   };
 
   /// Drains every ring event in the live head's level-1 bucket span —
   /// clipped to `limit`, inclusive, so a run_until() deadline never
   /// overshoots mid-bucket — into `out`, in exact (time, seq) pop order.
-  /// Returns the number of entries drained.  Returns 0 (and drains
-  /// nothing) when the queue is empty, the head is past `limit`, or the
-  /// head lives in the spill heap; the caller falls back to pop() for
-  /// those cases.  In-span spill-heap entries are never drained: the
+  /// The head is found by next_head(), as pop() finds it, so a head
+  /// bucket still in level 1 is fast-forwarded and promoted into the ring
+  /// first.  Returns the number of entries drained.  Returns 0 (and
+  /// drains nothing) when the queue is empty, the head is past `limit`,
+  /// or the head lives in the spill heap; the caller falls back to pop()
+  /// for those cases.  In-span spill-heap entries are never drained: the
   /// dispatcher interleaves them through pop() via earlier_than(), which
   /// keeps heap traffic — and the sampled heap-size counter track —
   /// identical to event-at-a-time dispatch.  Precondition:
@@ -277,7 +282,7 @@ class EventQueue {
     // insert — lies beyond base_ + kL0Window, past the whole drained
     // span.  Only the spill heap can hold a same-tick, smaller-seq entry
     // (one that was far when inserted), so its check compares sequences.
-    if (wheel_count_ > 0 && wheel_min_ < at) return true;
+    if (l0_.count > 0 && l0_.min_start < at) return true;
     return !heap_.empty() && heap_.front().before(at, seq);
   }
 
@@ -289,11 +294,7 @@ class EventQueue {
   /// Inline: one max plus one promote-due compare in the common case.
   void advance_frontier(SimTime t) {
     base_ = std::max(base_, t);
-    if (l1_count_ > 0 &&
-        l1_min_start_ + static_cast<SimTime>(kL1Tick) <=
-            base_ + static_cast<SimTime>(kWheelBuckets)) {
-      promote_due();
-    }
+    if (l1_due()) promote_due();
   }
 
   /// Structure-traffic counters; see Stats.
@@ -304,16 +305,12 @@ class EventQueue {
   [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
 
  private:
-  static constexpr std::uint64_t kMask = kWheelBuckets - 1;
-  static constexpr std::uint64_t kWords = kWheelBuckets / 64;
-  static constexpr std::uint64_t kL1Mask = kL1Buckets - 1;
-  static constexpr std::uint64_t kL1Words = kL1Buckets / 64;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   /// Slab node: intrusive FIFO link (doubles as the free list's link) +
   /// the bucket's tail index + the entry.  The tail index is maintained
   /// only on the node that is currently a bucket head (either wheel
-  /// level); keeping it here instead of in the bucket arrays halves those
+  /// level); keeping it here instead of in the head arrays halves those
   /// arrays to 4 bytes/bucket — the whole wheel block must stay under
   /// glibc's 128 KiB mmap threshold or every fresh queue pays mmap/munmap
   /// plus page faults (measured 2x on the post/pop microbench).  The
@@ -330,7 +327,89 @@ class EventQueue {
     Entry e;
   };
 
-  // The insert chain (insert/alloc_node/link_l0/link_l1) is defined
+  /// One wheel level: a ring of kBuckets buckets, each 2^kTickLog2 ns
+  /// wide and an intrusive FIFO of slab nodes.  Bucket b's FIFO head is
+  /// heads[b], trusted only while b's occupancy bit is set.  Level 0 has
+  /// 1 ns ticks, so a bucket holds one instant and min_start is the exact
+  /// ring minimum; its head event is heads[index(min_start)].
+  template <std::uint64_t kTickLog2, std::uint64_t kBuckets>
+  struct Level {
+    static constexpr std::uint64_t kTick = std::uint64_t{1} << kTickLog2;
+    static constexpr std::uint64_t kMask = kBuckets - 1;
+    static constexpr std::uint64_t kWords = kBuckets / 64;
+    /// Bytes of wheel_mem_ the level takes: head array, then bitmap.
+    static constexpr std::size_t kBytes =
+        kBuckets * sizeof(std::uint32_t) + kWords * sizeof(std::uint64_t);
+
+    std::uint32_t* heads = nullptr;      // into wheel_mem_
+    std::uint64_t* occupancy = nullptr;  // into wheel_mem_
+    std::size_t count = 0;               // resident events
+    SimTime min_start = 0;  // earliest occupied bucket's start; valid iff
+                            // count > 0
+
+    /// Points the level at its kBytes of `mem` and clears the bitmap;
+    /// returns the first byte past them.
+    std::byte* place(std::byte* mem) {
+      heads = reinterpret_cast<std::uint32_t*>(mem);
+      occupancy = reinterpret_cast<std::uint64_t*>(
+          mem + kBuckets * sizeof(std::uint32_t));
+      std::fill_n(occupancy, kWords, std::uint64_t{0});
+      return mem + kBytes;
+    }
+    [[nodiscard]] static std::size_t index(SimTime at) {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(at) >> kTickLog2) & kMask);
+    }
+    [[nodiscard]] static SimTime start(SimTime at) {
+      return static_cast<SimTime>(static_cast<std::uint64_t>(at) &
+                                  ~(kTick - 1));
+    }
+    /// Start time of bucket b, mapped circularly from the frontier `base`
+    /// (every resident lies in the kBuckets buckets from base's own).
+    [[nodiscard]] static SimTime time_of(std::size_t b, SimTime base) {
+      return start(base) +
+             static_cast<SimTime>(((b - index(base)) & kMask) << kTickLog2);
+    }
+    [[nodiscard]] bool occupied(std::size_t b) const {
+      return (occupancy[b >> 6] >> (b & 63)) & 1u;
+    }
+    /// Appends an already-filled node (node.next == kNil) to its bucket's
+    /// FIFO and maintains min_start.
+    void link(std::vector<Node>& slab, std::uint32_t idx) {
+      const SimTime at = slab[idx].e.at;
+      const std::size_t b = index(at);
+      if (!occupied(b)) {
+        occupancy[b >> 6] |= std::uint64_t{1} << (b & 63);
+        heads[b] = idx;
+        slab[idx].bucket_tail = idx;
+      } else {
+        Node& head_node = slab[heads[b]];
+        slab[head_node.bucket_tail].next = idx;
+        head_node.bucket_tail = idx;
+      }
+      if (count == 0 || start(at) < min_start) min_start = start(at);
+      ++count;
+    }
+    void clear(std::size_t b) {
+      occupancy[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    }
+    /// First occupied bucket at or circularly after b.  Precondition:
+    /// count > 0 (some bit is set).
+    [[nodiscard]] std::size_t next_occupied(std::size_t b) const {
+      b &= kMask;
+      std::size_t word = b >> 6;
+      std::uint64_t bits = occupancy[word] & (~std::uint64_t{0} << (b & 63));
+      while (bits == 0) {
+        word = (word + 1) & (kWords - 1);
+        bits = occupancy[word];
+      }
+      return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+  };
+  using Level0 = Level<0, kWheelBuckets>;
+  using Level1 = Level<kL1TickLog2, kL1Buckets>;
+
+  // The insert chain (insert/alloc_node/Level::link) is defined
   // in-class: post() and the Simulator's scheduling wrappers inline
   // through it, so a call site constructing its lambda in place never
   // pays an opaque call — and the InlineFn relocate devirtualizes to a
@@ -341,7 +420,7 @@ class EventQueue {
       const std::uint64_t delta = static_cast<std::uint64_t>(at - base_);
       if (delta < kL0Window) {
         // Level-0 path: O(1) append to the exact-tick bucket's FIFO.
-        link_l0(alloc_node(at, seq, std::move(fn)));
+        l0_.link(slab_, alloc_node(at, seq, std::move(fn)));
         ++stats_.l0_inserts;
         return;
       }
@@ -349,15 +428,15 @@ class EventQueue {
       // mapping spans kL1Buckets buckets starting at the frontier's own
       // bucket, so when base_ sits mid-bucket the last partial bucket of
       // [base_, base_ + kL1Span) aliases the frontier's bucket index;
-      // time_of_l1_bucket() would report the aliased bucket's start as
+      // Level1::time_of() would report the aliased bucket's start as
       // ~base_ (kL1Span too early), promote_due() would drain it at once,
-      // and link_l0() would see a time outside the ring window.  Events in
-      // that partial bucket spill to the heap instead.
+      // and level 0 would be handed a time outside the ring window.
+      // Events in that partial bucket spill to the heap instead.
       if (delta <
           kL1Span - (static_cast<std::uint64_t>(base_) & (kL1Tick - 1))) {
         // Level-1 path: O(1) append to the coarse bucket's FIFO; the
         // bucket is redistributed into level 0 when the frontier nears it.
-        link_l1(alloc_node(at, seq, std::move(fn)));
+        l1_.link(slab_, alloc_node(at, seq, std::move(fn)));
         ++stats_.l1_inserts;
         return;
       }
@@ -403,50 +482,17 @@ class EventQueue {
     n.next = free_head_;
     free_head_ = idx;
   }
-  /// Appends an already-filled node to its level-0 exact-tick bucket and
-  /// maintains wheel_min_/wheel_head_.  Precondition: the node's time is
-  /// inside [base_, base_ + kWheelBuckets) and node.next == kNil.
-  void link_l0(std::uint32_t idx) const {
-    const SimTime at = slab_[idx].e.at;
-    const std::size_t b = bucket_index(at);
-    if (!bucket_occupied(b)) {
-      occupancy_[b >> 6] |= std::uint64_t{1} << (b & 63);
-      buckets_[b] = idx;
-      slab_[idx].bucket_tail = idx;
-    } else {
-      Node& head_node = slab_[buckets_[b]];
-      slab_[head_node.bucket_tail].next = idx;
-      head_node.bucket_tail = idx;
-    }
-    if (wheel_count_ == 0 || at < wheel_min_) {
-      wheel_min_ = at;
-      wheel_head_ = idx;
-    }
-    ++wheel_count_;
-  }
-  /// Appends an already-filled node to its level-1 bucket.
-  void link_l1(std::uint32_t idx) const {
-    const SimTime at = slab_[idx].e.at;
-    const std::size_t b = l1_bucket_index(at);
-    if (!l1_bucket_occupied(b)) {
-      l1_occupancy_[b >> 6] |= std::uint64_t{1} << (b & 63);
-      l1_buckets_[b] = idx;
-      slab_[idx].bucket_tail = idx;
-    } else {
-      Node& head_node = slab_[l1_buckets_[b]];
-      slab_[head_node.bucket_tail].next = idx;
-      head_node.bucket_tail = idx;
-    }
-    const SimTime start = l1_bucket_start(at);
-    if (l1_count_ == 0 || start < l1_min_start_) l1_min_start_ = start;
-    ++l1_count_;
-  }
   /// True-spill push: sifts the already-allocated node's key into the
   /// binary heap.  Out of line — this is the cold insert tail.
   void spill(std::uint32_t idx);
-  /// Promotes every level-1 bucket that fits entirely inside the level-0
-  /// window (bucket_start + kL1Tick <= base_ + kWheelBuckets), earliest
-  /// first.  Called after every frontier advance and before head reads.
+  /// True when the earliest level-1 bucket fits entirely inside the
+  /// level-0 window (bucket start + kL1Tick <= base_ + kWheelBuckets).
+  [[nodiscard]] bool l1_due() const {
+    return l1_.count > 0 && l1_.min_start + static_cast<SimTime>(kL1Tick) <=
+                                base_ + static_cast<SimTime>(kWheelBuckets);
+  }
+  /// Promotes every due level-1 bucket, earliest first.  Called after
+  /// every frontier advance and before head reads.
   void promote_due() const;
   /// Drains the earliest occupied level-1 bucket into level 0.
   void promote_min_bucket() const;
@@ -455,67 +501,25 @@ class EventQueue {
   /// buckets first, and fast-forwards the frontier when only far level-1
   /// events remain, so an unpromoted level-1 event is never the head.
   Entry* next_head(bool& from_wheel) const;
-  /// Unlinks and destroys the ring head (the entry at wheel_min_) /
+  /// Unlinks and destroys the ring head (the entry at l0_.min_start) /
   /// the heap head.  The caller moves anything it wants out first.
   void discard_wheel_head() const;
   void discard_heap_head() const;
-  /// Recomputes wheel_min_ by scanning the occupancy bitmap circularly
-  /// from `emptied_bucket + 1`.  Precondition: wheel_count_ > 0.
-  void advance_wheel_min(std::size_t emptied_bucket) const;
-  /// Same for the level-1 bitmap and l1_min_start_.  Precondition:
-  /// l1_count_ > 0.
-  void advance_l1_min(std::size_t emptied_bucket) const;
-
-  [[nodiscard]] static std::size_t bucket_index(SimTime at) {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(at) & kMask);
-  }
-  [[nodiscard]] static std::size_t l1_bucket_index(SimTime at) {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(at) >> kL1TickLog2) & kL1Mask);
-  }
-  [[nodiscard]] static SimTime l1_bucket_start(SimTime at) {
-    return static_cast<SimTime>(static_cast<std::uint64_t>(at) &
-                                ~(kL1Tick - 1));
-  }
-  [[nodiscard]] SimTime time_of_bucket(std::size_t b) const {
-    const std::uint64_t base_b = static_cast<std::uint64_t>(base_) & kMask;
-    return base_ + static_cast<SimTime>((b - base_b) & kMask);
-  }
-  [[nodiscard]] SimTime time_of_l1_bucket(std::size_t b) const {
-    const std::uint64_t base_b =
-        (static_cast<std::uint64_t>(base_) >> kL1TickLog2) & kL1Mask;
-    return l1_bucket_start(base_) +
-           static_cast<SimTime>(((b - base_b) & kL1Mask) << kL1TickLog2);
-  }
-  [[nodiscard]] bool bucket_occupied(std::size_t b) const {
-    return (occupancy_[b >> 6] >> (b & 63)) & 1u;
-  }
-  [[nodiscard]] bool l1_bucket_occupied(std::size_t b) const {
-    return (l1_occupancy_[b >> 6] >> (b & 63)) & 1u;
-  }
 
   // Lazy promotion and next_head()'s fast-forward mutate the structures
   // behind the logically-const next_time(), hence the mutables.
   mutable std::vector<Key> heap_;            // spill: (time, seq) min-heap
   mutable std::vector<Node> slab_;           // entry storage, all structures
   mutable std::uint32_t free_head_ = kNil;   // slab free list
-  // One allocation backs both levels' bucket arrays (uninitialized —
+  // One allocation backs both levels' head arrays (uninitialized —
   // trusted only when the bucket's occupancy bit is set) and occupancy
   // bitmaps (zeroed at construction).  Separate allocations measured ~100x
   // worse to construct: back-to-back 64 KB malloc/free pairs make glibc
   // trim the heap top every cycle.  Total 82.5 KB — still under the mmap
   // threshold.
-  mutable std::unique_ptr<std::byte[]> wheel_mem_;
-  std::uint32_t* buckets_ = nullptr;        // L0 head index per bucket
-  std::uint64_t* occupancy_ = nullptr;      // into wheel_mem_
-  std::uint32_t* l1_buckets_ = nullptr;     // L1 head index per bucket
-  std::uint64_t* l1_occupancy_ = nullptr;   // into wheel_mem_
-  mutable std::size_t wheel_count_ = 0;
-  mutable SimTime wheel_min_ = 0;  // exact min time in ring; valid iff count>0
-  mutable std::uint32_t wheel_head_ = kNil;  // slab index of ring head
-  mutable std::size_t l1_count_ = 0;
-  mutable SimTime l1_min_start_ = 0;  // start of earliest occupied L1 bucket;
-                                      // valid iff l1_count_ > 0
+  std::unique_ptr<std::byte[]> wheel_mem_;
+  mutable Level0 l0_;  // the exact-tick ring
+  mutable Level1 l1_;
   // The window start (== last popped time).  next_head()'s fast-forward
   // advances it from const context, hence mutable.
   mutable SimTime base_ = 0;

@@ -111,40 +111,66 @@ inline void resume_later(Simulator& sim, std::coroutine_handle<> h) {
 // runs and releases its frame on destruction.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// What every Task promise shares.  Task frames are per-operation (one per
+/// write/read/syscall) and recycle through the simulator's small-block
+/// pool; see Proc.  A Task starts only when awaited and, when done, hands
+/// control straight back to its awaiter by symmetric transfer.
+struct TaskPromiseBase {
+  static void* operator new(std::size_t n) {
+    return SmallBlockPool::allocate(n);
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    SmallBlockPool::deallocate(p, n);
+  }
+
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  struct FinalAwaiter {
+    bool await_ready() const noexcept { return false; }
+    template <typename Promise>
+    std::coroutine_handle<> await_suspend(
+        std::coroutine_handle<Promise> h) noexcept {
+      auto cont = h.promise().continuation;
+      return cont ? cont : std::noop_coroutine();
+    }
+    void await_resume() const noexcept {}
+  };
+  FinalAwaiter final_suspend() noexcept { return {}; }
+  [[noreturn]] void unhandled_exception() noexcept {
+    std::fputs("hpcvorx: unhandled exception escaped a sim::Task\n", stderr);
+    std::terminate();
+  }
+  std::coroutine_handle<> continuation;
+};
+
+/// The value half of a Task promise: how the coroutine returns and what
+/// the awaiter receives.
+template <typename T>
+struct TaskResult : TaskPromiseBase {
+  void return_value(T v) { value.emplace(std::move(v)); }
+  T await_resume() {
+    assert(value.has_value());
+    return std::move(*value);
+  }
+  std::optional<T> value;
+};
+
+template <>
+struct TaskResult<void> : TaskPromiseBase {
+  void return_void() noexcept {}
+  void await_resume() noexcept {}
+};
+
+}  // namespace detail
+
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type {
-    // Task frames are per-operation (one per write/read/syscall) and
-    // recycle through the simulator's small-block pool; see Proc.
-    static void* operator new(std::size_t n) {
-      return SmallBlockPool::allocate(n);
-    }
-    static void operator delete(void* p, std::size_t n) noexcept {
-      SmallBlockPool::deallocate(p, n);
-    }
-
+  struct promise_type : detail::TaskResult<T> {
     Task get_return_object() noexcept {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
-      }
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value.emplace(std::move(v)); }
-    [[noreturn]] void unhandled_exception() noexcept {
-      std::fputs("hpcvorx: unhandled exception escaped a sim::Task\n", stderr);
-      std::terminate();
-    }
-    std::optional<T> value;
-    std::coroutine_handle<> continuation;
   };
 
   Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
@@ -162,71 +188,7 @@ class [[nodiscard]] Task {
       h.promise().continuation = cont;
       return h;  // start the child coroutine now
     }
-    T await_resume() {
-      assert(h.promise().value.has_value());
-      return std::move(*h.promise().value);
-    }
-  };
-  [[nodiscard]] Awaiter operator co_await() {
-    assert(h_ && "Task awaited twice or after move");
-    return Awaiter{h_};
-  }
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type {
-    // See Task<T>: per-operation frames, pooled.
-    static void* operator new(std::size_t n) {
-      return SmallBlockPool::allocate(n);
-    }
-    static void operator delete(void* p, std::size_t n) noexcept {
-      SmallBlockPool::deallocate(p, n);
-    }
-
-    Task get_return_object() noexcept {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
-      }
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    [[noreturn]] void unhandled_exception() noexcept {
-      std::fputs("hpcvorx: unhandled exception escaped a sim::Task\n", stderr);
-      std::terminate();
-    }
-    std::coroutine_handle<> continuation;
-  };
-
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  Task& operator=(Task&&) = delete;
-  ~Task() {
-    if (h_) h_.destroy();
-  }
-
-  struct Awaiter {
-    std::coroutine_handle<promise_type> h;
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-      h.promise().continuation = cont;
-      return h;
-    }
-    void await_resume() const noexcept {}
+    T await_resume() { return h.promise().await_resume(); }
   };
   [[nodiscard]] Awaiter operator co_await() {
     assert(h_ && "Task awaited twice or after move");

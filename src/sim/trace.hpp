@@ -118,27 +118,26 @@ class CounterTimeline {
   /// a bounded policy keeps memory flat at the cost of history:
   ///   * kUnbounded — keep everything (the default, and the only mode in
   ///     which exported traces are complete);
-  ///   * kRing      — drop the oldest samples, keeping the most recent cap;
   ///   * kDecimate  — halve resolution: record only every 2^k-th sample,
   ///     doubling k whenever the buffer fills, so the retained set stays
   ///     uniformly spaced over the whole run at progressively coarser
   ///     grain (per-position, not per-track).
-  enum class Retention { kUnbounded, kRing, kDecimate };
+  enum class Retention { kUnbounded, kDecimate };
 
   void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Bounds the timeline at `max_samples` under `policy`.  Passing
-  /// kUnbounded ignores max_samples.  Compaction is amortized: it runs
-  /// only when the buffer hits the cap and removes half of it, so sample()
-  /// stays O(1) amortized.
+  /// Bounds the timeline at `max_samples` under `policy`, compacting the
+  /// samples already recorded until they fit.  Passing kUnbounded ignores
+  /// max_samples.  Compaction is amortized: it runs only when the buffer
+  /// hits the cap and removes half of it, so sample() stays O(1)
+  /// amortized.
   void set_retention(Retention policy, std::size_t max_samples = 0) {
     policy_ = policy;
     max_samples_ = max_samples;
     if (policy_ != Retention::kUnbounded && max_samples_ < 2) max_samples_ = 2;
     compact_if_needed();
   }
-  [[nodiscard]] Retention retention() const { return policy_; }
 
   /// Samples discarded by the retention policy so far (0 when unbounded).
   [[nodiscard]] std::uint64_t samples_dropped() const { return dropped_; }
@@ -169,29 +168,20 @@ class CounterTimeline {
 
  private:
   void compact_if_needed() {
-    if (policy_ == Retention::kUnbounded || samples_.size() < max_samples_) {
-      return;
-    }
-    const std::size_t before = samples_.size();
-    if (policy_ == Retention::kRing) {
-      // Keep the newest half of the cap.
-      const std::size_t keep = max_samples_ / 2;
-      samples_.erase(
-          samples_.begin(),
-          samples_.begin() + static_cast<std::ptrdiff_t>(before - keep));
-    } else {
-      // kDecimate: the retained samples sit at a uniform stride, so
-      // keeping the even positions halves the density everywhere while
-      // preserving the span — and new arrivals thin out to match via the
-      // doubled recording stride.
+    // The retained samples sit at a uniform stride, so keeping the even
+    // positions halves the density everywhere while preserving the span —
+    // and new arrivals thin out to match via the doubled recording
+    // stride.
+    while (policy_ == Retention::kDecimate && samples_.size() >= max_samples_) {
+      const std::size_t before = samples_.size();
       std::size_t w = 0;
       for (std::size_t r = 0; r < before; r += 2) {
         samples_[w++] = std::move(samples_[r]);
       }
       samples_.resize(w);
       decimate_stride_ *= 2;
+      dropped_ += before - w;
     }
-    dropped_ += before - samples_.size();
   }
 
   bool enabled_ = false;

@@ -1,5 +1,4 @@
-// CounterTimeline retention policies: unbounded growth, ring truncation,
-// and decimation.
+// CounterTimeline retention policies: unbounded growth and decimation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -30,21 +29,6 @@ TEST(CounterTimeline, DisabledRecordsNothing) {
   EXPECT_TRUE(tl.samples().empty());
 }
 
-TEST(CounterTimeline, RingKeepsTheNewestSamples) {
-  CounterTimeline tl;
-  tl.enable(true);
-  tl.set_retention(CounterTimeline::Retention::kRing, 100);
-  feed(tl, 1000);
-  const auto& s = tl.samples();
-  EXPECT_LE(s.size(), 100u);
-  EXPECT_EQ(tl.samples_dropped() + s.size(), 1000u);
-  // Whatever remains is the newest contiguous tail, still chronological.
-  EXPECT_EQ(s.back().t, 999);
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    EXPECT_EQ(s[i].t, s[i - 1].t + 1);
-  }
-}
-
 TEST(CounterTimeline, DecimateSpansTheWholeRun) {
   CounterTimeline tl;
   tl.enable(true);
@@ -67,15 +51,19 @@ TEST(CounterTimeline, SetRetentionCompactsExistingSamples) {
   CounterTimeline tl;
   tl.enable(true);
   feed(tl, 500);
-  tl.set_retention(CounterTimeline::Retention::kRing, 50);
-  EXPECT_LE(tl.samples().size(), 50u);
-  EXPECT_EQ(tl.samples().back().t, 499);
+  tl.set_retention(CounterTimeline::Retention::kDecimate, 50);
+  const auto& s = tl.samples();
+  EXPECT_LE(s.size(), 50u);
+  EXPECT_EQ(tl.samples_dropped() + s.size(), 500u);
+  // The compacted set still spans the samples recorded before the cap.
+  EXPECT_EQ(s.front().t, 0);
+  EXPECT_GE(s.back().t, 499 - 32);
 }
 
 TEST(CounterTimeline, ClearResetsDropCounter) {
   CounterTimeline tl;
   tl.enable(true);
-  tl.set_retention(CounterTimeline::Retention::kRing, 10);
+  tl.set_retention(CounterTimeline::Retention::kDecimate, 10);
   feed(tl, 100);
   EXPECT_GT(tl.samples_dropped(), 0u);
   tl.clear();

@@ -205,8 +205,8 @@ TEST(EventTicket, LazyStreamsMatchEagerPostsAcrossBoundaries) {
 // A ticketed event posted while its instant's batch is live, at that
 // instant and with a sequence number older than the rest of the batch,
 // fires right after the event that posted it — before the later-seq batch
-// entries — on both drain paths: a ring sweep (the batch's instant was in
-// the level-0 window when posted) and a direct level-1 drain.
+// entries — whether the batch's instant was in the level-0 window when
+// posted or sat in level 1 until the drain promoted it.
 TEST(EventTicket, OlderSeqTicketPostedDuringBatchFiresBeforeLaterBatchEntries) {
   for (const SimTime at : {SimTime{100}, kL0 + 5 * kL1Tick + 7}) {
     sim::Simulator sim;

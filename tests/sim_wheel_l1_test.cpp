@@ -164,8 +164,8 @@ TEST(EventQueueL1, FarEdgeInsertNeverAliasesTheFrontierBucket) {
   // aligned (base_ = 100 after the first pop), an event at
   // base_ + kL1Span - 50 has delta < kL1Span but its level-1 bucket
   // index equals the frontier's own bucket.  The old accept window
-  // (`delta < kL1Span`) let it into the wheel; advance_l1_min() then
-  // reported that bucket's start as ~base_ (kL1Span too early), it was
+  // (`delta < kL1Span`) let it into the wheel; the level-1 minimum
+  // rescan then reported that bucket's start as ~base_ (kL1Span too early), it was
   // promoted immediately into a level-0 ring bucket ~16.8 ms out of
   // window, and a later direct insert into the same ring bucket fired
   // *after* it: 13000, far_edge, 16434 instead of 13000, 16434,
@@ -183,8 +183,8 @@ TEST(EventQueueL1, FarEdgeInsertNeverAliasesTheFrontierBucket) {
   }
   const SimTime far_edge = 100 + kL1Span - 50;  // aliases frontier's bucket
   rec(far_edge);
-  rec(13000);                // due level-1 event: its promotion makes
-                             // advance_l1_min wrap to the aliased bucket
+  rec(13000);                // due level-1 event: its promotion makes the
+                             // minimum rescan wrap to the aliased bucket
   rec(100 + 2 * kL1Span);    // true far spill, fires last
   EXPECT_EQ(q.stats().heap_inserts, 2u);  // far_edge spilled, not level 1
   {
@@ -205,8 +205,9 @@ TEST(EventQueueL1, FarEdgeStressWithUnalignedFrontierMatchesReference) {
   // Randomized differential focused on the aliasing edge the broad test
   // below misses: an unaligned frontier, inserts concentrated in the
   // last two level-1 buckets of the window (straddling the truncated
-  // accept boundary), sparse near events so advance_l1_min frequently
-  // wraps with no intervening occupied bucket, and frequent pops.
+  // accept boundary), sparse near events so the level-1 minimum rescan
+  // frequently wraps with no intervening occupied bucket, and frequent
+  // pops.
   EventQueue q;
   Rng rng(0xFA11ED6Eu);
   std::set<std::pair<SimTime, std::uint64_t>> ref;
