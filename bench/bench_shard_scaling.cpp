@@ -1,7 +1,11 @@
 // Wall-clock scaling sweep of the sharded engine (sim/shard_runtime):
 // one fixed 32-station / 8-cluster machine and workload, executed at
 // --shards 1, 2, 4, and 8, reporting simulated events per wall-clock
-// second at each width plus the speedups over the 1-shard run.
+// second at each width plus the speedups over the 1-shard run.  Each
+// multi-shard cell also prints where the shards' wall time went (running
+// windows, draining exchanges, waiting at the round barrier), and the
+// 4-shard cell reports its round rate: the fixed per-round cost is what
+// decides whether sharding pays.
 //
 // Like bench_engine_micro, this measures the reproduction's own engine —
 // not a paper number — so it reads a real clock (permitted outside src/).
@@ -16,6 +20,7 @@
 // shard run thousands of events between barriers.  Speedup is bounded by
 // the host's core count: on a single-core runner the sweep degenerates to
 // measuring barrier overhead, which is itself worth tracking.
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -92,8 +97,10 @@ void spawn_workload(vorx::System& sys, int local_roundtrips,
 
 struct SweepPoint {
   double events_per_s = 0;
+  double rounds_per_s = 0;
   std::uint64_t events = 0;
   std::uint64_t rounds = 0;
+  std::vector<sim::ShardRuntime::ShardTimes> profile;
 };
 
 SweepPoint run_at(int shards, int local_roundtrips, int cross_roundtrips,
@@ -121,7 +128,32 @@ SweepPoint run_at(int shards, int local_roundtrips, int cross_roundtrips,
   pt.rounds = rt.rounds();
   pt.events_per_s =
       elapsed > 0 ? static_cast<double>(pt.events) / elapsed : 0.0;
+  pt.rounds_per_s =
+      elapsed > 0 ? static_cast<double>(pt.rounds) / elapsed : 0.0;
+  pt.profile = rt.round_profile();
   return pt;
+}
+
+// One line per multi-shard cell: the mean shard's wall time per round,
+// split into run / drain / barrier wait, and the run-time imbalance
+// (slowest shard's run time over the mean: 1.0 is perfectly balanced, and
+// every shard waits at each barrier for the slowest).
+void print_split(const SweepPoint& pt) {
+  if (pt.rounds == 0) return;  // the 1-shard run has no rounds
+  double run = 0, drain = 0, wait = 0, max_run = 0;
+  for (const sim::ShardRuntime::ShardTimes& t : pt.profile) {
+    run += static_cast<double>(t.run_ns);
+    drain += static_cast<double>(t.drain_ns);
+    wait += static_cast<double>(t.wait_ns);
+    max_run = std::max(max_run, static_cast<double>(t.run_ns));
+  }
+  const double per_round =
+      static_cast<double>(pt.profile.size()) * static_cast<double>(pt.rounds);
+  const double mean_run = run / static_cast<double>(pt.profile.size());
+  bench::line("    per round: run %.2f us, drain %.2f us, wait %.2f us; "
+              "run imbalance max/mean %.2f",
+              run / per_round / 1e3, drain / per_round / 1e3,
+              wait / per_round / 1e3, mean_run > 0 ? max_run / mean_run : 0.0);
 }
 
 void run(bench::Reporter& r) {
@@ -152,6 +184,10 @@ void run(bench::Reporter& r) {
       bench::line("  (%d-shard run: %llu events over %llu sync rounds)",
                   shards, static_cast<unsigned long long>(pt.events),
                   static_cast<unsigned long long>(pt.rounds));
+      print_split(pt);
+      if (shards == 4) {
+        r.wall_rate("engine.shard_rounds_s_4", "rounds/s", pt.rounds_per_s);
+      }
     }
   }
 
@@ -170,6 +206,7 @@ void run(bench::Reporter& r) {
     bench::line("  (window %3d us: %llu events over %llu sync rounds)",
                 window_us, static_cast<unsigned long long>(pt.events),
                 static_cast<unsigned long long>(pt.rounds));
+    print_split(pt);
   }
 }
 

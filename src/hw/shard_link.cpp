@@ -22,10 +22,10 @@ ShardLinkBridge::ShardLinkBridge(sim::ShardRuntime& rt, int tx_shard,
       // vorx-lint: allow(R5) cross-shard boundary copy — pooled payloads may not change shards
       f.data = make_payload(std::vector<std::byte>(f.data->begin(), f.data->end()));
     }
-    frames_.q.push({arrival, std::make_unique<Frame>(std::move(f))});
+    frames_.q.emplace_back(arrival, std::make_unique<Frame>(std::move(f)));
   });
   rx.set_credit_cb([this, latency = rx.params().latency](sim::SimTime taken) {
-    credits_.q.push(taken + latency);
+    credits_.q.push_back(taken + latency);
   });
 }
 
@@ -34,8 +34,7 @@ void ShardLinkBridge::FrameChannel::drain_into(sim::Simulator& dst) {
   // Fabric, which outlives the runtime's run.  The frame itself rides the
   // event as owned state.
   Link* const link = &rx_link;
-  std::pair<sim::SimTime, std::unique_ptr<Frame>> e;
-  while (q.pop(e)) {
+  for (auto& e : q) {
     // The lookahead guarantee: everything queued during completed windows
     // arrives strictly beyond them, i.e. in this shard's future.
     assert(e.first > dst.now() &&
@@ -44,16 +43,17 @@ void ShardLinkBridge::FrameChannel::drain_into(sim::Simulator& dst) {
       link->deliver_remote(std::move(*f));
     });
   }
+  q.clear();
 }
 
 void ShardLinkBridge::CreditChannel::drain_into(sim::Simulator& dst) {
   Link* const link = &tx_link;  // fabric-owned, outlives the run
-  sim::SimTime at = 0;
-  while (q.pop(at)) {
+  for (const sim::SimTime at : q) {
     assert(at > dst.now() &&
            "cross-shard credit arrived at or before the drain point");
     dst.post_at(at, [link] { link->remote_credit(); });
   }
+  q.clear();
 }
 
 }  // namespace hpcvorx::hw

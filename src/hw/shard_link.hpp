@@ -3,14 +3,20 @@
 // When a link's two clusters land on different shards the link splits into
 // halves (see link.hpp): the TX half on the sending shard, the RX half on
 // the receiving shard.  A ShardLinkBridge wires the pair together through
-// two SPSC channels registered with the runtime:
+// two channels registered with the runtime:
 //
-//   frames:  TX half's remote sink -> queue -> drained into the RX shard,
+//   frames:  TX half's remote sink -> buffer -> drained into the RX shard,
 //            where each frame becomes a deliver_remote() event at its
 //            precomputed arrival time;
-//   credits: RX half's take() -> queue -> drained into the TX shard, where
+//   credits: RX half's take() -> buffer -> drained into the TX shard, where
 //            each freed buffer slot becomes a remote_credit() event one
 //            link latency after the take — the reverse wire signal.
+//
+// Each buffer is a plain vector: its producer appends only while running a
+// window and its consumer drains only between the round's two barrier
+// phases, so the round barrier orders every push before the drain that
+// reads it, and every drain before the next window's pushes.  The vectors
+// keep their capacity across rounds.
 //
 // Both directions move simulated time forward by at least the link latency,
 // which is exactly the lookahead guarantee ShardRuntime's windows rest on
@@ -24,10 +30,10 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "hw/link.hpp"
 #include "sim/shard_runtime.hpp"
-#include "sim/spsc_queue.hpp"
 
 namespace hpcvorx::hw {
 
@@ -35,7 +41,7 @@ class ShardLinkBridge {
  public:
   /// Splits the (tx, rx) pair across shards: tx lives on `tx_shard`'s
   /// simulator, rx on `rx_shard`'s.  Registers both channels with `rt` —
-  /// construction order is the barrier drain order, so building bridges in
+  /// construction order is the drain order, so building bridges in
   /// topology order is part of the determinism contract (DESIGN.md §12).
   ShardLinkBridge(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
                   Link& rx);
@@ -47,13 +53,13 @@ class ShardLinkBridge {
     explicit FrameChannel(Link& rx) : rx_link(rx) {}
     void drain_into(sim::Simulator& dst) override;
     Link& rx_link;
-    sim::SpscQueue<std::pair<sim::SimTime, std::unique_ptr<Frame>>> q;
+    std::vector<std::pair<sim::SimTime, std::unique_ptr<Frame>>> q;
   };
   struct CreditChannel final : sim::ShardExchange {
     explicit CreditChannel(Link& tx) : tx_link(tx) {}
     void drain_into(sim::Simulator& dst) override;
     Link& tx_link;
-    sim::SpscQueue<sim::SimTime> q;
+    std::vector<sim::SimTime> q;
   };
 
   FrameChannel frames_;

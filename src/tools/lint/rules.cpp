@@ -36,9 +36,9 @@ const std::vector<RuleInfo> kRules = {
      "event queue plus the runtime's fixed barrier-drain order.  OS "
      "threads, mutexes, atomics, or blocking sleeps anywhere else "
      "reintroduce scheduler nondeterminism and stall virtual time.  The "
-     "runtime's own translation units (sim/shard_runtime.*, "
-     "sim/spsc_queue.hpp) carry reasoned file-level allow(R3) directives "
-     "per the DESIGN.md §11/§12 contract.",
+     "runtime's own translation units (sim/shard_runtime.*) carry "
+     "reasoned file-level allow(R3) directives per the DESIGN.md §11/§12 "
+     "contract.",
      "Model concurrency as coroutines; replace every blocking wait with "
      "co_await delay(sim, d) or a sim synchronization primitive.  Need "
      "wall-clock parallelism?  Partition work across sim::ShardRuntime "

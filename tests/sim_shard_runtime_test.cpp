@@ -1,74 +1,83 @@
-// Unit tests for the conservative-lookahead shard runtime (sim/shard_runtime)
-// and its SPSC exchange queue (sim/spsc_queue).
+// Unit tests for the conservative-lookahead shard runtime
+// (sim/shard_runtime) and its round barrier.
 //
 // The system-level differential tests (shard_differential_test.cpp) check
 // that a sharded machine delivers the same messages as the sequential one;
-// these tests pin the runtime mechanics themselves: window computation,
-// the lookahead safety bound at its exact edge, exchange drain order, stop
-// propagation, deadline semantics, and the 1-shard delegation path.
+// these tests pin the runtime mechanics themselves: the barrier's ordering
+// guarantee, window computation, the lookahead safety bound at its exact
+// edge, exchange drain order, stop propagation, deadline semantics,
+// configuration errors, and the 1-shard delegation path.
 #include "sim/shard_runtime.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/spsc_queue.hpp"
 #include "sim/time.hpp"
 
 namespace hpcvorx::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SpscQueue
+// ShardBarrier: every slot written before a phase is visible to every
+// party after it.  The slots are plain ints, so a missing happens-before
+// edge is also a data race for TSan to report.  Slots alternate between two
+// buffers by phase parity: a party cannot write the buffer of phase p + 2
+// before every party has arrived at phase p + 1, i.e. finished checking p.
+// Every 64th phase one party arrives late, so the others run out of spins
+// and yields and park: the park/notify path runs in every test, not only
+// when the host happens to be slow.
 // ---------------------------------------------------------------------------
 
-TEST(SpscQueue, FifoSingleThread) {
-  SpscQueue<int> q;
-  int out = 0;
-  EXPECT_FALSE(q.pop(out));
-  for (int i = 0; i < 100; ++i) q.push(i);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.pop(out));
-  // Reusable after drain.
-  q.push(7);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 7);
-}
-
-TEST(SpscQueue, MoveOnlyPayload) {
-  SpscQueue<std::unique_ptr<int>> q;
-  q.push(std::make_unique<int>(42));
-  std::unique_ptr<int> p;
-  ASSERT_TRUE(q.pop(p));
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(*p, 42);
-}
-
-TEST(SpscQueue, CrossThreadOrderPreserved) {
-  SpscQueue<int> q;
-  constexpr int kN = 20000;
-  std::thread producer([&q] {
-    for (int i = 0; i < kN; ++i) q.push(i);
-  });
-  int expect = 0;
-  while (expect < kN) {
-    int v = -1;
-    if (q.pop(v)) {
-      ASSERT_EQ(v, expect);
-      ++expect;
+int mismatches_after_phases(int parties, int phases) {
+  ShardBarrier barrier(parties);
+  const auto n = static_cast<std::size_t>(parties);
+  std::vector<int> slots[2] = {std::vector<int>(n, -1), std::vector<int>(n, -1)};
+  std::vector<int> bad(n, 0);
+  const auto party = [&](int me) {
+    for (int p = 0; p < phases; ++p) {
+      std::vector<int>& buf = slots[p % 2];
+      buf[static_cast<std::size_t>(me)] = p;
+      if (p % 64 == 0 && (p / 64) % parties == me) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      barrier.arrive_and_wait();
+      for (const int v : buf) bad[static_cast<std::size_t>(me)] += v != p;
     }
-  }
-  producer.join();
-  int v = -1;
-  EXPECT_FALSE(q.pop(v));
+  };
+  std::vector<std::thread> threads;
+  for (int t = 1; t < parties; ++t) threads.emplace_back(party, t);
+  party(0);
+  for (std::thread& t : threads) t.join();
+  int total = 0;
+  for (const int b : bad) total += b;
+  return total;
+}
+
+constexpr int kBarrierPhases = 10000;
+
+TEST(ShardBarrier, TwoPartiesSeeEverySlotEveryPhase) {
+  EXPECT_EQ(mismatches_after_phases(2, kBarrierPhases), 0);
+}
+
+TEST(ShardBarrier, FourPartiesSeeEverySlotEveryPhase) {
+  EXPECT_EQ(mismatches_after_phases(4, kBarrierPhases), 0);
+}
+
+TEST(ShardBarrier, OversubscribedPartiesSeeEverySlotEveryPhase) {
+  // Twice as many parties as hardware threads: the barrier skips its spin
+  // phase and waiters must still be woken every phase.
+  const int parties =
+      2 * std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(mismatches_after_phases(parties, kBarrierPhases), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -78,12 +87,11 @@ TEST(SpscQueue, CrossThreadOrderPreserved) {
 // ---------------------------------------------------------------------------
 
 struct ToyExchange final : ShardExchange {
-  SpscQueue<std::pair<SimTime, int>> q;
+  std::vector<std::pair<SimTime, int>> q;
   std::string* log = nullptr;  // appended on the destination shard
 
   void drain_into(Simulator& dst) override {
-    std::pair<SimTime, int> e;
-    while (q.pop(e)) {
+    for (const std::pair<SimTime, int>& e : q) {
       EXPECT_GT(e.first, dst.now()) << "lookahead violation in drain";
       std::string* out = log;
       const int tag = e.second;
@@ -91,6 +99,7 @@ struct ToyExchange final : ShardExchange {
         *out += 't' + std::to_string(tag) + '@' + std::to_string(at) + ';';
       });
     }
+    q.clear();
   }
 };
 
@@ -130,7 +139,7 @@ TEST(ShardRuntime, CrossShardPingPong) {
   // back.  Every hop crosses the shard boundary with latency kLat.
   for (int i = 0; i < 4; ++i) {
     rt.shard(0).post_at(i * 25, [&to1, i, at = SimTime(i * 25)] {
-      to1.q.push({at + kLat, i});
+      to1.q.push_back({at + kLat, i});
     });
   }
   ToyExchange* echo_back = &to0;
@@ -140,7 +149,7 @@ TEST(ShardRuntime, CrossShardPingPong) {
   // (The ToyExchange already logs; schedule echoes alongside.)
   for (int i = 0; i < 4; ++i) {
     rt.shard(1).post_at(i * 25 + kLat, [echo_back, s1, i] {
-      echo_back->q.push({s1->now() + kLat, 100 + i});
+      echo_back->q.push_back({s1->now() + kLat, 100 + i});
     });
   }
   rt.run();
@@ -166,7 +175,7 @@ TEST(ShardRuntime, MinLatencyArrivalAtWindowEdge) {
 
   // First window is [0, 9] (LBTS 0).  An event at t=9 — the window's last
   // tick — sends with the minimum latency: arrival at 19.
-  rt.shard(0).post_at(9, [&ex] { ex.q.push({9 + kLat, 1}); });
+  rt.shard(0).post_at(9, [&ex] { ex.q.push_back({9 + kLat, 1}); });
   rt.shard(1).post_at(0, [] {});
   rt.run();
   EXPECT_EQ(log, "t1@19;");
@@ -188,7 +197,7 @@ TEST(ShardRuntime, ZeroLatencyEventsStayIntraShard) {
     log += "a;";
     s0->post_after(0, [s0, &log, &ex] {  // same-instant chain, same shard
       log += "b;";
-      ex.q.push({s0->now() + 5, 9});
+      ex.q.push_back({s0->now() + 5, 9});
     });
   });
   rt.shard(1).post_at(0, [] {});
@@ -211,8 +220,8 @@ TEST(ShardRuntime, DrainOrderFollowsRegistration) {
     rt.register_exchange(1, &second);
     // Push into `second` before `first`; drain must still run `first` first.
     rt.shard(0).post_at(0, [&first, &second] {
-      second.q.push({10, 2});
-      first.q.push({10, 1});
+      second.q.push_back({10, 2});
+      first.q.push_back({10, 1});
     });
     rt.shard(1).post_at(0, [] {});
     rt.run();
@@ -258,6 +267,78 @@ TEST(ShardRuntime, StopOnOneShardStopsTheRun) {
   EXPECT_TRUE(rt.shard(0).stop_requested());
 }
 
+TEST(ShardRuntime, StopInAnyRoundStopsEveryShardOfFour) {
+  // Each shard decides termination from the stop bits every shard
+  // published for the round, never from a flag another shard may already
+  // be setting in its next window — shards that disagreed would leave the
+  // rest parked at the barrier forever.  Raise the stop in many different
+  // rounds, from each shard in turn, with every shard busy in every window
+  // and a ring of cross-shard traffic; each run must end, and no shard may
+  // run past the window the stop fell in.
+  constexpr Duration kLat = 10;
+  constexpr SimTime kHorizon = 2000;
+  for (int trial = 0; trial < 120; ++trial) {
+    ShardRuntime rt(4);
+    rt.note_cross_shard_latency(kLat);
+    std::vector<std::string> logs(4);
+    std::vector<std::unique_ptr<ToyExchange>> exs;
+    for (int s = 0; s < 4; ++s) {
+      exs.push_back(std::make_unique<ToyExchange>());
+      exs.back()->log = &logs[static_cast<std::size_t>((s + 1) % 4)];
+      rt.register_exchange((s + 1) % 4, exs.back().get());
+    }
+    for (int s = 0; s < 4; ++s) {
+      ToyExchange* out = exs[static_cast<std::size_t>(s)].get();
+      Simulator* sim = &rt.shard(s);
+      for (SimTime t = s; t < kHorizon; t += 3) {
+        rt.shard(s).post_at(t, [out, sim, t] {
+          if (t % 9 == 0) out->q.push_back({sim->now() + kLat, 0});
+        });
+      }
+    }
+    const int stopper = trial % 4;
+    const SimTime stop_at = 5 + trial * 13;
+    Simulator* victim = &rt.shard(stopper);
+    rt.shard(stopper).post_at(stop_at, [victim] { victim->stop(); });
+    rt.run();
+    EXPECT_TRUE(rt.shard(stopper).stop_requested()) << "trial " << trial;
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_LT(rt.shard(s).now(), stop_at + kLat)
+          << "shard " << s << " ran past the stopping window, trial " << trial;
+    }
+  }
+}
+
+TEST(ShardRuntime, RoundProfileCoversEveryShard) {
+  ShardRuntime rt(2);
+  rt.note_cross_shard_latency(10);
+  for (int i = 0; i < 50; ++i) rt.shard(0).post_at(i * 7, [] {});
+  for (int i = 0; i < 50; ++i) rt.shard(1).post_at(i * 5, [] {});
+  rt.run();
+  ASSERT_EQ(rt.round_profile().size(), 2u);
+  for (const ShardRuntime::ShardTimes& t : rt.round_profile()) {
+    EXPECT_GT(t.run_ns + t.drain_ns + t.wait_ns, 0u);
+  }
+}
+
+TEST(ShardRuntime, RejectsZeroShards) {
+  EXPECT_THROW({ ShardRuntime rt(0); }, std::invalid_argument);
+}
+
+TEST(ShardRuntime, RejectsZeroLatencyCrossShardLink) {
+  ShardRuntime rt(2);
+  EXPECT_THROW(rt.note_cross_shard_latency(0), std::invalid_argument);
+}
+
+TEST(ShardRuntime, RejectsMultiShardRunWithoutCrossShardLink) {
+  // Without a lookahead the first window would end before it began and the
+  // run would never advance.
+  ShardRuntime rt(2);
+  rt.shard(0).post_at(1, [] {});
+  EXPECT_THROW(rt.run(), std::invalid_argument);
+  EXPECT_THROW(rt.run_until(100), std::invalid_argument);
+}
+
 TEST(ShardRuntime, DeterministicAcrossRepeatedRuns) {
   // The merged cross-shard event order must not depend on thread timing.
   // Hammer a 4-shard ring with staggered traffic and require the combined
@@ -278,7 +359,7 @@ TEST(ShardRuntime, DeterministicAcrossRepeatedRuns) {
       Simulator* sim = &rt.shard(s);
       for (int i = 0; i < 50; ++i) {
         rt.shard(s).post_at(s * 3 + i * 11, [out, sim, s, i] {
-          out->q.push({sim->now() + kLat, s * 1000 + i});
+          out->q.push_back({sim->now() + kLat, s * 1000 + i});
         });
       }
     }
