@@ -23,14 +23,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <cstring>
-
 #include "hw/topology.hpp"
+#include "parse_whole.hpp"
 #include "tools/trace_export.hpp"
 #include "vorx/node.hpp"
 #include "vorx/system.hpp"
@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
         trace_dir = argv[++i];
         continue;
       } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-        shards = std::atoi(argv[++i]);
-        continue;
+        if (examples::parse_whole(argv[++i], shards) && shards >= 0) continue;
       } else if (std::strcmp(argv[i], "--topo") == 0 && i + 1 < argc) {
         cfg.fabric.topo = hw::parse_topology(argv[++i]);
         continue;
@@ -160,22 +159,25 @@ int main(int argc, char** argv) {
   cfg.record_counters = !trace_dir.empty();
 
   // --shards N: run the machine on the conservative-lookahead shard
-  // runtime (DESIGN.md §12), one worker thread per shard.  The 11 stations
-  // span 3 clusters, so up to 3 shards; N=1 is the sequential engine byte
-  // for byte, and every N produces the same virtual-time results.
-  if (shards < 0 || shards > 3) {
-    std::fprintf(stderr, "conference: --shards must be 1..3 (3 clusters)\n");
-    return 2;
-  }
+  // runtime (DESIGN.md §12), one worker thread per shard.  N=1 is the
+  // sequential engine byte for byte, and every N produces the same
+  // virtual-time results.  The fabric owns the bound (no more shards than
+  // clusters): a machine it cannot build is a usage error carrying its
+  // message.
   std::unique_ptr<sim::ShardRuntime> rt;
   std::unique_ptr<sim::Simulator> seq_sim;
   std::unique_ptr<vorx::System> sys;
-  if (shards > 0) {
-    rt = std::make_unique<sim::ShardRuntime>(shards);
-    sys = std::make_unique<vorx::System>(*rt, cfg);
-  } else {
-    seq_sim = std::make_unique<sim::Simulator>();
-    sys = std::make_unique<vorx::System>(*seq_sim, cfg);
+  try {
+    if (shards > 0) {
+      rt = std::make_unique<sim::ShardRuntime>(shards);
+      sys = std::make_unique<vorx::System>(*rt, cfg);
+    } else {
+      seq_sim = std::make_unique<sim::Simulator>();
+      sys = std::make_unique<vorx::System>(*seq_sim, cfg);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "conference: %s\n", e.what());
+    return 2;
   }
 
   auto stats = std::make_shared<Stats>();

@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "parse_whole.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/shard_runtime.hpp"
 #include "vorx/system.hpp"
@@ -62,20 +63,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Every numeric flag must be a whole integer: "--shards four" or
+    // "--users 1e5" is a usage error, not 0 shards or 1 user.
+    auto number = [&](const char* flag, auto& out) {
+      const char* text = next(flag);
+      if (!examples::parse_whole(text, out)) {
+        std::fprintf(stderr, "storm: %s: not an integer: %s\n", flag, text);
+        std::exit(2);
+      }
+    };
     if (std::strcmp(argv[i], "--users") == 0) {
-      users = std::atoi(next("--users"));
+      number("--users", users);
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = std::atoi(next("--shards"));
+      number("--shards", shards);
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       plan_name = next("--faults");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      number("--seed", seed);
     } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      nodes = std::atoi(next("--nodes"));
+      number("--nodes", nodes);
     } else if (std::strcmp(argv[i], "--hosts") == 0) {
-      hosts = std::atoi(next("--hosts"));
+      number("--hosts", hosts);
     } else if (std::strcmp(argv[i], "--horizon-ms") == 0) {
-      horizon_ms = std::atol(next("--horizon-ms"));
+      number("--horizon-ms", horizon_ms);
     } else {
       return usage(argv[0]);
     }

@@ -4,9 +4,7 @@
 #include <cassert>
 #include <set>
 #include <stdexcept>
-#include <tuple>
 
-#include "hw/shard_link.hpp"
 #include "sim/shard_runtime.hpp"
 
 namespace hpcvorx::hw {
@@ -95,14 +93,12 @@ void Fabric::add_cable(sim::ShardRuntime* rt, int a, int port_a, int b,
   cable_at_[static_cast<std::size_t>(a * params_.ports_per_cluster + port_a)] =
       static_cast<int>(cube_pairs_.size());
   CubePair& e = cube_pairs_.emplace_back(CubePair{a, b, port_a, port_b});
-  std::tie(e.ab, e.ab_rx) = add_direction(rt, a, b, port_a, port_b, p);
-  std::tie(e.ba, e.ba_rx) = add_direction(rt, b, a, port_b, port_a, p);
+  e.ab = add_direction(rt, a, b, port_a, port_b, p);
+  e.ba = add_direction(rt, b, a, port_b, port_a, p);
 }
 
-std::pair<Link*, Link*> Fabric::add_direction(sim::ShardRuntime* rt,
-                                              int from, int to, int port_out,
-                                              int port_in,
-                                              const Link::Params& p) {
+Link* Fabric::add_direction(sim::ShardRuntime* rt, int from, int to,
+                            int port_out, int port_in, const Link::Params& p) {
   const std::string name =
       "c" + std::to_string(from) + ">c" + std::to_string(to);
   const int from_shard = shard_of_cluster(from);
@@ -112,12 +108,10 @@ std::pair<Link*, Link*> Fabric::add_direction(sim::ShardRuntime* rt,
   Link* rx = split ? new_link(cluster_sim(to), name + ".rx", p) : tx;
   clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, tx);
   clusters_[static_cast<std::size_t>(to)]->attach_in(port_in, rx);
-  if (!split) return {tx, nullptr};
   // Only a fabric with more than one shard splits a cable, and only
   // make_sharded() builds one: the runtime is there.
-  bridges_.push_back(
-      std::make_unique<ShardLinkBridge>(*rt, from_shard, to_shard, *tx, *rx));
-  return {tx, rx};
+  if (split) Link::split(*rt, from_shard, to_shard, *tx, *rx);
+  return tx;
 }
 
 void Fabric::program_routes() {
@@ -332,10 +326,10 @@ void Fabric::apply_cube_fault(int shard, int a, int b, bool up) {
       l->set_down();
     }
   };
-  apply(e.ab, sa);     // a -> b: TX half (or whole link) lives with a
-  apply(e.ab_rx, sb);  //         RX half with b
+  apply(e.ab, sa);          // a -> b: TX half (or whole link) lives with a
+  apply(e.ab->peer(), sb);  //         RX half with b
   apply(e.ba, sb);
-  apply(e.ba_rx, sa);
+  apply(e.ba->peer(), sa);
   recompute_shard_routes(shard);
 }
 

@@ -38,7 +38,6 @@
 #include "hw/frame_pool.hpp"
 #include "hw/hypercube.hpp"
 #include "hw/link.hpp"
-#include "hw/shard_link.hpp"
 #include "hw/topology.hpp"
 #include "sim/shard_runtime.hpp"
 
@@ -141,8 +140,8 @@ class Fabric {
 
   /// Sharded fabric: clusters are split across the runtime's shards, and
   /// every trunk link whose endpoints land on different shards is built as
-  /// a TX/RX half pair bridged through the runtime's exchanges (see
-  /// shard_link.hpp).  With a 1-shard runtime this is exactly make() — the
+  /// a TX/RX half pair that bridges itself through the runtime (see
+  /// Link::split).  With a 1-shard runtime this is exactly make() — the
   /// same construction order, the same links, byte-identical event
   /// sequences.
   static std::unique_ptr<Fabric> make_sharded(sim::ShardRuntime& rt,
@@ -253,9 +252,9 @@ class Fabric {
   Fabric(std::vector<sim::Simulator*> sims, Params params);
   /// The one construction body behind every public factory.  `sims` holds
   /// one simulator per shard (a single entry for an unsharded fabric); `rt`
-  /// drives them and is read only to bridge cables that cross shards.
+  /// drives them and is read only to split cables that cross shards.
   /// Builds the clusters, then the trunk cables, then the stations — the
-  /// order that fixes link creation and bridge registration, and so every
+  /// order that fixes link creation and exchange registration, and so every
   /// event sequence (DESIGN.md §2.2).
   static std::unique_ptr<Fabric> build(std::vector<sim::Simulator*> sims,
                                        sim::ShardRuntime* rt,
@@ -271,10 +270,9 @@ class Fabric {
                  const Link::Params& p);
   /// One direction of a cable, out of `from` port `port_out` into `to` port
   /// `port_in`.  Returns the link, or — when the ends live on different
-  /// shards — its TX and RX halves, bridged through `rt`.
-  std::pair<Link*, Link*> add_direction(sim::ShardRuntime* rt, int from,
-                                        int to, int port_out, int port_in,
-                                        const Link::Params& p);
+  /// shards — its TX half, split through `rt` (the RX half is its peer).
+  Link* add_direction(sim::ShardRuntime* rt, int from, int to, int port_out,
+                      int port_in, const Link::Params& p);
   /// Hands every cluster its computed route function.
   void program_routes();
   /// The per-cluster routing oracle (bound into Cluster::set_route_fn):
@@ -310,20 +308,17 @@ class Fabric {
   std::vector<int> station_cluster_;     // station -> cluster index
   std::vector<int> station_local_port_;  // station -> port on its cluster
   std::vector<int> cluster_shard_;       // cluster -> shard (empty => all 0)
-  std::vector<std::unique_ptr<ShardLinkBridge>> bridges_;
   // One entry per inter-cluster cable (unordered pair, a < b), registered
   // in topology-construction order.  `ab`/`ba` are the direction links
-  // (the TX half when the cable crosses shards, with the RX half beside
-  // it); faults address cables through this registry.  port_a/port_b are
+  // (the TX half when the cable crosses shards, with the RX half as its
+  // peer); faults address cables through this registry.  port_a/port_b are
   // the egress ports at each end (equal to the cube dimension on the
   // hypercube; uplink/leaf indices on the fat tree).
   struct CubePair {
     int a = 0, b = 0;
     int port_a = 0, port_b = 0;
-    Link* ab = nullptr;     // a -> b (whole link, or cross-shard TX half)
-    Link* ab_rx = nullptr;  // a -> b RX half (cross-shard only)
+    Link* ab = nullptr;  // a -> b (whole link, or cross-shard TX half)
     Link* ba = nullptr;
-    Link* ba_rx = nullptr;
   };
   std::vector<CubePair> cube_pairs_;
   // cable_at_[lo * ports_per_cluster + port] — the registry index of the

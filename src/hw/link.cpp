@@ -4,9 +4,22 @@
 
 namespace hpcvorx::hw {
 
+void Link::split(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
+                 Link& rx) {
+  assert(tx_shard != rx_shard);
+  assert(tx.p_.latency == rx.p_.latency &&
+         "the two halves of a split link must agree on its latency");
+  rt.note_cross_shard_latency(tx.p_.latency);
+  rt.register_exchange(rx_shard, &rx);
+  rt.register_exchange(tx_shard, &tx);
+  tx.peer_ = &rx;
+  rx.peer_ = &tx;
+}
+
 void Link::send(Frame f) {
   assert(ready() && "Link::send called while not ready");
   tx_busy_ = true;
+  ++reserved_;
   const sim::Duration ser =
       static_cast<sim::Duration>(f.wire_bytes()) * p_.ns_per_byte;
   // Transmitter frees after serialization; the frame lands one propagation
@@ -18,24 +31,50 @@ void Link::send(Frame f) {
     tx_busy_ = false;
     notify_ready();
   });
-  if (remote_sink_) {
-    // Cross-shard TX half: reserve the peer-side buffer slot now (freed by
-    // remote_credit) and hand the frame over immediately — the sink must
-    // see it during the window that sent it, not one latency later, or the
-    // peer's barrier drain would find it a window too late.  Carried
-    // counters tick here; the RX half counts nothing, so a split link's
-    // totals match its intra-shard equivalent.
-    ++remote_unacked_;
+  if (peer_ != nullptr) {
+    // Cross-shard TX half: hand the frame to the RX half's inbox now — the
+    // RX shard must drain it at the end of the window that sent it, not one
+    // latency later, or it would land a window too late.  Carried counters
+    // tick here; the RX half counts nothing, so a split link's totals
+    // match its intra-shard equivalent.
     ++frames_carried_;
     bytes_carried_ += f.wire_bytes();
-    remote_sink_(sim_.now() + ser + p_.latency, std::move(f));
+    if (f.data != nullptr) {
+      // Detach from the TX shard's FramePool: the pooled buffer's deleter
+      // is not thread-safe, so the crossing frame carries a plain copy the
+      // destination shard may drop on its own thread.
+      // vorx-lint: allow(R5) cross-shard boundary copy — pooled payloads may not change shards
+      f.data = make_payload(std::vector<std::byte>(f.data->begin(), f.data->end()));
+    }
+    peer_->inbox_.emplace_back(sim_.now() + ser + p_.latency,
+                               std::make_unique<Frame>(std::move(f)));
     return;
   }
-  inflight_.push_back(std::move(f));
+  frames_.push_back(std::move(f));
   sim_.post_after(ser + p_.latency, [this, e = fault_epoch_] {
     if (e != fault_epoch_) return;
     deliver_head();
   });
+}
+
+void Link::drain_into(sim::Simulator& dst) {
+  // This half outlives every event scheduled here: it is owned by the
+  // Fabric, which outlives the runtime's run.  A frame rides its event as
+  // owned state.
+  for (auto& e : inbox_) {
+    // The lookahead guarantee: everything queued during completed windows
+    // arrives strictly beyond them, i.e. in this shard's future.
+    assert(e.first > dst.now() &&
+           "cross-shard traffic arrived at or before the drain point");
+    if (e.second != nullptr) {
+      dst.post_at(e.first, [this, f = std::move(e.second)]() mutable {
+        deliver_remote(std::move(*f));
+      });
+    } else {
+      dst.post_at(e.first, [this] { remote_credit(); });
+    }
+  }
+  inbox_.clear();
 }
 
 void Link::set_down() {
@@ -43,18 +82,19 @@ void Link::set_down() {
   down_ = true;
   ++fault_epoch_;
   tx_busy_ = false;
-  frames_dropped_ += inflight_.size() + buffer_.size();
+  frames_dropped_ += frames_.size();
   // RX half: every cleared buffer slot is reported back as a credit, or
-  // the peer TX half's slot accounting would leak the lost frames' slots.
-  if (credit_cb_) {
-    for (std::size_t i = 0; i < buffer_.size(); ++i) credit_cb_(sim_.now());
+  // the TX half's slot accounting would leak the lost frames' slots.  (A
+  // TX half's buffer is always empty.)
+  if (peer_ != nullptr) {
+    for (std::size_t i = 0; i < landed_; ++i) credit_peer();
   }
-  inflight_.clear();
-  buffer_.clear();
+  frames_.clear();
+  landed_ = 0;
   // TX half: the peer RX clears its buffer (and drops late arrivals) at
   // the same virtual time, so every reserved slot is gone; the credits it
   // emits for them are absorbed by the post-fault guard in remote_credit.
-  remote_unacked_ = 0;
+  reserved_ = 0;
 }
 
 void Link::set_up() {
@@ -66,11 +106,11 @@ void Link::set_up() {
 }
 
 void Link::remote_credit() {
-  assert(remote_sink_ && "credit on a link that is not a cross-shard TX half");
-  assert(remote_unacked_ > 0 || fault_epoch_ > 0);
+  assert(peer_ != nullptr && "credit on a link that is not a cross-shard half");
+  assert(reserved_ > 0 || fault_epoch_ > 0);
   // A set_down() zeroed the count while this credit was in flight; the
   // slot it frees was already reclaimed, so the credit is stale.
-  if (remote_unacked_ > 0) --remote_unacked_;
+  if (reserved_ > 0) --reserved_;
   notify_ready();
 }
 
@@ -81,39 +121,42 @@ void Link::deliver_remote(Frame f) {
   // outstanding frames to the buffer size, so this never overflows —
   // except around a fault, where a pre-outage frame can arrive after slot
   // accounting was reset; such arrivals are dropped and credited back.
-  if (down_ || buffer_.size() >= static_cast<std::size_t>(p_.buffer_frames)) {
+  if (down_ || landed_ >= static_cast<std::size_t>(p_.buffer_frames)) {
     assert((down_ || fault_epoch_ > 0) && "RX overflow on a never-faulted link");
     ++frames_dropped_;
-    if (credit_cb_) credit_cb_(sim_.now());
+    credit_peer();
     return;
   }
-  buffer_.push_back(std::move(f));
-  peak_buffered_ = std::max(peak_buffered_, buffer_.size());
-  sample_depth();
-  if (deliver_cb_) deliver_cb_();
+  frames_.push_back(std::move(f));
+  land();
 }
 
 void Link::deliver_head() {
-  Frame f = std::move(inflight_.front());
-  inflight_.pop_front();
+  const Frame& f = frames_[landed_];
   ++frames_carried_;
   bytes_carried_ += f.wire_bytes();
-  buffer_.push_back(std::move(f));
-  peak_buffered_ = std::max(peak_buffered_, buffer_.size());
+  land();
+}
+
+void Link::land() {
+  ++landed_;
+  peak_buffered_ = std::max(peak_buffered_, landed_);
   sample_depth();
   if (deliver_cb_) deliver_cb_();
 }
 
 std::optional<Frame> Link::take() {
-  if (buffer_.empty()) return std::nullopt;
-  Frame f = std::move(buffer_.front());
-  buffer_.pop_front();
+  if (landed_ == 0) return std::nullopt;
+  Frame f = std::move(frames_.front());
+  frames_.pop_front();
+  --landed_;
   sample_depth();
-  if (credit_cb_) {
-    // RX half: the freed slot is reported to the peer shard's TX half as a
-    // credit taking effect one link latency from now (the reverse wire).
-    credit_cb_(sim_.now());
+  if (peer_ != nullptr) {
+    // RX half: the freed slot is reported to the TX half as a credit
+    // taking effect one link latency from now (the reverse wire).
+    credit_peer();
   } else {
+    --reserved_;
     notify_ready();
   }
   return f;
@@ -123,7 +166,7 @@ void Link::sample_depth() {
   sim::CounterTimeline& ct = sim_.counters();
   if (!ct.enabled()) return;
   ct.sample(name_, "buffered_frames", sim_.now(),
-            static_cast<double>(buffer_.size()));
+            static_cast<double>(landed_));
   ct.sample(name_, "kbytes_carried", sim_.now(),
             static_cast<double>(bytes_carried_) / 1e3);
 }

@@ -78,10 +78,12 @@ class ShardBarrier {
   std::atomic<std::uint32_t> backoff_{1};
 };
 
-/// A cross-shard message channel.  Implementations (hw::ShardLinkBridge)
-/// buffer whatever their producer shard emitted during a window; at the
-/// round barrier the runtime calls drain_into() on the destination shard's
-/// thread to schedule the buffered messages as ordinary events.
+/// A shard's inbound channel from one peer.  The implementation is the
+/// receiving end itself — each half of a split hw::Link is the exchange for
+/// its own inbound traffic (frames into an RX half, credits into a TX
+/// half).  It buffers whatever the producer shard emitted during a window;
+/// at the round barrier the runtime calls drain_into() on the destination
+/// shard's thread to schedule the buffered messages as ordinary events.
 class ShardExchange {
  public:
   virtual ~ShardExchange() = default;

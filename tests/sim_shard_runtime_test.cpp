@@ -81,9 +81,10 @@ TEST(ShardBarrier, OversubscribedPartiesSeeEverySlotEveryPhase) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardRuntime, with a toy exchange standing in for hw::ShardLinkBridge: a
-// producer shard pushes (arrival_time, tag) pairs during its window; the
-// drain schedules a log append on the destination shard.
+// ShardRuntime, with a toy exchange standing in for a split hw::Link half:
+// a producer shard pushes (arrival_time, tag) pairs into the exchange
+// during its window; the drain schedules a log append on the destination
+// shard.
 // ---------------------------------------------------------------------------
 
 struct ToyExchange final : ShardExchange {
