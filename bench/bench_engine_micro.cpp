@@ -310,11 +310,9 @@ void run(bench::Reporter& r) {
           sim.run();
         }));
 
-  // Harness-side FFT kernel wall-clock: the split-radix cache-blocked
-  // kernel vs the textbook radix-2 ablation (--fft=naive).  Virtual-time
-  // results never depend on this — the modelled 68882 cost is a function
-  // of n only — but the harness executes the transform for real on every
-  // simulated node, so this is where the Ooura-style rewrite pays.
+  // Harness-side FFT kernel wall-clock.  Virtual-time results never depend
+  // on this — the modelled 68882 cost is a function of n only — but the
+  // harness executes the transform for real on every simulated node.
   {
     constexpr int kN = 4096;
     std::vector<apps::Complex> sig(kN);
@@ -326,13 +324,7 @@ void run(bench::Reporter& r) {
     r.wall_rate("apps.fft_blocked_1d_points_s", "points/s",
           items_per_sec(r, kN, [&sig, &work, &sink] {
             work = sig;
-            apps::fft(work, false, apps::FftKernel::kBlocked);
-            sink = sink + static_cast<int>(work[1].real() > 0);
-          }));
-    r.wall_rate("apps.fft_naive_1d_points_s", "points/s",
-          items_per_sec(r, kN, [&sig, &work, &sink] {
-            work = sig;
-            apps::fft(work, false, apps::FftKernel::kNaive);
+            apps::fft(work);
             sink = sink + static_cast<int>(work[1].real() > 0);
           }));
   }
@@ -348,13 +340,7 @@ void run(bench::Reporter& r) {
     r.wall_rate("apps.fft_blocked_2d_points_s", "points/s",
           items_per_sec(r, kDim * kDim, [&img, &work, &sink] {
             work = img;
-            apps::fft2d(work, kDim, apps::FftKernel::kBlocked);
-            sink = sink + static_cast<int>(work[1].real() > 0);
-          }));
-    r.wall_rate("apps.fft_naive_2d_points_s", "points/s",
-          items_per_sec(r, kDim * kDim, [&img, &work, &sink] {
-            work = img;
-            apps::fft2d(work, kDim, apps::FftKernel::kNaive);
+            apps::fft2d(work, kDim);
             sink = sink + static_cast<int>(work[1].real() > 0);
           }));
   }

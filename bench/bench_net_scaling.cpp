@@ -158,10 +158,7 @@ Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
     return cell;  // zero rows flag the failure downstream
   }
   std::sort(latencies->begin(), latencies->end());
-  cell.p99_us = sim::to_usec(
-      (*latencies)[latencies->size() * 99 / 100 == latencies->size()
-                       ? latencies->size() - 1
-                       : latencies->size() * 99 / 100]);
+  cell.p99_us = sim::to_usec(sim::nearest_rank(*latencies, 99));
   const double sim_seconds = sim::to_usec(sim.now()) / 1e6;
   cell.frames_per_s =
       sim_seconds > 0 ? static_cast<double>(delivered) / sim_seconds : 0;

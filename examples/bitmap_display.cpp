@@ -4,14 +4,16 @@
 //
 //   ./build/examples/bitmap_display [frames]
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/bitmap_app.hpp"
+#include "parse_whole.hpp"
 
 using namespace hpcvorx;
 
 int main(int argc, char** argv) {
-  const int frames = argc > 1 ? std::atoi(argv[1]) : 4;
+  const int frames = argc > 1 ? examples::whole_at_least(
+                                    "bitmap_display", "frames", argv[1], 1)
+                              : 4;
 
   for (const bool channels : {false, true}) {
     sim::Simulator sim;

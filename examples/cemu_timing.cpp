@@ -4,15 +4,19 @@
 //
 //   ./build/examples/cemu_timing [blocks] [cycles]
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/cemu_app.hpp"
+#include "parse_whole.hpp"
 
 using namespace hpcvorx;
 
 int main(int argc, char** argv) {
-  const int blocks = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int cycles = argc > 2 ? std::atoi(argv[2]) : 250;
+  const int blocks = argc > 1 ? examples::whole_at_least(
+                                    "cemu_timing", "blocks", argv[1], 1)
+                              : 4;
+  const int cycles = argc > 2 ? examples::whole_at_least(
+                                    "cemu_timing", "cycles", argv[2], 1)
+                              : 250;
 
   std::printf(
       "gate-level simulation of a %d-block register-bounded circuit\n"

@@ -22,7 +22,6 @@
 // adaptive routing, so the media latencies can be compared across fabrics.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -138,8 +137,8 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--routing") == 0 && i + 1 < argc) {
         cfg.fabric.routing = hw::parse_routing(argv[++i]);
         continue;
-      } else if (argv[i][0] != '-' && std::atoi(argv[i]) > 0) {
-        seconds = std::atoi(argv[i]);
+      } else if (argv[i][0] != '-') {
+        seconds = examples::whole_at_least("conference", "seconds", argv[i], 1);
         continue;
       }
     } catch (const std::invalid_argument& e) {
@@ -220,8 +219,8 @@ int main(int argc, char** argv) {
       return;
     }
     std::sort(v.begin(), v.end());
-    const auto p50 = v[v.size() / 2];
-    const auto p99 = v[std::min(v.size() - 1, v.size() * 99 / 100)];
+    const sim::Duration p50 = sim::nearest_rank(v, 50);
+    const sim::Duration p99 = sim::nearest_rank(v, 99);
     std::printf("%s: %zu frames, median latency %s, p99 %s\n", what, v.size(),
                 sim::format_duration(p50).c_str(),
                 sim::format_duration(p99).c_str());

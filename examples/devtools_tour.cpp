@@ -13,10 +13,10 @@
 //   ./build/examples/devtools_tour --replay-diff FILE_A FILE_B [--cols N]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "parse_whole.hpp"
 #include "tools/cdb.hpp"
 #include "tools/oscilloscope.hpp"
 #include "tools/prof.hpp"
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       diff_a = argv[++i];
       diff_b = argv[++i];
     } else if (std::strcmp(argv[i], "--cols") == 0 && i + 1 < argc) {
-      cols = std::atoi(argv[++i]);
+      cols = examples::whole_at_least("devtools_tour", "--cols", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_dir = argv[++i];
     } else {

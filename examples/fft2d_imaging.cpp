@@ -1,54 +1,38 @@
 // The §4.2 image-processing scenario: a 2-D FFT distributed over a pool of
 // processing nodes, run with both transpose-exchange strategies.
 //
-//   ./build/examples/fft2d_imaging [n] [p] [--fft=naive|blocked]
+//   ./build/examples/fft2d_imaging [n] [p]
 //
-// --fft picks the kernel the simulated nodes execute: the textbook
-// radix-2 ablation (naive) or the split-radix cache-blocked default
-// (blocked).  Virtual-time results are identical either way — the
-// modelled 68882 cost depends only on n — but the wall-clock of the
-// harness and the result checksum (different rounding) differ.
+// n (default 64) is the image size, a power of two; p (default 8) is the
+// number of processing nodes and must divide n.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "apps/fft2d_app.hpp"
+#include "parse_whole.hpp"
 
 using namespace hpcvorx;
 
 int main(int argc, char** argv) {
-  int n = 64;
-  int p = 8;
-  apps::FftKernel kernel = apps::FftKernel::kBlocked;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--fft=naive") == 0) {
-      kernel = apps::FftKernel::kNaive;
-    } else if (std::strcmp(arg, "--fft=blocked") == 0) {
-      kernel = apps::FftKernel::kBlocked;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr,
-                   "unknown option %s\nusage: %s [n] [p] "
-                   "[--fft=naive|blocked]\n",
-                   arg, argv[0]);
-      return 1;
-    } else if (positional == 0) {
-      n = std::atoi(arg);
-      ++positional;
-    } else if (positional == 1) {
-      p = std::atoi(arg);
-      ++positional;
-    } else {
-      std::fprintf(stderr, "too many arguments\nusage: %s [n] [p] "
-                           "[--fft=naive|blocked]\n",
-                   argv[0]);
-      return 1;
-    }
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [n] [p]\n", argv[0]);
+    return 2;
   }
-  std::printf("2-D FFT of a %dx%d image on %d processing nodes (%s kernel)\n\n",
-              n, n, p,
-              kernel == apps::FftKernel::kNaive ? "naive" : "blocked");
+  const int n = argc > 1 ? examples::whole_at_least("fft2d_imaging", "n",
+                                                     argv[1], 1)
+                         : 64;
+  const int p = argc > 2 ? examples::whole_at_least("fft2d_imaging", "p",
+                                                     argv[2], 1)
+                         : 8;
+  if ((n & (n - 1)) != 0) {
+    std::fprintf(stderr, "fft2d_imaging: n: not a power of two: %d\n", n);
+    return 2;
+  }
+  if (n % p != 0) {
+    std::fprintf(stderr, "fft2d_imaging: p: %d does not divide n = %d\n", p,
+                 n);
+    return 2;
+  }
+  std::printf("2-D FFT of a %dx%d image on %d processing nodes\n\n", n, n, p);
 
   for (const bool multicast : {false, true}) {
     sim::Simulator sim;
@@ -60,7 +44,6 @@ int main(int argc, char** argv) {
     cfg.n = n;
     cfg.p = p;
     cfg.use_multicast = multicast;
-    cfg.kernel = kernel;
     const apps::Fft2dResult res = apps::run_fft2d(sim, sys, cfg);
 
     std::printf("%s exchange:\n", multicast ? "multicast   " : "personalized");

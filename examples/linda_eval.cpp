@@ -5,9 +5,9 @@
 //   ./build/examples/linda_eval [workers] [tasks]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/linda.hpp"
+#include "parse_whole.hpp"
 #include "vorx/system.hpp"
 #include "vorx/node.hpp"
 
@@ -25,8 +25,12 @@ constexpr std::int64_t kResultTag = 2;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int tasks = argc > 2 ? std::atoi(argv[2]) : 32;
+  const int workers = argc > 1 ? examples::whole_at_least(
+                                     "linda_eval", "workers", argv[1], 1)
+                               : 4;
+  const int tasks = argc > 2 ? examples::whole_at_least(
+                                   "linda_eval", "tasks", argv[2], 1)
+                             : 32;
 
   sim::Simulator sim;
   vorx::SystemConfig scfg;

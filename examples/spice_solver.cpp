@@ -4,15 +4,24 @@
 //
 //   ./build/examples/spice_solver [ny] [p]
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/spice_app.hpp"
+#include "parse_whole.hpp"
 
 using namespace hpcvorx;
 
 int main(int argc, char** argv) {
-  const int ny = argc > 1 ? std::atoi(argv[1]) : 64;
-  const int p = argc > 2 ? std::atoi(argv[2]) : 4;
+  const int ny = argc > 1 ? examples::whole_at_least("spice_solver", "ny",
+                                                      argv[1], 1)
+                          : 64;
+  const int p = argc > 2 ? examples::whole_at_least("spice_solver", "p",
+                                                    argv[2], 1)
+                         : 4;
+  if (ny % p != 0) {
+    std::fprintf(stderr, "spice_solver: p: %d does not divide ny = %d\n", p,
+                 ny);
+    return 2;
+  }
   std::printf(
       "Conjugate-gradient solve of an 8x%d grid conductance matrix on %d "
       "nodes\n(halo messages: 8 doubles = the paper's 64-byte SPICE "

@@ -12,34 +12,6 @@ namespace hpcvorx::apps {
 
 namespace {
 
-// The original textbook kernel, kept verbatim as the --fft=naive ablation:
-// radix-2 decimation-in-time with a running-product twiddle.
-void fft_naive(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        2 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
 // Twiddle table for the split-radix kernel: w[j] = exp(s * 2*pi*i * j / n)
 // with s = -1 forward / +1 inverse (Ooura's makewt idiom — computed once
 // per size+direction and shared across every transform of a batch, instead
@@ -107,13 +79,9 @@ void fft_blocked(std::span<Complex> data, bool inverse,
 
 }  // namespace
 
-void fft(std::span<Complex> data, bool inverse, FftKernel kernel) {
+void fft(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
   assert(n != 0 && (n & (n - 1)) == 0 && "FFT size must be a power of two");
-  if (kernel == FftKernel::kNaive) {
-    fft_naive(data, inverse);
-    return;
-  }
   const std::vector<Complex> w = make_twiddles(n, inverse);
   fft_blocked(data, inverse, w);
 }
@@ -134,34 +102,13 @@ std::vector<Complex> dft_reference(std::span<const Complex> in, bool inverse) {
   return out;
 }
 
-void fft2d(std::vector<Complex>& image, int n, FftKernel kernel) {
+void fft2d(std::vector<Complex>& image, int n) {
   assert(static_cast<int>(image.size()) == n * n);
   const std::size_t un = static_cast<std::size_t>(n);
-  if (kernel == FftKernel::kNaive) {
-    // The original one-column-at-a-time shape, preserved for the ablation.
-    for (int r = 0; r < n; ++r) {
-      fft(std::span<Complex>(image.data() + static_cast<std::size_t>(r) * un,
-                             un),
-          false, kernel);
-    }
-    std::vector<Complex> col(un);
-    for (int c = 0; c < n; ++c) {
-      for (int r = 0; r < n; ++r) {
-        col[static_cast<std::size_t>(r)] =
-            image[static_cast<std::size_t>(r) * un + static_cast<std::size_t>(c)];
-      }
-      fft(col, false, kernel);
-      for (int r = 0; r < n; ++r) {
-        image[static_cast<std::size_t>(r) * un + static_cast<std::size_t>(c)] =
-            col[static_cast<std::size_t>(r)];
-      }
-    }
-    return;
-  }
-  // Blocked kernel: one twiddle table shared across all 2n transforms
-  // (fftsg2d keeps a single `w` for the whole image), and the column pass
-  // walks panels of adjacent columns so every gathered row segment is one
-  // or two cache lines instead of a single strided element.
+  // One twiddle table shared across all 2n transforms (fftsg2d keeps a
+  // single `w` for the whole image), and the column pass walks panels of
+  // adjacent columns so every gathered row segment is one or two cache
+  // lines instead of a single strided element.
   const std::vector<Complex> w = make_twiddles(un, /*inverse=*/false);
   for (int r = 0; r < n; ++r) {
     fft_blocked(

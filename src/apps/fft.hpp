@@ -4,22 +4,16 @@
 // a 256-point one-dimensional Complex FFT for each row ... [then] a
 // 256-point 1DFFT for each column."
 //
-// Two kernels compute the same transform (so results stay bit-for-bit
-// comparable between a node and the serial check, per kernel):
+// The kernel is Ooura-style split-radix ("General Purpose FFT Package",
+// the multi-level-cache fftsg variant): an L-shaped decimation-in-frequency
+// recursion (one half + two quarter sub-transforms) over a precomputed
+// twiddle table, depth-first so every sub-transform drops into
+// successively smaller cache levels, with a final bit-reversal pass.  The
+// 2-D path additionally walks the column transforms in narrow panels
+// instead of one strided column at a time.  Nodes and the serial check run
+// the same kernel, so their results compare bit for bit.
 //
-//   * kNaive — the textbook radix-2 decimation-in-time loop with a
-//     running-product twiddle.  Kept as the `--fft=naive` ablation: it is
-//     what a straightforward port of the period code looks like.
-//   * kBlocked — an Ooura-style split-radix kernel ("General Purpose FFT
-//     Package", the multi-level-cache fftsg variant): an L-shaped
-//     decimation-in-frequency recursion (one half + two quarter
-//     sub-transforms) over a precomputed twiddle table, depth-first so
-//     every sub-transform drops into successively smaller cache levels,
-//     with a final bit-reversal pass.  The 2-D path additionally walks the
-//     column transforms in narrow panels instead of one strided column at
-//     a time.
-//
-// A naive O(n^2) DFT reference backs the unit tests for both.
+// A naive O(n^2) DFT reference backs the unit tests.
 #pragma once
 
 #include <complex>
@@ -33,26 +27,18 @@ namespace hpcvorx::apps {
 
 using Complex = std::complex<double>;
 
-/// Which FFT kernel the simulated nodes (and the serial checks) execute.
-enum class FftKernel {
-  kNaive,    // textbook radix-2 DIT (the original kernel)
-  kBlocked,  // split-radix DIF over a twiddle table, cache-blocked
-};
-
 /// In-place FFT.  data.size() must be a power of two.  `inverse` applies
 /// the conjugate transform (unnormalized).
-void fft(std::span<Complex> data, bool inverse = false,
-         FftKernel kernel = FftKernel::kBlocked);
+void fft(std::span<Complex> data, bool inverse = false);
 
 /// O(n^2) reference DFT (tests only).
 [[nodiscard]] std::vector<Complex> dft_reference(std::span<const Complex> in,
                                                  bool inverse = false);
 
 /// Row-major n x n 2-D FFT: 1-D FFT of every row, then of every column.
-/// The blocked kernel shares one twiddle table across all 2n transforms
-/// and processes columns in cache-friendly panels.
-void fft2d(std::vector<Complex>& image, int n,
-           FftKernel kernel = FftKernel::kBlocked);
+/// One twiddle table serves all 2n transforms, and columns are processed
+/// in cache-friendly panels.
+void fft2d(std::vector<Complex>& image, int n);
 
 /// Virtual-time cost of one n-point complex FFT on a 25 MHz 68020+68882:
 /// (n/2) log2(n) butterflies at ~40 us each (~10 flops/butterfly at

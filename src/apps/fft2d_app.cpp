@@ -51,8 +51,7 @@ sim::Task<std::vector<Complex>> phase1_rows(vorx::Subprocess& sp,
   for (int r = 0; r < rpn; ++r) {
     co_await sp.compute(fft_cost(n));
     fft(std::span<Complex>(rows.data() + static_cast<long>(r) * n,
-                           static_cast<std::size_t>(n)),
-        false, st.cfg.kernel);
+                           static_cast<std::size_t>(n)));
   }
   co_return rows;
 }
@@ -66,8 +65,7 @@ sim::Task<void> phase2_columns(vorx::Subprocess& sp, Shared& st, int me,
   for (int c = 0; c < rpn; ++c) {
     co_await sp.compute(fft_cost(n));
     fft(std::span<Complex>(cols.data() + static_cast<std::size_t>(c) * n,
-                           static_cast<std::size_t>(n)),
-        false, st.cfg.kernel);
+                           static_cast<std::size_t>(n)));
   }
   for (int c = 0; c < rpn; ++c) {
     for (int r = 0; r < n; ++r) {
@@ -315,7 +313,7 @@ Fft2dResult run_fft2d(sim::Simulator& sim, vorx::System& sys,
                      static_cast<std::uint64_t>(cfg.p - 1);
 
   std::vector<Complex> serial = st->input;
-  fft2d(serial, cfg.n, cfg.kernel);
+  fft2d(serial, cfg.n);
   res.matches_serial = serial == st->output;
   res.result_checksum = checksum(st->output);
   return res;

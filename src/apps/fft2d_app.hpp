@@ -28,11 +28,6 @@ struct Fft2dConfig {
   bool use_multicast = false;
   // When multicasting: kernel-tree forwarding or in-switch replication.
   vorx::McastMode mcast_mode = vorx::McastMode::kSoftwareTree;
-  // FFT kernel the nodes execute.  The serial verification uses the same
-  // kernel, so matches_serial stays a bit-for-bit check for either choice
-  // (the two kernels round differently, so they are not interchangeable
-  // mid-run).
-  FftKernel kernel = FftKernel::kBlocked;
   std::uint64_t seed = 1;
 };
 

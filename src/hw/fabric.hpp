@@ -71,8 +71,6 @@ class Endpoint {
   /// Fired on each frame arrival: the receive interrupt.
   void set_rx_cb(std::function<void()> cb) { in_->set_deliver_cb(std::move(cb)); }
 
-  [[nodiscard]] std::size_t rx_buffered() const { return in_->buffered(); }
-
   /// Frames this endpoint has injected (diagnostics).
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
 

@@ -56,10 +56,6 @@ class SnetBus {
   /// At most one outstanding request per source processor.
   void request_send(int src, Frame f, std::function<void(bool)> done);
 
-  [[nodiscard]] bool sender_pending(int src) const {
-    return pending_[static_cast<std::size_t>(src)];
-  }
-
   /// One fifo entry: either a complete message or a truncated residue
   /// (complete == false) that software must read and discard.
   struct Fragment {

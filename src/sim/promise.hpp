@@ -83,8 +83,6 @@ class Promise {
     state_->waiters.clear();
   }
 
-  [[nodiscard]] bool fulfilled() const { return state_->value.has_value(); }
-
  private:
   std::shared_ptr<detail::FutureState<T>> state_;
 };

@@ -6,8 +6,11 @@
 // Mbit/s) are all representable without rounding surprises.
 #pragma once
 
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace hpcvorx::sim {
@@ -51,6 +54,17 @@ inline constexpr Duration kSecond = 1'000'000'000;
 /// Converts a Duration to fractional seconds (for reporting).
 [[nodiscard]] constexpr double to_sec(Duration d) {
   return static_cast<double>(d) / static_cast<double>(kSecond);
+}
+
+/// Nearest-rank percentile of a sorted, non-empty sample: the
+/// rank-ceil(n * pct / 100) sample, rank 1 when that is 0.  It is always a
+/// measured value, and p50 of an even count is the lower middle sample.
+[[nodiscard]] inline Duration nearest_rank(std::span<const Duration> sorted,
+                                           int pct) {
+  assert(!sorted.empty() && pct >= 0 && pct <= 100);
+  const std::size_t rank =
+      (sorted.size() * static_cast<std::size_t>(pct) + 99) / 100;
+  return sorted[rank == 0 ? 0 : rank - 1];
 }
 
 /// Human-readable rendering, e.g. "303.0us" or "2.13s".

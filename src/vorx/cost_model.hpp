@@ -104,9 +104,6 @@ struct CostModel {
   // the tree scheme (copy-through while receiving).
   sim::Duration loader_relay_per_byte = 60;  // ns/B
 
-  // ---- processor allocation, §3.1 ----
-  sim::Duration alloc_request = sim::usec(500);   // per allocate/free RPC
-
   // ---- S/NET software (the Meglos-era baseline, §2) ----
   // Per-byte cost for the receiving processor to read words out of its
   // input fifo (the drain rate that loses the race against the bus during

@@ -4,18 +4,6 @@
 
 namespace hpcvorx::vorx {
 
-// Parks the receive pump until the next arrival interrupt.  Ready when a
-// frame is already staged (the pump's first activation finds the frame
-// that triggered it), so the pump never suspends with work pending.
-struct Kernel::RxPark {
-  Kernel& k;
-  [[nodiscard]] bool await_ready() const noexcept {
-    return k.ep_.rx_peek() != nullptr;
-  }
-  void await_suspend(std::coroutine_handle<> h) noexcept { k.rx_parked_ = h; }
-  void await_resume() const noexcept {}
-};
-
 Kernel::Kernel(sim::Simulator& sim, hw::Endpoint& ep, sim::Cpu& cpu,
                const CostModel& costs)
     : sim_(sim), ep_(ep), cpu_(cpu), costs_(costs), tx_ready_ev_(sim) {
@@ -30,20 +18,7 @@ Kernel::Kernel(sim::Simulator& sim, hw::Endpoint& ep, sim::Cpu& cpu,
   // and the pump's drain loop reaches it in that order.
   ep_.set_rx_cb([this] {
     ++rx_irqs_;
-    if (!rx_started_) {
-      // Lazy first start, on the shard thread that delivers the first
-      // frame, so the pump's frame registers with that shard's registry.
-      rx_started_ = true;
-      ++rx_resumes_;
-      rx_pump();
-      return;
-    }
-    if (rx_parked_ != nullptr) {
-      const std::coroutine_handle<> h =
-          std::exchange(rx_parked_, std::coroutine_handle<>{});
-      ++rx_resumes_;
-      h.resume();
-    }
+    if (rx_park_.kick([this] { rx_pump(); })) ++rx_resumes_;
   });
   ep_.set_tx_ready_cb([this] { tx_ready_ev_.set(); });
 }
@@ -77,7 +52,8 @@ void Kernel::sample_txq() {
 
 sim::Proc Kernel::rx_pump() {
   for (;;) {
-    co_await RxPark{*this};
+    // The first activation finds the frame that started it already staged.
+    co_await rx_park_.park(ep_.rx_peek() != nullptr);
     while (ep_.rx_peek() != nullptr) {
       const hw::Frame* head = ep_.rx_peek();
       sim::Duration cost;

@@ -15,7 +15,6 @@
 // routines to handle incoming messages."
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -90,10 +89,9 @@ class Kernel {
 
  private:
   /// The persistent receive pump: one coroutine for the kernel's lifetime,
-  /// parked on RxPark while the receive ring is empty and resumed inline
+  /// parked in rx_park_ while the receive ring is empty and resumed inline
   /// by the arrival interrupt (see kernel.cpp for the order contract).
   sim::Proc rx_pump();
-  struct RxPark;
   sim::Proc tx_service();
   void dispatch(hw::Frame f);
   void sample_txq();
@@ -108,15 +106,10 @@ class Kernel {
 
   std::deque<hw::Frame> txq_;
   sim::Event tx_ready_ev_;
-  // The parked pump's handle (null while the pump is awake).  Resuming it
-  // inline from the arrival interrupt is the whole coalescing mechanism:
-  // no per-burst coroutine spawn, no per-frame re-entry.  Lifetime is
-  // safe by construction: rx_pump() is a self-owning Proc that never
-  // completes while the Kernel (and its endpoint callback) exist, and
-  // the handle is exchanged to null before every resume.
-  // vorx-lint: allow(R8) parking spot for the kernel-lifetime rx_pump Proc
-  std::coroutine_handle<> rx_parked_;
-  bool rx_started_ = false;
+  // Resuming the parked pump inline from the arrival interrupt is the whole
+  // coalescing mechanism: no per-burst coroutine spawn, no per-frame
+  // re-entry.
+  sim::ParkedPump rx_park_;
   bool tx_active_ = false;
   std::uint64_t rx_irqs_ = 0;
   std::uint64_t rx_resumes_ = 0;

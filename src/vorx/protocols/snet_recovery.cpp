@@ -13,19 +13,6 @@ constexpr std::uint32_t kSnetRequest = 2;
 constexpr std::uint32_t kSnetGrant = 3;
 }  // namespace
 
-// Parks the drain pump until the next fifo arrival.  Ready when a fragment
-// is already staged, so the pump never suspends with work pending.
-struct SnetStation::DrainPark {
-  SnetStation& s;
-  [[nodiscard]] bool await_ready() const noexcept {
-    return s.bus_.fifo_peek(s.id_) != nullptr;
-  }
-  void await_suspend(std::coroutine_handle<> h) noexcept {
-    s.drain_parked_ = h;
-  }
-  void await_resume() const noexcept {}
-};
-
 SnetStation::SnetStation(sim::Simulator& sim, hw::SnetBus& bus, int id,
                          const CostModel& costs, std::uint64_t rng_seed)
     : sim_(sim),
@@ -41,23 +28,13 @@ SnetStation::SnetStation(sim::Simulator& sim, hw::SnetBus& bus, int id,
   // resumed inline, exactly where the old per-burst drain_service() spawn
   // ran; mid-burst arrivals stay staged in the fifo and are drained in
   // fifo order without another resume.
-  bus_.set_rx_cb(id_, [this] {
-    if (!drain_started_) {
-      drain_started_ = true;
-      drain_pump();
-      return;
-    }
-    if (drain_parked_ != nullptr) {
-      const std::coroutine_handle<> h =
-          std::exchange(drain_parked_, std::coroutine_handle<>{});
-      h.resume();
-    }
-  });
+  bus_.set_rx_cb(id_,
+                 [this] { drain_park_.kick([this] { drain_pump(); }); });
 }
 
 sim::Proc SnetStation::drain_pump() {
   for (;;) {
-    co_await DrainPark{*this};
+    co_await drain_park_.park(bus_.fifo_peek(id_) != nullptr);
     while (bus_.fifo_peek(id_) != nullptr) {
       const std::uint32_t total = bus_.fifo_peek(id_)->bytes;
       co_await cpu_.run(sim::prio::kInterrupt, costs_.rx_interrupt,

@@ -22,7 +22,6 @@
 // hardware flow control that made the whole problem disappear.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -70,11 +69,10 @@ class SnetStation {
 
  private:
   /// The persistent fifo drain pump: one coroutine for the station's
-  /// lifetime, parked on DrainPark while the fifo is empty and resumed
+  /// lifetime, parked in drain_park_ while the fifo is empty and resumed
   /// inline by the arrival interrupt (same coalescing idiom as
   /// Kernel::rx_pump — see kernel.cpp for the order contract).
   sim::Proc drain_pump();
-  struct DrainPark;
   void dispatch(hw::Frame f);
   [[nodiscard]] sim::Task<bool> bus_send(hw::Frame f);
   void try_grant();
@@ -86,11 +84,7 @@ class SnetStation {
   sim::Cpu cpu_;
   sim::Rng rng_;
 
-  // Parking spot for the station-lifetime drain_pump() Proc; same
-  // contract as Kernel::rx_parked_ (nulled before every resume).
-  // vorx-lint: allow(R8) parking spot for the station-lifetime drain pump
-  std::coroutine_handle<> drain_parked_;  // null while the pump is awake
-  bool drain_started_ = false;
+  sim::ParkedPump drain_park_;
   sim::Mailbox<hw::Frame> inbox_;
   sim::Semaphore bus_mutex_;  // one outstanding bus request per processor
   std::uint64_t received_ = 0;

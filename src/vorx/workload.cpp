@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "vorx/node.hpp"
 #include "vorx/stub.hpp"
@@ -93,15 +93,10 @@ sim::Duration sample_pareto(sim::Rng& rng, sim::Duration xm, double alpha,
   return d;
 }
 
-// Nearest-rank percentile (pct in [0,100]) of a sorted vector, in integer
-// microseconds; -1 when empty.
+// sim::nearest_rank in integer microseconds; -1 when empty.
 std::int64_t percentile_us(const std::vector<sim::Duration>& sorted,
                            int pct) {
-  if (sorted.empty()) return -1;
-  const std::size_t n = sorted.size();
-  std::size_t rank = (n * static_cast<std::size_t>(pct) + 99) / 100;
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1] / 1000;
+  return sorted.empty() ? -1 : sim::nearest_rank(sorted, pct) / 1000;
 }
 
 // ---- the fixed traffic shape (DESIGN.md §14.1) ----------------------------
@@ -298,7 +293,8 @@ struct WorkloadGen::Impl {
     Node* node = nullptr;
     int index = 0;
     bool crashed = false;
-    std::unordered_map<std::uint64_t, std::uint64_t> slots;  // sid -> stub
+    // sid -> stub, ordered so a crash kills stubs in ascending sid order.
+    std::map<std::uint64_t, std::uint64_t> slots;
     std::uint64_t granted = 0;
     std::uint64_t killed = 0;
   };
@@ -858,8 +854,9 @@ void WorkloadGen::Impl::on_alloc_req(HostAgent& h, const hw::Frame& f) {
   r.dst = f.src;
   r.obj = sid;
   r.seq = f.seq;
-  auto it = h.slots.find(sid);
-  if (it != h.slots.end()) {
+  // One descent finds a duplicate or the grant's insertion point.
+  auto it = h.slots.lower_bound(sid);
+  if (it != h.slots.end() && it->first == sid) {
     r.aux = 1;  // duplicate request: same slot, idempotent grant
   } else if (h.slots.size() >=
              static_cast<std::size_t>(kHostSlots)) {
@@ -868,7 +865,7 @@ void WorkloadGen::Impl::on_alloc_req(HostAgent& h, const hw::Frame& f) {
     // Grant: the session's host-side presence is a real VORX stub process
     // (§3.3) tied to the slot until the explicit free.
     Stub& st = h.node->make_stub();
-    h.slots.emplace(sid, st.id());
+    h.slots.emplace_hint(it, sid, st.id());
     ++h.granted;
     r.aux = 1;
   }
@@ -890,12 +887,8 @@ void WorkloadGen::Impl::set_host_crashed(int host, bool crashed) {
   // Crash: every stub dies with the host; slots are gone.  Roots holding
   // these slots never notice (media flows node-to-node) — their eventual
   // kAllocFree just finds nothing, which is exactly the dead-stub story.
-  std::vector<std::uint64_t> sids;
-  sids.reserve(h.slots.size());
-  for (const auto& [sid, stub] : h.slots) sids.push_back(sid);
-  std::sort(sids.begin(), sids.end());
-  for (std::uint64_t sid : sids) h.node->remove_stub(h.slots[sid]);
-  h.killed += sids.size();
+  for (const auto& slot : h.slots) h.node->remove_stub(slot.second);
+  h.killed += h.slots.size();
   h.slots.clear();
 }
 

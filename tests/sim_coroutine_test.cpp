@@ -260,6 +260,73 @@ TEST(Future, MultipleWaitersGetTheValue) {
   }
 }
 
+// A ParkedPump owner: the pump drains `queue`, taking 1 us per item, and
+// parks when it is empty.
+struct PumpOwner {
+  explicit PumpOwner(Simulator& s) : sim(s) {}
+  Proc pump() {
+    ++starts;
+    for (;;) {
+      co_await park.park(!queue.empty());
+      while (!queue.empty()) {
+        co_await delay(sim, usec(1));
+        done.push_back(queue.front());
+        queue.erase(queue.begin());
+      }
+    }
+  }
+  bool kick() { return park.kick([this] { pump(); }); }
+
+  Simulator& sim;
+  ParkedPump park;
+  std::vector<int> queue;
+  std::vector<int> done;
+  int starts = 0;
+};
+
+TEST(ParkedPump, FirstKickStartsThePumpInline) {
+  Simulator sim;
+  PumpOwner o(sim);
+  o.queue.push_back(1);
+  EXPECT_TRUE(o.kick());
+  EXPECT_EQ(o.starts, 1);
+  sim.run();
+  EXPECT_EQ(o.done, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), usec(1));  // the item was taken up at time 0
+}
+
+TEST(ParkedPump, ParksWhenThereIsNoWorkAndAKickResumesItInline) {
+  Simulator sim;
+  PumpOwner o(sim);
+  EXPECT_TRUE(o.kick());  // starts with nothing queued, so it parks
+  EXPECT_EQ(o.starts, 1);
+  sim.run();
+  EXPECT_EQ(sim.now(), 0);
+  o.queue.push_back(2);
+  EXPECT_TRUE(o.kick());  // resumed, not started again
+  EXPECT_EQ(o.starts, 1);
+  EXPECT_EQ(sim.pending_events(), 1u);  // its 1 us drain step is already posted
+  sim.run();
+  EXPECT_EQ(o.done, (std::vector<int>{2}));
+}
+
+TEST(ParkedPump, KickWhileAwakeResumesNothing) {
+  Simulator sim;
+  PumpOwner o(sim);
+  EXPECT_TRUE(o.kick());  // parks
+  o.queue.push_back(1);
+  EXPECT_TRUE(o.kick());
+  // Mid-burst: the pump waits on its 1 us step, so a kick only stages.
+  o.queue.push_back(2);
+  EXPECT_FALSE(o.kick());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(o.done, (std::vector<int>{1, 2}));  // one burst, in order
+  EXPECT_EQ(sim.now(), usec(2));
+  EXPECT_TRUE(o.kick());  // parked again after the burst
+  EXPECT_EQ(o.starts, 1);
+}
+
 TEST(Future, AwaitAfterFulfilmentIsImmediate) {
   Simulator sim;
   Promise<int> p(sim);

@@ -1,6 +1,7 @@
 // Unit tests for the event queue and simulator core.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -100,6 +101,35 @@ TEST(Time, FormatDuration) {
   EXPECT_EQ(format_duration(sec(2)), "2.000s");
   EXPECT_EQ(format_duration(500), "500ns");
   EXPECT_EQ(format_duration(msec(12)), "12.000ms");
+}
+
+TEST(Time, NearestRankOfOneSampleIsThatSample) {
+  // The sample's neighbours in memory make an off-by-one read return a
+  // wrong value instead of reading out of bounds.
+  const Duration storage[] = {1, 7, 9};
+  const std::span<const Duration> one(storage + 1, 1);
+  for (const int pct : {0, 1, 50, 99, 100}) {
+    EXPECT_EQ(nearest_rank(one, pct), 7) << "p" << pct;
+  }
+}
+
+TEST(Time, NearestRankMedianIsTheLowerMiddleAtEvenCount) {
+  EXPECT_EQ(nearest_rank(std::vector<Duration>{10, 20, 30, 40}, 50), 20);
+  EXPECT_EQ(nearest_rank(std::vector<Duration>{10, 20, 30}, 50), 20);
+}
+
+TEST(Time, NearestRankTakesRankNpOver100WhenItIsWhole) {
+  // 200 samples 1..200: p99 is rank 198 exactly, where the index
+  // n*99/100 would read the 199th sample.
+  std::vector<Duration> v(200);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<Duration>(i + 1);
+  }
+  EXPECT_EQ(nearest_rank(v, 99), 198);
+  EXPECT_EQ(nearest_rank(v, 100), 200);
+  // Otherwise it rounds the rank up: ceil(10 * 0.99) = 10.
+  v.resize(10);
+  EXPECT_EQ(nearest_rank(v, 99), 10);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
