@@ -7,6 +7,7 @@ namespace hpcvorx::hw {
 void Link::split(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
                  Link& rx) {
   assert(tx_shard != rx_shard);
+  assert(&tx.sim_ == &rt.shard(tx_shard) && &rx.sim_ == &rt.shard(rx_shard));
   assert(tx.p_.latency == rx.p_.latency &&
          "the two halves of a split link must agree on its latency");
   rt.note_cross_shard_latency(tx.p_.latency);
@@ -14,6 +15,7 @@ void Link::split(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
   rt.register_exchange(tx_shard, &tx);
   tx.peer_ = &rx;
   rx.peer_ = &tx;
+  rx.rx_half_ = true;
 }
 
 void Link::send(Frame f) {
@@ -31,47 +33,45 @@ void Link::send(Frame f) {
     tx_busy_ = false;
     notify_ready();
   });
-  if (peer_ != nullptr) {
-    // Cross-shard TX half: hand the frame to the RX half's inbox now — the
-    // RX shard must drain it at the end of the window that sent it, not one
-    // latency later, or it would land a window too late.  Carried counters
-    // tick here; the RX half counts nothing, so a split link's totals
-    // match its intra-shard equivalent.
-    ++frames_carried_;
-    bytes_carried_ += f.wire_bytes();
-    if (f.data != nullptr) {
-      // Detach from the TX shard's FramePool: the pooled buffer's deleter
-      // is not thread-safe, so the crossing frame carries a plain copy the
-      // destination shard may drop on its own thread.
-      // vorx-lint: allow(R5) cross-shard boundary copy — pooled payloads may not change shards
-      f.data = make_payload(std::vector<std::byte>(f.data->begin(), f.data->end()));
-    }
-    peer_->inbox_.emplace_back(sim_.now() + ser + p_.latency,
-                               std::make_unique<Frame>(std::move(f)));
+  const sim::SimTime at = sim_.now() + ser + p_.latency;
+  if (peer_ == nullptr) {
+    frames_.push_back(std::move(f));
+    land_at(at);
     return;
   }
-  frames_.push_back(std::move(f));
-  sim_.post_after(ser + p_.latency, [this, e = fault_epoch_] {
-    if (e != fault_epoch_) return;
-    deliver_head();
-  });
+  // Cross-shard TX half: hand the frame to the RX half's inbox now — the
+  // RX shard must drain it at the end of the window that sent it, not one
+  // latency later, or it would land a window too late.
+  if (f.data != nullptr) {
+    // Detach from the TX shard's FramePool: the pooled buffer's deleter
+    // is not thread-safe, so the crossing frame carries a plain copy the
+    // destination shard may drop on its own thread.
+    // vorx-lint: allow(R5) cross-shard boundary copy — pooled payloads may not change shards
+    f.data = make_payload(std::vector<std::byte>(f.data->begin(), f.data->end()));
+  }
+  peer_->inbox_.push_back({at, fault_epoch_, std::move(f)});
 }
 
 void Link::drain_into(sim::Simulator& dst) {
-  // This half outlives every event scheduled here: it is owned by the
-  // Fabric, which outlives the runtime's run.  A frame rides its event as
-  // owned state.
-  for (auto& e : inbox_) {
+  // split() put this half on `dst`.  It outlives every event scheduled
+  // here: it is owned by the Fabric, which outlives the runtime's run.
+  assert(&dst == &sim_);
+  for (Crossing& c : inbox_) {
     // The lookahead guarantee: everything queued during completed windows
     // arrives strictly beyond them, i.e. in this shard's future.
-    assert(e.first > dst.now() &&
+    assert(c.at > dst.now() &&
            "cross-shard traffic arrived at or before the drain point");
-    if (e.second != nullptr) {
-      dst.post_at(e.first, [this, f = std::move(e.second)]() mutable {
-        deliver_remote(std::move(*f));
-      });
+    if (c.epoch != fault_epoch_) {
+      // The cable failed after this left: a frame on the wire is lost, and
+      // a credit's slot was already reclaimed by set_down().
+      if (rx_half_) ++frames_dropped_;
+    } else if (rx_half_) {
+      frames_.push_back(std::move(c.frame));
+      land_at(c.at);
     } else {
-      dst.post_at(e.first, [this] { remote_credit(); });
+      sim_.post_at(c.at, [this, e = fault_epoch_] {
+        if (e == fault_epoch_) free_slot();
+      });
     }
   }
   inbox_.clear();
@@ -83,17 +83,8 @@ void Link::set_down() {
   ++fault_epoch_;
   tx_busy_ = false;
   frames_dropped_ += frames_.size();
-  // RX half: every cleared buffer slot is reported back as a credit, or
-  // the TX half's slot accounting would leak the lost frames' slots.  (A
-  // TX half's buffer is always empty.)
-  if (peer_ != nullptr) {
-    for (std::size_t i = 0; i < landed_; ++i) credit_peer();
-  }
   frames_.clear();
   landed_ = 0;
-  // TX half: the peer RX clears its buffer (and drops late arrivals) at
-  // the same virtual time, so every reserved slot is gone; the credits it
-  // emits for them are absorbed by the post-fault guard in remote_credit.
   reserved_ = 0;
 }
 
@@ -105,40 +96,10 @@ void Link::set_up() {
   notify_ready();
 }
 
-void Link::remote_credit() {
-  assert(peer_ != nullptr && "credit on a link that is not a cross-shard half");
-  assert(reserved_ > 0 || fault_epoch_ > 0);
-  // A set_down() zeroed the count while this credit was in flight; the
-  // slot it frees was already reclaimed, so the credit is stale.
-  if (reserved_ > 0) --reserved_;
-  notify_ready();
-}
-
-void Link::deliver_remote(Frame f) {
-  // Cross-shard RX half: serialization, propagation, and the carried
-  // counters all happened on the peer shard's TX half; the frame only
-  // lands in the downstream buffer here.  The credit protocol bounds
-  // outstanding frames to the buffer size, so this never overflows —
-  // except around a fault, where a pre-outage frame can arrive after slot
-  // accounting was reset; such arrivals are dropped and credited back.
-  if (down_ || landed_ >= static_cast<std::size_t>(p_.buffer_frames)) {
-    assert((down_ || fault_epoch_ > 0) && "RX overflow on a never-faulted link");
-    ++frames_dropped_;
-    credit_peer();
-    return;
-  }
-  frames_.push_back(std::move(f));
-  land();
-}
-
 void Link::deliver_head() {
   const Frame& f = frames_[landed_];
   ++frames_carried_;
   bytes_carried_ += f.wire_bytes();
-  land();
-}
-
-void Link::land() {
   ++landed_;
   peak_buffered_ = std::max(peak_buffered_, landed_);
   sample_depth();
@@ -154,10 +115,9 @@ std::optional<Frame> Link::take() {
   if (peer_ != nullptr) {
     // RX half: the freed slot is reported to the TX half as a credit
     // taking effect one link latency from now (the reverse wire).
-    credit_peer();
+    peer_->inbox_.push_back({sim_.now() + p_.latency, fault_epoch_, {}});
   } else {
-    --reserved_;
-    notify_ready();
+    free_slot();
   }
   return f;
 }

@@ -21,7 +21,6 @@
 #include <cassert>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -94,13 +93,15 @@ class Link final : public sim::ShardExchange {
   // ---- cross-shard halves (DESIGN.md §12.1) ----
   //
   // The TX half lives on the sending shard and the RX half, which owns the
-  // downstream buffer, on the receiving shard.  A TX send() appends
-  // (arrival time, frame) to the RX half's inbox; an RX take() appends the
-  // freed slot's credit, effective one link latency later (the reverse
-  // wire), to the TX half's inbox.  Both directions therefore keep every
-  // cross-shard effect at least one latency in the future, which is what
-  // the runtime's lookahead window relies on.  At the round barrier each
-  // half drains its inbox on its own shard's thread (drain_into).
+  // downstream buffer, on the receiving shard.  A TX send() appends the
+  // frame and its arrival time to the RX half's inbox; an RX take()
+  // appends the freed slot's credit, effective one link latency later (the
+  // reverse wire), to the TX half's inbox.  Both directions therefore keep
+  // every cross-shard effect at least one latency in the future, which is
+  // what the runtime's lookahead window relies on.  At the round barrier
+  // each half drains its inbox on its own shard's thread (drain_into): the
+  // RX half queues each frame in its buffer and posts the same landing
+  // event a whole link's send() posts, the TX half posts each credit.
 
   /// Splits the (tx, rx) pair across shards: tx lives on `tx_shard`'s
   /// simulator, rx on `rx_shard`'s.  Notes the latency and registers rx
@@ -113,8 +114,8 @@ class Link final : public sim::ShardExchange {
   /// The other half of a split link (nullptr on a whole link).
   [[nodiscard]] Link* peer() const { return peer_; }
 
-  /// Schedules this half's inbox into `dst`: frames as deliver_remote()
-  /// events on an RX half, credits as remote_credit() events on a TX half.
+  /// Schedules this half's inbox into its own simulator (`dst`): frames as
+  /// landing events on an RX half, credits on a TX half.
   void drain_into(sim::Simulator& dst) override;
 
   // ---- fault injection (DESIGN.md §14) ----
@@ -126,21 +127,25 @@ class Link final : public sim::ShardExchange {
   // event captured the epoch at send time and no-ops when a fault bumped
   // it, so a fault never leaves a dangling event poking freed state.  On a
   // cross-shard pair the injector calls set_down()/set_up() on BOTH halves
-  // at the same virtual time, each on its own shard; cleared RX slots are
-  // credited back so the TX half's slot accounting stays exact.
+  // at the same virtual time, each on its own shard, so the halves' epochs
+  // stay equal; frames still on the wire and credits for slots the fault
+  // reclaimed carry an older epoch and are dropped like any stale event.
+  // A split link therefore fails exactly like a whole one.
 
   /// Cable fails.  Idempotent; safe at any point of a transfer.
   void set_down();
   /// Cable replaced: transmitter idle, buffer empty, consumers notified.
   void set_up();
   [[nodiscard]] bool is_down() const { return down_; }
-  /// Frames lost to set_down()/arrival-while-down (never counted as
-  /// carried).
+  /// Frames lost to a fault: cleared by set_down(), or (RX half) still
+  /// on the wire when it struck.  A frame that landed and was then cleared
+  /// counts as carried too.
   [[nodiscard]] std::uint64_t frames_dropped() const { return frames_dropped_; }
 
   // ---- counters (diagnostics and the trace exporter) ----
 
-  /// Cumulative frames delivered downstream.
+  /// Cumulative frames landed in the downstream buffer (on a split link,
+  /// counted by the RX half, which owns the buffer).
   [[nodiscard]] std::uint64_t frames_carried() const { return frames_carried_; }
   /// Cumulative wire bytes (payload + header) delivered downstream.
   [[nodiscard]] std::uint64_t bytes_carried() const { return bytes_carried_; }
@@ -151,16 +156,23 @@ class Link final : public sim::ShardExchange {
   void notify_ready() {
     if (ready_cb_ && ready()) ready_cb_();
   }
+  /// Posts the landing, at `at`, of the frame just queued at the back of
+  /// frames_: by a whole link's send(), or by an RX half's drain.
+  void land_at(sim::SimTime at) {
+    assert(frames_.size() <= static_cast<std::size_t>(p_.buffer_frames) &&
+           "more frames downstream than buffer slots");
+    sim_.post_at(at, [this, e = fault_epoch_] {
+      if (e != fault_epoch_) return;
+      deliver_head();
+    });
+  }
   void deliver_head();
-  void land();
-  /// A peer-shard buffer slot freed (credit signal arrived): TX half only.
-  void remote_credit();
-  /// A frame from the peer shard's TX half lands in the downstream buffer:
-  /// RX half only (scheduled at its precomputed arrival time).
-  void deliver_remote(Frame f);
-  /// RX half: reports one freed downstream slot to the TX half.
-  void credit_peer() {
-    peer_->inbox_.emplace_back(sim_.now() + p_.latency, nullptr);
+  /// One downstream slot freed: a whole link's take(), or a TX half's
+  /// credit.
+  void free_slot() {
+    assert(reserved_ > 0);
+    --reserved_;
+    notify_ready();
   }
   void sample_depth();
 
@@ -169,17 +181,19 @@ class Link final : public sim::ShardExchange {
   Params p_;
   bool tx_busy_ = false;
   bool down_ = false;
+  bool rx_half_ = false;  // split() sets it on the RX half
   // Bumped by every set_down()/set_up(); in-flight serialization and
-  // delivery events captured the epoch at send time and no-op on mismatch.
+  // delivery events, and cross-shard messages, captured the epoch when
+  // they left and are dropped on mismatch.
   std::uint32_t fault_epoch_ = 0;
-  // The downstream buffer: `landed_` frames parked downstream, then (on a
-  // whole link) the frames still propagating, in arrival order.  Arrival
-  // order equals send order: the transmitter serializes sends, so a later
-  // frame's arrival (start + ser_a + ser_b + latency) is strictly after an
-  // earlier one's (start + ser_a + latency).  Landing a frame therefore
-  // only advances `landed_`, and the delivery event captures only `this` —
-  // a whole Frame in the capture would spill the event queue's inline
-  // storage.
+  // The downstream buffer: `landed_` frames parked downstream, then the
+  // frames still propagating, in arrival order.  Arrival order equals send
+  // order: the transmitter serializes sends, so a later frame's arrival
+  // (start + ser_a + ser_b + latency) is strictly after an earlier one's
+  // (start + ser_a + latency).  Landing a frame therefore only advances
+  // `landed_`, and the delivery event captures only `this` — a whole Frame
+  // in the capture would spill the event queue's inline storage.  Every
+  // frame here holds a slot, so size() <= buffer_frames on every link.
   std::deque<Frame> frames_;
   std::size_t landed_ = 0;
   // Downstream slots reserved by send(): freed by take() on a whole link,
@@ -187,13 +201,18 @@ class Link final : public sim::ShardExchange {
   std::size_t reserved_ = 0;
   std::function<void()> ready_cb_;
   std::function<void()> deliver_cb_;
-  // Split links only: the other half, and the cross-shard traffic bound
-  // for this half — (arrival, frame) on an RX half, (credit time, null) on
-  // a TX half.  Its producer appends only while running a window and
+  // Split links only: the other half, and the cross-shard messages bound
+  // for this half — frames on an RX half, credits (no frame) on a TX
+  // half.  Its producer appends only while running a window and
   // drain_into() runs between the round's two barrier phases, so the round
   // barrier orders every append before the drain that reads it.
+  struct Crossing {
+    sim::SimTime at;
+    std::uint32_t epoch;
+    Frame frame;
+  };
   Link* peer_ = nullptr;
-  std::vector<std::pair<sim::SimTime, std::unique_ptr<Frame>>> inbox_;
+  std::vector<Crossing> inbox_;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_carried_ = 0;
   std::uint64_t bytes_carried_ = 0;

@@ -1,5 +1,7 @@
 #include "hw/snet.hpp"
 
+#include <algorithm>
+
 namespace hpcvorx::hw {
 
 SnetBus::SnetBus(sim::Simulator& sim, int num_processors, Params p)
@@ -7,15 +9,15 @@ SnetBus::SnetBus(sim::Simulator& sim, int num_processors, Params p)
       params_(p),
       fifos_(static_cast<std::size_t>(num_processors)),
       fifo_used_(static_cast<std::size_t>(num_processors), 0),
-      rx_cb_(static_cast<std::size_t>(num_processors)),
-      pending_(static_cast<std::size_t>(num_processors), false) {}
+      rx_cb_(static_cast<std::size_t>(num_processors)) {}
 
 void SnetBus::request_send(int src, Frame f, std::function<void(bool)> done) {
   assert(src >= 0 && src < num_processors());
   assert(f.dst >= 0 && f.dst < num_processors());
-  assert(!pending_[static_cast<std::size_t>(src)] &&
+  assert(!(xfer_ && xfer_->src == src) &&
+         std::none_of(queue_.begin(), queue_.end(),
+                      [src](const Request& r) { return r.src == src; }) &&
          "one outstanding S/NET send per processor");
-  pending_[static_cast<std::size_t>(src)] = true;
   f.src = src;
   f.injected_at = sim_.now();
   queue_.push_back(Request{src, std::move(f), std::move(done)});
@@ -66,7 +68,6 @@ void SnetBus::finish_transfer() {
       landed = true;
     }
   }
-  pending_[static_cast<std::size_t>(req.src)] = false;
   if (landed && rx_cb_[dst]) rx_cb_[dst]();
   // Report completion (or the fifo-full signal) to the sender's software.
   if (req.done) req.done(accepted);

@@ -122,7 +122,6 @@ class SnetBus {
   std::vector<std::deque<Fragment>> fifos_;
   std::vector<std::uint32_t> fifo_used_;
   std::vector<std::function<void()>> rx_cb_;
-  std::vector<bool> pending_;
   std::uint64_t delivered_ = 0;
   std::uint64_t overflows_ = 0;
   std::uint64_t grants_ = 0;

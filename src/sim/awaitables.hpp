@@ -60,6 +60,7 @@ class Event {
  private:
   Simulator& sim_;
   bool set_ = false;
+  // vorx-lint: allow(R8) waiter list, each resumed exactly once by set()
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
@@ -110,6 +111,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::int64_t count_;
+  // vorx-lint: allow(R8) waiter list, each resumed exactly once by release()
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -99,6 +99,7 @@ class Cpu {
     Category cat;
     std::int64_t owner;
     Duration switch_in_cost;
+    // vorx-lint: allow(R8) suspended runner, resumed once when the job ends
     std::coroutine_handle<> handle;
     std::uint64_t seq;
   };

@@ -718,11 +718,17 @@ void scope_walk(const std::vector<Token>& t, bool shard_layer,
         check_global_decl(t, seg_start, i, emit);
       }
       if (s.kind == Scope::kType) {
-        // Awaiter/promise shape: the class body defines coroutine-protocol
-        // members.  Inherit from enclosing types — a nested awaiter's
+        // Awaiter/promise shape: the class's own members carry
+        // coroutine-protocol names.  Nested braces (member bodies, nested
+        // types) are skipped, so a class that merely nests an awaiter is
+        // not one.  Inherit from enclosing types — a nested awaiter's
         // helper struct is machinery too.
         const std::size_t close = Model::match_forward(t, i, "{", "}");
         for (std::size_t j = i + 1; j < close; ++j) {
+          if (t[j].text == "{") {
+            j = Model::match_forward(t, j, "{", "}");
+            continue;
+          }
           if (is_name(t[j]) && kAwaiterMarkers.count(t[j].text)) {
             s.awaiterish = true;
             break;

@@ -223,9 +223,10 @@ TEST(LinkSplit, LandsAfterSerializationPlusLatencyWithDetachedPayload) {
   EXPECT_NE(landed_data, nullptr);
   EXPECT_NE(landed_data, pooled);
   EXPECT_EQ(landed_bytes, std::vector<std::byte>(84, std::byte{0x5a}));
-  // The TX half counts the carried frame; the RX half counts nothing.
-  EXPECT_EQ(s.tx.frames_carried(), 1u);
-  EXPECT_EQ(s.rx.frames_carried(), 0u);
+  // The RX half, which owns the buffer, counts the landed frame, as a
+  // whole link does; the TX half counts nothing.
+  EXPECT_EQ(s.rx.frames_carried(), 1u);
+  EXPECT_EQ(s.tx.frames_carried(), 0u);
   EXPECT_EQ(s.tx.queue_depth(), 1u);  // the slot is reserved until a take
 }
 
@@ -289,18 +290,91 @@ TEST(LinkSplit, FaultMidTransferDropsAndCreditsWithoutLeakingSlots) {
     EXPECT_TRUE(s.rx.take().has_value());
   });
   s.rt.run();
-  // A was dropped from the buffer, B on arrival while down; both slots
-  // were credited back and absorbed by the TX half's cleared count.
+  // The fault cleared A from the buffer and B from the wire; the TX half's
+  // set_down() reclaimed both slots, so no credit is owed for either.
   EXPECT_EQ(s.rx.frames_dropped(), 2u);
   EXPECT_EQ(s.tx.frames_dropped(), 0u);
   EXPECT_EQ(tx_depth, (std::vector<std::size_t>{0, 0}));
   EXPECT_EQ(tx_ready, (std::vector<bool>{false, true}));
   EXPECT_EQ(taken_at, std::vector<sim::SimTime>{4026});
-  EXPECT_EQ(s.tx.frames_carried(), 3u);
+  // A and C landed; B never did.
+  EXPECT_EQ(s.rx.frames_carried(), 2u);
+  EXPECT_EQ(s.tx.frames_carried(), 0u);
   EXPECT_EQ(s.rx.buffered(), 0u);
   EXPECT_EQ(s.tx.queue_depth(), 0u);
   EXPECT_TRUE(s.tx.ready());
   EXPECT_FALSE(s.rx.is_down());
+}
+
+TEST(LinkSplit, StaleCreditAfterRecoveryCannotFreeAnOccupiedSlot) {
+  SplitPair s({.ns_per_byte = 1, .latency = 1000, .buffer_frames = 1});
+  // A (sent at 0) lands at 1026 and is taken at 1030; its credit is due at
+  // 2030.  The cable flaps 1040-1100 first, so the recovered TX half owns
+  // the one slot again, and B (sent at 1200, lands 2226) takes it and
+  // stays parked.  A's credit is stale: it must not free B's slot.
+  s.tx_sim().post_at(0, [&] { s.tx.send(frame_to(1, 10)); });
+  s.rx_sim().post_at(1030, [&] { EXPECT_TRUE(s.rx.take().has_value()); });
+  for (Link* half : {&s.tx, &s.rx}) {
+    sim::Simulator& sim = half == &s.tx ? s.tx_sim() : s.rx_sim();
+    sim.post_at(1040, [half] { half->set_down(); });
+    sim.post_at(1100, [half] { half->set_up(); });
+  }
+  s.tx_sim().post_at(1200, [&] {
+    ASSERT_TRUE(s.tx.ready());
+    s.tx.send(frame_to(1, 10));
+  });
+  // Readiness after B would be a freed slot: fill it once, as a switch
+  // would.
+  std::vector<sim::SimTime> ready_at;
+  s.tx.set_ready_cb([&] {
+    ready_at.push_back(s.tx_sim().now());
+    if (ready_at.size() == 2) s.tx.send(frame_to(1, 10));
+  });
+  s.rt.run();
+  EXPECT_EQ(ready_at, std::vector<sim::SimTime>{1100});
+  EXPECT_EQ(s.rx.frames_dropped(), 0u);
+  EXPECT_FALSE(s.rx.is_down());
+  EXPECT_EQ(s.rx.buffered(), 1u);
+  EXPECT_EQ(s.rx.frames_carried(), 2u);
+  EXPECT_EQ(s.tx.queue_depth(), 1u);
+  EXPECT_FALSE(s.tx.ready());
+}
+
+TEST(LinkSplit, FlapDropsInFlightFrameLikeAWholeLink) {
+  // One frame, sent at 0 and due at 1026, is on the wire while the cable
+  // flaps 500-600: a whole link and a split pair must both lose it.
+  const Link::Params p{.ns_per_byte = 1, .latency = 1000, .buffer_frames = 2};
+  const auto flap = [](sim::Simulator& sim, Link& half) {
+    sim.post_at(500, [&half] { half.set_down(); });
+    sim.post_at(600, [&half] { half.set_up(); });
+  };
+
+  sim::Simulator sim;
+  Link whole(sim, "w", p);
+  int whole_delivered = 0;
+  whole.set_deliver_cb([&] { ++whole_delivered; });
+  sim.post_at(0, [&] { whole.send(frame_to(1, 10)); });
+  flap(sim, whole);
+  sim.run();
+
+  SplitPair s(p);
+  int split_delivered = 0;
+  s.rx.set_deliver_cb([&] { ++split_delivered; });
+  s.tx_sim().post_at(0, [&] { s.tx.send(frame_to(1, 10)); });
+  flap(s.tx_sim(), s.tx);
+  flap(s.rx_sim(), s.rx);
+  s.rt.run();
+
+  EXPECT_EQ(whole_delivered, 0);
+  EXPECT_EQ(whole.frames_dropped(), 1u);
+  EXPECT_EQ(split_delivered, 0);
+  EXPECT_EQ(s.rx.frames_dropped() + s.tx.frames_dropped(), 1u);
+  // Both cables come back empty and ready.
+  EXPECT_TRUE(whole.ready());
+  EXPECT_EQ(whole.buffered(), 0u);
+  EXPECT_TRUE(s.tx.ready());
+  EXPECT_EQ(s.tx.queue_depth(), 0u);
+  EXPECT_EQ(s.rx.buffered(), 0u);
 }
 
 }  // namespace

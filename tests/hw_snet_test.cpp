@@ -136,5 +136,24 @@ TEST(Snet, StatsCountGrantsAndDeliveries) {
   EXPECT_EQ(bus.overflows(), 0u);
 }
 
+TEST(SnetDeathTest, SecondOutstandingSendFromOneProcessorAsserts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  SnetBus bus(sim, 3);
+  bus.request_send(1, frame_to(2, 10), [](bool) {});  // crossing the bus
+  bus.request_send(0, frame_to(2, 10), [](bool) {});  // queued behind it
+  EXPECT_DEATH(bus.request_send(1, frame_to(2, 10), [](bool) {}),
+               "one outstanding S/NET send");
+  EXPECT_DEATH(bus.request_send(0, frame_to(2, 10), [](bool) {}),
+               "one outstanding S/NET send");
+  // A completion callback may send again: its own request is finished.
+  int resent = 0;
+  bus.request_send(2, frame_to(1, 10), [&](bool) {
+    bus.request_send(2, frame_to(1, 10), [&](bool) { ++resent; });
+  });
+  sim.run();
+  EXPECT_EQ(resent, 1);
+}
+
 }  // namespace
 }  // namespace hpcvorx::hw

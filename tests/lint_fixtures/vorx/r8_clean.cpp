@@ -20,6 +20,22 @@ struct Gate {
   std::vector<std::coroutine_handle<>> waiters;
 };
 
+// A task wrapper holds its own frame's handle: declaring its promise type
+// as a member is what marks it as machinery.
+class Job {
+ public:
+  struct promise_type {
+    Job get_return_object();
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() {}
+  };
+
+ private:
+  std::coroutine_handle<promise_type> frame_;
+};
+
 void arm_counter(Scheduler& s, int start) {
   s.schedule_after(10, [start] { (void)(start + 1); });
 }

@@ -24,6 +24,20 @@ class Backlog {
   std::vector<std::coroutine_handle<>> parked_;  // R8 stored-handle (container)
 };
 
+// Nesting an awaiter does not make the enclosing class one.
+class Mailbox {
+ public:
+  struct Waiter {
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { box->parked_ = h; }
+    void await_resume() const noexcept {}
+    Mailbox* box;
+  };
+
+ private:
+  std::coroutine_handle<> parked_;  // R8 stored-handle (awaiter only nested)
+};
+
 void leak_local(Scheduler& s) {
   int hits = 0;
   s.schedule_after(10, [&hits] { ++hits; });  // R8 ref-capture-escape

@@ -643,7 +643,7 @@ TEST(LintFixtures, R7FixtureViolates) {
 TEST(LintFixtures, R8FixtureViolates) {
   auto d =
       lint({{"vorx/r8_lifetime.cpp", read_fixture("vorx/r8_lifetime.cpp")}});
-  EXPECT_EQ(count_check(d, "R8", "stored-handle"), 2);
+  EXPECT_EQ(count_check(d, "R8", "stored-handle"), 3);
   EXPECT_EQ(count_check(d, "R8", "ref-capture-escape"), 1);
 }
 
