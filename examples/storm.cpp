@@ -118,11 +118,13 @@ int main(int argc, char** argv) {
   // Machines are built the same way on either engine; only the driver
   // differs.  --shards 1 is byte-identical to the sequential run (R6).
   // A machine the fabric cannot build (too many nodes for the cluster
-  // port budget, more shards than clusters) is a usage error: print the
-  // fabric's actionable message rather than terminate on the exception.
+  // port budget, more shards than clusters), or a horizon the workload's
+  // latency samples cannot span, is a usage error: print the actionable
+  // message rather than terminate on the exception.
   std::unique_ptr<sim::Simulator> seq_sim;
   std::unique_ptr<sim::ShardRuntime> rt;
   std::unique_ptr<vorx::System> sys;
+  std::unique_ptr<vorx::WorkloadGen> gen;
   try {
     if (shards == 0) {
       seq_sim = std::make_unique<sim::Simulator>();
@@ -131,15 +133,15 @@ int main(int argc, char** argv) {
       rt = std::make_unique<sim::ShardRuntime>(shards);
       sys = std::make_unique<vorx::System>(*rt, scfg);
     }
+    gen = std::make_unique<vorx::WorkloadGen>(*sys, wcfg, seed);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "storm: %s\n", e.what());
     return 2;
   }
 
-  vorx::WorkloadGen gen(*sys, wcfg, seed);
-  vorx::FaultInjector inj(*sys, &gen);
+  vorx::FaultInjector inj(*sys, gen.get());
   const sim::FaultPlan plan = sim::FaultPlan::named(
-      plan_name, gen.machine_shape(), seed, wcfg.horizon);
+      plan_name, gen->machine_shape(), seed, wcfg.horizon);
   inj.install(plan);
 
   std::printf("storm: users=%d nodes=%d hosts=%d horizon_ms=%ld seed=%llu\n",
@@ -151,8 +153,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(inj.cluster_restarts()),
               static_cast<unsigned long long>(inj.host_faults()));
 
-  gen.run();
-  const vorx::WorkloadReport r = gen.report();
+  gen->run();
+  const vorx::WorkloadReport r = gen->report();
   std::fputs(r.to_text().c_str(), stdout);
 
   if (!r.all_accounted()) {

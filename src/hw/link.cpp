@@ -108,8 +108,7 @@ void Link::deliver_head() {
 
 std::optional<Frame> Link::take() {
   if (landed_ == 0) return std::nullopt;
-  Frame f = std::move(frames_.front());
-  frames_.pop_front();
+  Frame f = frames_.pop_front();
   --landed_;
   sample_depth();
   if (peer_ != nullptr) {

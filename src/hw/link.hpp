@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cassert>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "hw/frame.hpp"
+#include "hw/frame_ring.hpp"
 #include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
 
@@ -41,7 +41,8 @@ class Link final : public sim::ShardExchange {
   };
 
   Link(sim::Simulator& sim, std::string name, Params p)
-      : sim_(sim), name_(std::move(name)), p_(p) {
+      : sim_(sim), name_(std::move(name)), p_(p),
+        frames_(static_cast<std::size_t>(p.buffer_frames)) {
     assert(p_.buffer_frames >= 1);
   }
   Link(const Link&) = delete;
@@ -63,7 +64,9 @@ class Link final : public sim::ShardExchange {
 
   // ---- downstream (receiving) side ----
 
-  /// Frame at the head of the downstream buffer, or nullptr.
+  /// Frame at the head of the downstream buffer, or nullptr.  Valid until
+  /// the next frame enters the buffer (send(), or an RX half's drain),
+  /// which may grow its storage.
   [[nodiscard]] const Frame* peek() const {
     return landed_ == 0 ? nullptr : &frames_.front();
   }
@@ -193,8 +196,9 @@ class Link final : public sim::ShardExchange {
   // (start + ser_a + latency).  Landing a frame therefore only advances
   // `landed_`, and the delivery event captures only `this` — a whole Frame
   // in the capture would spill the event queue's inline storage.  Every
-  // frame here holds a slot, so size() <= buffer_frames on every link.
-  std::deque<Frame> frames_;
+  // frame here holds a slot, so size() <= buffer_frames on every link, and
+  // the ring's storage grows only as deep as the link has ever queued.
+  FrameRing frames_;
   std::size_t landed_ = 0;
   // Downstream slots reserved by send(): freed by take() on a whole link,
   // by a credit on a TX half, and all at once by set_down().

@@ -56,15 +56,23 @@ inline constexpr Duration kSecond = 1'000'000'000;
   return static_cast<double>(d) / static_cast<double>(kSecond);
 }
 
+/// The nearest-rank rule, as a 0-based index into a sorted sample of `n`
+/// (n > 0) values: rank ceil(n * pct / 100), rank 1 when that is 0.  The
+/// one place the rule is written; nearest_rank and selection-based
+/// callers (vorx::percentile_us) both index with it.
+[[nodiscard]] constexpr std::size_t nearest_rank_index(std::size_t n,
+                                                       int pct) {
+  assert(n > 0 && pct >= 0 && pct <= 100);
+  const std::size_t rank = (n * static_cast<std::size_t>(pct) + 99) / 100;
+  return rank == 0 ? 0 : rank - 1;
+}
+
 /// Nearest-rank percentile of a sorted, non-empty sample: the
 /// rank-ceil(n * pct / 100) sample, rank 1 when that is 0.  It is always a
 /// measured value, and p50 of an even count is the lower middle sample.
 [[nodiscard]] inline Duration nearest_rank(std::span<const Duration> sorted,
                                            int pct) {
-  assert(!sorted.empty() && pct >= 0 && pct <= 100);
-  const std::size_t rank =
-      (sorted.size() * static_cast<std::size_t>(pct) + 99) / 100;
-  return sorted[rank == 0 ? 0 : rank - 1];
+  return sorted[nearest_rank_index(sorted.size(), pct)];
 }
 
 /// Human-readable rendering, e.g. "303.0us" or "2.13s".

@@ -1,5 +1,7 @@
 #include "vorx/node.hpp"
 
+#include <cassert>
+
 namespace hpcvorx::vorx {
 
 Node::Node(sim::Simulator& sim, hw::Endpoint& ep, const CostModel& costs,
@@ -31,14 +33,30 @@ Node::Node(sim::Simulator& sim, hw::Endpoint& ep, const CostModel& costs,
   });
 }
 
+Node::~Node() {
+  // Each ~Stub unregisters itself, so the stubs die from a detached table
+  // and their erases find this one already empty.
+  auto doomed = std::move(stubs_);
+  stubs_.clear();
+}
+
 Stub& Node::make_stub() {
   const std::uint64_t id =
       (static_cast<std::uint64_t>(station()) + 1) * 100'000ULL + next_stub_id_++;
-  stubs_owned_.push_back(std::make_unique<Stub>(*this, id, host_env_));
-  return *stubs_owned_.back();
+  auto [it, fresh] =
+      stubs_.emplace(id, std::unique_ptr<Stub>(new Stub(*this, id, host_env_)));
+  assert(fresh);
+  return *it->second;
 }
 
-void Node::add_stub(Stub* s) { stubs_[s->id()] = s; }
+void Node::free_stub(std::uint64_t id) {
+  auto it = stubs_.find(id);
+  assert(it != stubs_.end() && "free_stub: no such stub");
+  assert(!it->second->busy() && it->second->queue_depth() == 0 &&
+         "free_stub: the stub is serving or has requests queued");
+  // ~Stub erases the entry; destroy the stub outside the map's own erase.
+  std::unique_ptr<Stub> doomed = std::move(it->second);
+}
 
 void Node::remove_stub(std::uint64_t id) { stubs_.erase(id); }
 

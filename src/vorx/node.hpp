@@ -32,6 +32,7 @@ class Node {
        std::string name, OmService::Locator manager_locator, Options opts);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
+  ~Node();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] sim::Cpu& cpu() { return cpu_; }
@@ -47,12 +48,17 @@ class Node {
   /// workstation stations; exists on every node for uniformity.
   [[nodiscard]] HostEnv& host_env() { return host_env_; }
 
-  /// Creates a stub process on this (host) node.
+  /// Creates a stub process on this (host) node.  The node owns it, by
+  /// id, until free_stub(id) or the node's own destruction.
   Stub& make_stub();
+  /// Destroys stub `id`: its node process is gone, so the stub exits too
+  /// (§3.3).  The stub must be idle — neither serving a request nor
+  /// holding one queued — or an assert fires.
+  void free_stub(std::uint64_t id);
+  /// Stubs alive on this node.
+  [[nodiscard]] std::size_t stub_count() const { return stubs_.size(); }
 
-  // Registries for syscall routing (used by Stub / SyscallClient).
-  void add_stub(Stub* s);
-  void remove_stub(std::uint64_t id);
+  // Registry for syscall replies (used by SyscallClient).
   void add_sys_client(std::uint64_t key, SyscallClient* c);
   [[nodiscard]] NodeCensus& census() { return census_; }
   [[nodiscard]] const CostModel& costs() const { return costs_; }
@@ -85,6 +91,10 @@ class Node {
   }
 
  private:
+  friend class Stub;
+  /// Unregisters stub `id`; only ~Stub calls it, once per stub.
+  void remove_stub(std::uint64_t id);
+
   sim::Simulator& sim_;
   std::string name_;
   const CostModel& costs_;
@@ -98,8 +108,7 @@ class Node {
   HostEnv host_env_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Udco>> udcos_;
-  std::vector<std::unique_ptr<Stub>> stubs_owned_;
-  std::unordered_map<std::uint64_t, Stub*> stubs_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Stub>> stubs_;
   std::unordered_map<std::uint64_t, SyscallClient*> sys_clients_;
   std::uint64_t next_stub_id_ = 1;
   std::unordered_map<std::uint64_t, std::vector<hw::Frame>> udco_orphans_;

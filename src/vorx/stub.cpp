@@ -47,9 +47,7 @@ Stub::Stub(Node& host, std::uint64_t id, HostEnv& env)
     : host_(host), id_(id), env_(env),
       // Stubs run with their own CPU-owner identity; ids come from the
       // owning simulator so two shards never share a counter (R6).
-      owner_(host.simulator().allocate_id()) {
-  host_.add_stub(this);
-}
+      owner_(host.simulator().allocate_id()) {}
 
 Stub::~Stub() { host_.remove_stub(id_); }
 
@@ -60,9 +58,12 @@ void Stub::on_request(hw::Frame f) {
 
 sim::Proc Stub::serve() {
   serving_ = true;
-  while (!reqq_.empty()) {
-    hw::Frame f = std::move(reqq_.front());
-    reqq_.pop_front();
+  while (reqq_head_ < reqq_.size()) {
+    hw::Frame f = std::move(reqq_[reqq_head_++]);
+    if (reqq_head_ == reqq_.size()) {
+      reqq_.clear();
+      reqq_head_ = 0;
+    }
     const ReqHeader h = decode_header(f);
     // The stub is an ordinary UNIX process on the host.
     co_await host_.cpu().run(sim::prio::kUserDefault,

@@ -86,7 +86,6 @@ struct SyscallResult {
 /// trade-offs).
 class Stub {
  public:
-  Stub(Node& host, std::uint64_t id, HostEnv& env);
   Stub(const Stub&) = delete;
   Stub& operator=(const Stub&) = delete;
   ~Stub();
@@ -94,7 +93,9 @@ class Stub {
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] int open_files() const { return static_cast<int>(fds_.size()); }
   [[nodiscard]] std::uint64_t calls_served() const { return served_; }
-  [[nodiscard]] std::size_t queue_depth() const { return reqq_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const {
+    return reqq_.size() - reqq_head_;
+  }
   /// True while the stub is serving a request (§ 3.3: a blocking syscall
   /// keeps it true for the full wait).
   [[nodiscard]] bool busy() const { return serving_; }
@@ -102,13 +103,19 @@ class Stub {
  private:
   friend class SyscallClient;
   friend class Node;
+  // Only Node::make_stub creates stubs: the node owns each one.
+  Stub(Node& host, std::uint64_t id, HostEnv& env);
   void on_request(hw::Frame f);
   sim::Proc serve();  // strictly serial: the §3.3 blocking hazard
 
   Node& host_;
   std::uint64_t id_;
   HostEnv& env_;
-  std::deque<hw::Frame> reqq_;
+  // Request FIFO: reqq_[reqq_head_..] waiting.  A vector allocates nothing
+  // until the first request (most stubs never get one), and serve() rewinds
+  // it whenever it drains.
+  std::vector<hw::Frame> reqq_;
+  std::size_t reqq_head_ = 0;
   bool serving_ = false;
   std::map<int, std::pair<std::string, std::size_t>> fds_;  // fd -> (path, offset)
   int next_fd_ = 3;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "vorx/node.hpp"
 #include "vorx/stub.hpp"
@@ -93,12 +95,6 @@ sim::Duration sample_pareto(sim::Rng& rng, sim::Duration xm, double alpha,
   return d;
 }
 
-// sim::nearest_rank in integer microseconds; -1 when empty.
-std::int64_t percentile_us(const std::vector<sim::Duration>& sorted,
-                           int pct) {
-  return sorted.empty() ? -1 : sim::nearest_rank(sorted, pct) / 1000;
-}
-
 // ---- the fixed traffic shape (DESIGN.md §14.1) ----------------------------
 //
 // Only the user count and the horizon vary between runs (WorkloadConfig);
@@ -150,7 +146,50 @@ constexpr sim::Duration kTtlEff = std::max(
                          (kGapCap + kSpurtCap + kFrameInterval) +
                      sim::msec(50));
 
+// Virtual time at which a run over `horizon` stops: every watchdog has
+// fired by then.
+constexpr sim::SimTime run_end(sim::Duration horizon) {
+  return horizon + kTtlEff + sim::msec(10);
+}
+
+// No latency sample exceeds the run's end time, so a horizon whose run
+// ends by here keeps every sample within 32-bit microseconds.
+constexpr sim::SimTime kMaxRunEnd =
+    static_cast<sim::SimTime>(std::numeric_limits<std::uint32_t>::max()) *
+        sim::kMicrosecond +
+    (sim::kMicrosecond - 1);
+
+// `cfg` when its latencies fit the samples' 32-bit microseconds; throws
+// std::invalid_argument naming the longest horizon that fits otherwise.
+WorkloadConfig checked(WorkloadConfig cfg) {
+  if (cfg.horizon > kMaxRunEnd - run_end(0)) {
+    throw std::invalid_argument(
+        "vorx::WorkloadGen: horizon " +
+        std::to_string(cfg.horizon / sim::kMillisecond) +
+        " ms would let latencies overflow the 32-bit microsecond samples "
+        "(about 71 min of virtual time); set WorkloadConfig::horizon to at "
+        "most " +
+        std::to_string((kMaxRunEnd - run_end(0)) / sim::kMillisecond) +
+        " ms");
+  }
+  return cfg;
+}
+
 }  // namespace
+
+std::uint32_t latency_us(sim::Duration ns) {
+  assert(ns >= 0 && ns <= kMaxRunEnd);
+  return static_cast<std::uint32_t>(ns / sim::kMicrosecond);
+}
+
+std::int64_t percentile_us(std::span<std::uint32_t> samples, int pct) {
+  if (samples.empty()) return -1;
+  const auto k =
+      samples.begin() + static_cast<std::ptrdiff_t>(
+                            sim::nearest_rank_index(samples.size(), pct));
+  std::nth_element(samples.begin(), k, samples.end());
+  return *k;
+}
 
 // ---- pre-generated session descriptors -----------------------------------
 
@@ -268,8 +307,8 @@ struct WorkloadGen::Impl {
     std::vector<char> member_in;     // by member slot: 1 while a member
     Feed member_gc_feed;             // member-side GC deadlines
     Feed* arrivals = nullptr;        // this node's simulator's arrival feed
-    std::vector<sim::Duration> join_lat;
-    std::vector<sim::Duration> deliv_lat;
+    std::vector<std::uint32_t> join_lat;   // latency_us samples
+    std::vector<std::uint32_t> deliv_lat;
     // (time, +1/-1) activation log for the concurrent-sessions peak.
     std::vector<std::pair<sim::SimTime, int>> active_log;
     std::uint64_t completed = 0;
@@ -344,9 +383,7 @@ struct WorkloadGen::Impl {
   // Clears a resolved session's root slot (and frees its vectors).
   static void resolve(RootSession& rs) { rs = RootSession{}; }
 
-  [[nodiscard]] sim::SimTime end_time() const {
-    return cfg.horizon + kTtlEff + sim::msec(10);
-  }
+  [[nodiscard]] sim::SimTime end_time() const { return run_end(cfg.horizon); }
 
   System& sys;
   WorkloadConfig cfg;
@@ -679,7 +716,7 @@ void WorkloadGen::Impl::activate(NodeAgent& ag, RootSession& rs) {
   }
   ag.members_joined += rs.live.size();
   const sim::SimTime now = ag.node->simulator().now();
-  ag.join_lat.push_back(now - rs.desc->start);
+  ag.join_lat.push_back(latency_us(now - rs.desc->start));
   ag.active_log.emplace_back(now, +1);
   if (rs.desc->spurts.empty()) {
     finish(ag, rs.desc->id);
@@ -824,7 +861,7 @@ void WorkloadGen::Impl::on_data(NodeAgent& ag, const hw::Frame& f) {
   assert(f.seq < ag.member_in.size());
   if (ag.member_in[f.seq] == 0) return;  // left / stale
   const sim::SimTime now = ag.node->simulator().now();
-  ag.deliv_lat.push_back(now - static_cast<sim::SimTime>(f.aux));
+  ag.deliv_lat.push_back(latency_us(now - static_cast<sim::SimTime>(f.aux)));
   ++ag.data_delivered;
 }
 
@@ -875,7 +912,7 @@ void WorkloadGen::Impl::on_alloc_req(HostAgent& h, const hw::Frame& f) {
 void WorkloadGen::Impl::on_alloc_free(HostAgent& h, const hw::Frame& f) {
   auto it = h.slots.find(f.obj);
   if (it == h.slots.end()) return;  // crashed host came back empty, or dup
-  h.node->remove_stub(it->second);
+  h.node->free_stub(it->second);
   h.slots.erase(it);
 }
 
@@ -887,7 +924,7 @@ void WorkloadGen::Impl::set_host_crashed(int host, bool crashed) {
   // Crash: every stub dies with the host; slots are gone.  Roots holding
   // these slots never notice (media flows node-to-node) — their eventual
   // kAllocFree just finds nothing, which is exactly the dead-stub story.
-  for (const auto& slot : h.slots) h.node->remove_stub(slot.second);
+  for (const auto& slot : h.slots) h.node->free_stub(slot.second);
   h.killed += h.slots.size();
   h.slots.clear();
 }
@@ -895,8 +932,8 @@ void WorkloadGen::Impl::set_host_crashed(int host, bool crashed) {
 // ---- WorkloadGen public surface -------------------------------------------
 
 WorkloadGen::WorkloadGen(System& sys, WorkloadConfig cfg, std::uint64_t seed)
-    : sys_(sys), cfg_(cfg),
-      impl_(std::make_unique<Impl>(sys, std::move(cfg), seed)) {}
+    : sys_(sys), cfg_(checked(cfg)),
+      impl_(std::make_unique<Impl>(sys, cfg_, seed)) {}
 
 WorkloadGen::~WorkloadGen() = default;
 
@@ -904,6 +941,10 @@ void WorkloadGen::run() { sys_.run_until(impl_->end_time()); }
 
 std::uint64_t WorkloadGen::sessions_generated() const {
   return impl_->descs.size();
+}
+
+std::size_t WorkloadGen::slots_held(int host) const {
+  return impl_->host_agents.at(static_cast<std::size_t>(host))->slots.size();
 }
 
 sim::MachineShape WorkloadGen::machine_shape() {
@@ -918,9 +959,19 @@ WorkloadReport WorkloadGen::report() {
   WorkloadReport r;
   r.sessions_total = impl_->descs.size();
   r.horizon_us = cfg_.horizon / 1000;
-  std::vector<sim::Duration> join, deliv;
-  std::vector<std::pair<sim::SimTime, int>> log;
   // Merge in node-index order: deterministic whatever the shard layout.
+  // Each merged vector is sized exactly before it fills.
+  std::size_t njoin = 0, ndeliv = 0, nlog = 0;
+  for (const auto& ag : impl_->node_agents) {
+    njoin += ag->join_lat.size();
+    ndeliv += ag->deliv_lat.size();
+    nlog += ag->active_log.size();
+  }
+  std::vector<std::uint32_t> join, deliv;
+  std::vector<std::pair<sim::SimTime, int>> log;
+  join.reserve(njoin);
+  deliv.reserve(ndeliv);
+  log.reserve(nlog);
   for (const auto& ag : impl_->node_agents) {
     r.completed += ag->completed;
     r.failed_joins += ag->failed_joins;
@@ -946,8 +997,6 @@ WorkloadReport WorkloadGen::report() {
     r.stubs_killed += h->killed;
   }
   r.fabric_frames_dropped = sys_.fabric().frames_dropped();
-  std::sort(join.begin(), join.end());
-  std::sort(deliv.begin(), deliv.end());
   r.join_p50_us = percentile_us(join, 50);
   r.join_p99_us = percentile_us(join, 99);
   r.delivery_p50_us = percentile_us(deliv, 50);

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,17 @@ struct WorkloadReport {
   [[nodiscard]] std::string to_text() const;
 };
 
+/// A latency sample as WorkloadGen stores it: whole microseconds, rounded
+/// down, in 32 bits.  Rounding down never reorders two samples, so the
+/// nearest-rank percentile of the stored samples is exactly the
+/// microseconds of the nanosecond percentile (DESIGN.md §14.1).
+[[nodiscard]] std::uint32_t latency_us(sim::Duration ns);
+
+/// sim::nearest_rank of `samples` (latency_us values), found by selection
+/// rather than a full sort; reorders `samples`.  -1 when empty.
+[[nodiscard]] std::int64_t percentile_us(std::span<std::uint32_t> samples,
+                                         int pct);
+
 /// The open-loop conferencing workload over a vorx::System.
 ///
 /// Usage:
@@ -113,6 +125,8 @@ struct WorkloadReport {
 ///   vorx::WorkloadReport r = gen.report();
 class WorkloadGen {
  public:
+  /// Throws std::invalid_argument when `cfg.horizon` is so long (about
+  /// 71 min) that a latency could overflow the 32-bit samples.
   WorkloadGen(System& sys, WorkloadConfig cfg, std::uint64_t seed);
   WorkloadGen(const WorkloadGen&) = delete;
   WorkloadGen& operator=(const WorkloadGen&) = delete;
@@ -128,6 +142,8 @@ class WorkloadGen {
   [[nodiscard]] sim::MachineShape machine_shape();
 
   [[nodiscard]] std::uint64_t sessions_generated() const;
+  /// Session slots host `host` holds now; each one holds a live stub.
+  [[nodiscard]] std::size_t slots_held(int host) const;
   [[nodiscard]] const WorkloadConfig& config() const { return cfg_; }
   [[nodiscard]] System& system() { return sys_; }
 

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <deque>
 #include <optional>
 #include <vector>
 
 #include "hw/frame_pool.hpp"
+#include "hw/frame_ring.hpp"
 #include "hw/link.hpp"
+#include "sim/random.hpp"
 #include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
 
@@ -18,6 +21,60 @@ Frame frame_to(StationId dst, std::uint32_t payload) {
   f.dst = dst;
   f.payload_bytes = payload;
   return f;
+}
+
+TEST(FrameRing, AllocatesOnFirstFrameAndDoublesUpToItsBound) {
+  FrameRing ring(5);
+  EXPECT_EQ(ring.capacity(), 0u);
+  std::vector<std::size_t> caps;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Frame f;
+    f.seq = i;
+    ring.push_back(f);
+    caps.push_back(ring.capacity());
+  }
+  EXPECT_EQ(caps, (std::vector<std::size_t>{1, 2, 4, 4, 5}));
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(ring.pop_front().seq, i);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), 5u);
+}
+
+TEST(FrameRing, MatchesADequeAcrossWrapAndGrowth) {
+  // A bound that is not a power of two: growth stops at 2, 4, then 7.
+  FrameRing ring(7);
+  std::deque<std::uint64_t> ref;
+  sim::Rng rng(3);
+  std::uint64_t next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (ref.size() < 7 && (ref.empty() || rng.chance(0.55))) {
+      Frame f;
+      f.seq = next;
+      ring.push_back(f);
+      ref.push_back(next++);
+    } else {
+      EXPECT_EQ(ring.pop_front().seq, ref.front());
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ring[i].seq, ref[i]) << "step " << step << " index " << i;
+    }
+  }
+  EXPECT_LE(ring.capacity(), 7u);
+}
+
+TEST(FrameRing, ClearReleasesPayloadsAndKeepsStorage) {
+  FrameRing ring(2);
+  const Payload data = make_payload(std::vector<std::byte>(4));
+  Frame f;
+  f.data = data;
+  ring.push_back(f);
+  ring.push_back(std::move(f));
+  EXPECT_EQ(data.use_count(), 3);
+  ring.clear();
+  EXPECT_EQ(data.use_count(), 1);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), 2u);
 }
 
 TEST(Link, DeliversAfterSerializationPlusLatency) {
