@@ -91,7 +91,7 @@ void Cluster::attach_in(int port, Link* in) {
   assert(port >= 0 && port < num_ports() &&
          ins_[static_cast<std::size_t>(port)].link == nullptr);
   ins_[static_cast<std::size_t>(port)].link = in;
-  in->set_deliver_cb([this, port] { on_input(port); });
+  in->set_receiver(this, port);
 }
 
 void Cluster::attach_out(int port, Link* out) {
@@ -99,7 +99,7 @@ void Cluster::attach_out(int port, Link* out) {
          outs_[static_cast<std::size_t>(port)].link == nullptr);
   outs_[static_cast<std::size_t>(port)].link = out;
   set_port_ready(port, out->ready());
-  out->set_ready_cb([this, port] { try_output(port); });
+  out->set_sender(this, port);
 }
 
 void Cluster::set_multicast_route(std::uint64_t gid,

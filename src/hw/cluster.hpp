@@ -39,18 +39,18 @@ namespace hpcvorx::hw {
 
 inline constexpr int kClusterPorts = 12;
 
-class Cluster {
+class Cluster final : public LinkConsumer {
  public:
   Cluster(sim::Simulator& sim, std::string name, int num_ports = kClusterPorts);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   /// Attaches the incoming link whose downstream buffer is this port's
-  /// input fifo.  The cluster subscribes to its delivery callback.
+  /// input fifo.  The cluster becomes the link's receiver.
   void attach_in(int port, Link* in);
 
   /// Attaches the outgoing link transmitted by this port.  The cluster
-  /// subscribes to its ready callback and is the link's only sender.
+  /// becomes the link's sender, and is its only one.
   void attach_out(int port, Link* out);
 
   /// Candidate mask of a route whose alternatives include a port >= 64.
@@ -227,6 +227,10 @@ class Cluster {
   /// registering the input in the set's rows on first touch.
   const std::vector<int>& mcast_ports(int in_port, const Frame& head);
   void unregister(int in_port);
+  // The links' consumer interface: an output link on `port` may have
+  // become ready, or a frame landed in the input link on `port`.
+  void link_ready(int port) override { try_output(port); }
+  void link_delivered(int port) override { on_input(port); }
   void set_port_ready(int port, bool ready);
   void resync_ready();
   /// walk() := row(out) | pending | blocked heads whose rip-up can move.

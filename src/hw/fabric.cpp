@@ -68,6 +68,7 @@ void Fabric::add_station(int cluster_index, int local_port) {
                           std::to_string(cluster_index),
                       up_p);
   cl.attach_in(local_port, up);
+  up->set_sender(ep.get(), 0);
   ep->out_ = up;
   // Cluster -> station: the downstream buffer is the endpoint's receive
   // section.
@@ -78,6 +79,7 @@ void Fabric::add_station(int cluster_index, int local_port) {
                             std::to_string(id),
                         down_p);
   cl.attach_out(local_port, down);
+  down->set_receiver(ep.get(), 0);
   ep->in_ = down;
   ep->pool_ =
       &pools_[static_cast<std::size_t>(shard_of_cluster(cluster_index))];

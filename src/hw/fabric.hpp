@@ -28,6 +28,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,8 +46,11 @@ namespace hpcvorx::hw {
 
 class Fabric;
 
-/// A station's interface to the interconnect.
-class Endpoint {
+/// A station's interface to the interconnect.  It is the consumer of its
+/// two links — the sender of station -> cluster, the receiver of
+/// cluster -> station — and holds the OS layer's two callbacks itself, one
+/// pair per station rather than one per link.
+class Endpoint final : public LinkConsumer {
  public:
   [[nodiscard]] StationId id() const { return id_; }
 
@@ -60,7 +64,7 @@ class Endpoint {
   /// Fired whenever transmission may have become possible: the paper's
   /// "the processor receives an interrupt when room becomes available".
   void set_tx_ready_cb(std::function<void()> cb) {
-    out_->set_ready_cb(std::move(cb));
+    tx_ready_cb_ = std::move(cb);
   }
 
   [[nodiscard]] const Frame* rx_peek() const { return in_->peek(); }
@@ -69,7 +73,7 @@ class Endpoint {
   std::optional<Frame> rx_take() { return in_->take(); }
 
   /// Fired on each frame arrival: the receive interrupt.
-  void set_rx_cb(std::function<void()> cb) { in_->set_deliver_cb(std::move(cb)); }
+  void set_rx_cb(std::function<void()> cb) { rx_cb_ = std::move(cb); }
 
   /// Frames this endpoint has injected (diagnostics).
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
@@ -81,12 +85,21 @@ class Endpoint {
 
  private:
   friend class Fabric;
+  void link_ready(int /*port*/) override {
+    if (tx_ready_cb_) tx_ready_cb_();
+  }
+  void link_delivered(int /*port*/) override {
+    if (rx_cb_) rx_cb_();
+  }
+
   sim::Simulator* sim_ = nullptr;
   StationId id_ = -1;
   Link* out_ = nullptr;  // station -> cluster
   Link* in_ = nullptr;   // cluster -> station
   FramePool* pool_ = nullptr;  // owned by the Fabric
   std::uint64_t frames_sent_ = 0;
+  std::function<void()> tx_ready_cb_;
+  std::function<void()> rx_cb_;
 };
 
 /// Fabric-wide construction parameters.

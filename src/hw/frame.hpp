@@ -34,8 +34,13 @@ using Payload = std::shared_ptr<const std::vector<std::byte>>;
 }
 
 struct Frame {
+  // The 32-bit fields sit together so that no padding falls between the
+  // 64-bit words (80 bytes): every link buffer slot and every frame a
+  // switch moves is one of these.
   StationId src = -1;
   StationId dst = -1;
+  std::uint32_t payload_bytes = 0;
+  int hops = 0;  // cluster traversals (diagnostics/tests)
 
   // Software-defined dispatch fields (interpreted by the OS layer, carried
   // opaquely by the hardware — they model bits inside the header).
@@ -50,11 +55,9 @@ struct Frame {
   // multicast efficiently").
   std::uint64_t group = 0;
 
-  std::uint32_t payload_bytes = 0;
   Payload data;  // optional actual contents (null when only timing matters)
 
   sim::SimTime injected_at = 0;  // set by the endpoint at transmit time
-  int hops = 0;                  // cluster traversals (diagnostics/tests)
 
   [[nodiscard]] std::uint32_t wire_bytes() const {
     return payload_bytes + kHeaderBytes;

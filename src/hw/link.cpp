@@ -1,8 +1,49 @@
 #include "hw/link.hpp"
 
 #include <algorithm>
+#include <vector>
+
+#include "sim/shard_runtime.hpp"
 
 namespace hpcvorx::hw {
+
+// What only a split half needs: the other half, which half this is, and
+// the cross-shard messages bound for this half — frames on an RX half,
+// credits (no frame) on a TX half.  Its producer appends only while
+// running a window and drain_into() runs between the round's two barrier
+// phases, so the round barrier orders every append before the drain that
+// reads it.  The inbox, which the other shard's thread writes during a
+// window, has a cache line to itself: the owner's sends read `peer` on
+// the line before it at the same time.
+struct Link::Split final : sim::ShardExchange {
+  struct Crossing {
+    sim::SimTime at;
+    std::uint32_t epoch;
+    Frame frame;
+  };
+
+  Split(Link& self, Link& peer, bool rx_half)
+      : self(self), peer(peer), rx_half(rx_half) {}
+
+  // Most rounds bring a half nothing: an empty inbox is one size check on
+  // this object, without touching the link.
+  void drain_into(sim::Simulator& dst) override {
+    if (!inbox.empty()) self.drain_inbox(dst);
+  }
+
+  Link& self;
+  Link& peer;
+  bool rx_half;
+  alignas(64) std::vector<Crossing> inbox;
+};
+
+Link::Link(sim::Simulator& sim, std::string name, Params p)
+    : sim_(sim), name_(std::move(name)), p_(p),
+      frames_(static_cast<std::size_t>(p.buffer_frames)) {
+  assert(p_.buffer_frames >= 1);
+}
+
+Link::~Link() = default;
 
 void Link::split(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
                  Link& rx) {
@@ -10,12 +51,16 @@ void Link::split(sim::ShardRuntime& rt, int tx_shard, int rx_shard, Link& tx,
   assert(&tx.sim_ == &rt.shard(tx_shard) && &rx.sim_ == &rt.shard(rx_shard));
   assert(tx.p_.latency == rx.p_.latency &&
          "the two halves of a split link must agree on its latency");
+  assert(tx.split_ == nullptr && rx.split_ == nullptr);
+  tx.split_ = std::make_unique<Split>(tx, rx, /*rx_half=*/false);
+  rx.split_ = std::make_unique<Split>(rx, tx, /*rx_half=*/true);
   rt.note_cross_shard_latency(tx.p_.latency);
-  rt.register_exchange(rx_shard, &rx);
-  rt.register_exchange(tx_shard, &tx);
-  tx.peer_ = &rx;
-  rx.peer_ = &tx;
-  rx.rx_half_ = true;
+  rt.register_exchange(rx_shard, rx.split_.get());
+  rt.register_exchange(tx_shard, tx.split_.get());
+}
+
+Link* Link::peer() const {
+  return split_ == nullptr ? nullptr : &split_->peer;
 }
 
 void Link::send(Frame f) {
@@ -34,7 +79,7 @@ void Link::send(Frame f) {
     notify_ready();
   });
   const sim::SimTime at = sim_.now() + ser + p_.latency;
-  if (peer_ == nullptr) {
+  if (split_ == nullptr) {
     frames_.push_back(std::move(f));
     land_at(at);
     return;
@@ -49,14 +94,15 @@ void Link::send(Frame f) {
     // vorx-lint: allow(R5) cross-shard boundary copy — pooled payloads may not change shards
     f.data = make_payload(std::vector<std::byte>(f.data->begin(), f.data->end()));
   }
-  peer_->inbox_.push_back({at, fault_epoch_, std::move(f)});
+  split_->peer.split_->inbox.push_back({at, fault_epoch_, std::move(f)});
 }
 
-void Link::drain_into(sim::Simulator& dst) {
+void Link::drain_inbox(sim::Simulator& dst) {
   // split() put this half on `dst`.  It outlives every event scheduled
   // here: it is owned by the Fabric, which outlives the runtime's run.
   assert(&dst == &sim_);
-  for (Crossing& c : inbox_) {
+  const bool rx_half = split_->rx_half;
+  for (Split::Crossing& c : split_->inbox) {
     // The lookahead guarantee: everything queued during completed windows
     // arrives strictly beyond them, i.e. in this shard's future.
     assert(c.at > dst.now() &&
@@ -64,8 +110,8 @@ void Link::drain_into(sim::Simulator& dst) {
     if (c.epoch != fault_epoch_) {
       // The cable failed after this left: a frame on the wire is lost, and
       // a credit's slot was already reclaimed by set_down().
-      if (rx_half_) ++frames_dropped_;
-    } else if (rx_half_) {
+      if (rx_half) ++frames_dropped_;
+    } else if (rx_half) {
       frames_.push_back(std::move(c.frame));
       land_at(c.at);
     } else {
@@ -74,7 +120,7 @@ void Link::drain_into(sim::Simulator& dst) {
       });
     }
   }
-  inbox_.clear();
+  split_->inbox.clear();
 }
 
 void Link::set_down() {
@@ -103,7 +149,7 @@ void Link::deliver_head() {
   ++landed_;
   peak_buffered_ = std::max(peak_buffered_, landed_);
   sample_depth();
-  if (deliver_cb_) deliver_cb_();
+  if (receiver_ != nullptr) receiver_->link_delivered(receiver_port_);
 }
 
 std::optional<Frame> Link::take() {
@@ -111,10 +157,11 @@ std::optional<Frame> Link::take() {
   Frame f = frames_.pop_front();
   --landed_;
   sample_depth();
-  if (peer_ != nullptr) {
+  if (split_ != nullptr) {
     // RX half: the freed slot is reported to the TX half as a credit
     // taking effect one link latency from now (the reverse wire).
-    peer_->inbox_.push_back({sim_.now() + p_.latency, fault_epoch_, {}});
+    split_->peer.split_->inbox.push_back(
+        {sim_.now() + p_.latency, fault_epoch_, {}});
   } else {
     free_slot();
   }

@@ -8,31 +8,53 @@
 //
 // Timing: a frame occupies the transmitter for wire_bytes * ns_per_byte
 // (serialization at 160 Mbit/s = 50 ns/byte) and lands in the downstream
-// buffer a propagation latency later.  The upstream entity is notified via
-// ready_cb whenever the link may have become ready (this is the source of
-// the "room became available" transmit interrupt on node output links).
+// buffer a propagation latency later.  Each end of a link has one typed
+// consumer (LinkConsumer): the sender is told whenever the link may have
+// become ready (the source of the "room became available" transmit
+// interrupt on node output links), the receiver whenever a frame lands.
 //
 // A link whose two ends live on different shards is split into a TX half
-// and an RX half (split(), DESIGN.md §12.1).  The halves bridge themselves:
-// each is the sim::ShardExchange for its own inbound traffic, so this file
-// is the only place that knows the link protocol, whole or split.
+// and an RX half (split(), DESIGN.md §12.1).  The halves bridge themselves
+// through a side object that split() allocates for the two halves only —
+// the sim::ShardExchange for each half's inbound traffic — so a whole
+// link carries one null pointer for it, and this file pair is the only
+// place that knows the link protocol, whole or split.
 #pragma once
 
 #include <cassert>
-#include <functional>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "hw/frame.hpp"
 #include "hw/frame_ring.hpp"
-#include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
+
+namespace hpcvorx::sim {
+class ShardRuntime;
+}  // namespace hpcvorx::sim
 
 namespace hpcvorx::hw {
 
-class Link final : public sim::ShardExchange {
+/// What sits at one end of a Link: its sender (a cluster output port or a
+/// station's transmit section) or its receiver (a cluster input port or a
+/// station's receive section).  A link calls its end's consumer directly,
+/// with the port that end was attached at, so one consumer serves every
+/// link it terminates.
+class LinkConsumer {
+ public:
+  virtual ~LinkConsumer() = default;
+  /// Sender side: the link on `port` may have become ready (the consumer
+  /// must re-check ready()).  Models the transmit-space-available
+  /// interrupt.
+  virtual void link_ready(int port) = 0;
+  /// Receiver side: a frame landed in the buffer of the link on `port`.
+  virtual void link_delivered(int port) = 0;
+};
+
+class Link final {
  public:
   struct Params {
     sim::Duration ns_per_byte = 50;        // 160 Mbit/s
@@ -40,11 +62,8 @@ class Link final : public sim::ShardExchange {
     int buffer_frames = 2;                 // downstream whole-frame slots
   };
 
-  Link(sim::Simulator& sim, std::string name, Params p)
-      : sim_(sim), name_(std::move(name)), p_(p),
-        frames_(static_cast<std::size_t>(p.buffer_frames)) {
-    assert(p_.buffer_frames >= 1);
-  }
+  Link(sim::Simulator& sim, std::string name, Params p);
+  ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
@@ -52,15 +71,19 @@ class Link final : public sim::ShardExchange {
   /// free and a downstream buffer slot can be reserved.
   [[nodiscard]] bool ready() const {
     return !down_ && !tx_busy_ &&
-           reserved_ < static_cast<std::size_t>(p_.buffer_frames);
+           reserved_ < static_cast<std::uint32_t>(p_.buffer_frames);
   }
 
   /// Starts transmitting `f`.  Precondition: ready().
   void send(Frame f);
 
-  /// Invoked whenever the link may have become ready (the consumer must
-  /// re-check ready()).  Models the transmit-space-available interrupt.
-  void set_ready_cb(std::function<void()> cb) { ready_cb_ = std::move(cb); }
+  /// Attaches the sender end: `c`->link_ready(port) runs whenever the link
+  /// may have become ready.  Replaces any earlier sender.  `c` must outlive
+  /// the link's events.
+  void set_sender(LinkConsumer* c, int port) {
+    sender_ = c;
+    sender_port_ = port;
+  }
 
   // ---- downstream (receiving) side ----
 
@@ -75,8 +98,12 @@ class Link final : public sim::ShardExchange {
   /// upstream transmitter to proceed).
   std::optional<Frame> take();
 
-  /// Invoked each time a frame lands in the downstream buffer.
-  void set_deliver_cb(std::function<void()> cb) { deliver_cb_ = std::move(cb); }
+  /// Attaches the receiver end: `c`->link_delivered(port) runs each time a
+  /// frame lands in the downstream buffer.  Replaces any earlier receiver.
+  void set_receiver(LinkConsumer* c, int port) {
+    receiver_ = c;
+    receiver_port_ = port;
+  }
 
   [[nodiscard]] std::size_t buffered() const { return landed_; }
 
@@ -101,25 +128,24 @@ class Link final : public sim::ShardExchange {
   // appends the freed slot's credit, effective one link latency later (the
   // reverse wire), to the TX half's inbox.  Both directions therefore keep
   // every cross-shard effect at least one latency in the future, which is
-  // what the runtime's lookahead window relies on.  At the round barrier
-  // each half drains its inbox on its own shard's thread (drain_into): the
-  // RX half queues each frame in its buffer and posts the same landing
+  // what the runtime's lookahead window relies on.  Each inbox lives in its
+  // half's side object, the sim::ShardExchange the runtime registers: at
+  // the round barrier each one is drained on its own half's shard thread;
+  // the RX half queues each frame in its buffer and posts the same landing
   // event a whole link's send() posts, the TX half posts each credit.
 
   /// Splits the (tx, rx) pair across shards: tx lives on `tx_shard`'s
-  /// simulator, rx on `rx_shard`'s.  Notes the latency and registers rx
-  /// with `rx_shard`, then tx with `tx_shard` — registration order is the
-  /// drain order, so splitting links in topology order is part of the
-  /// determinism contract (DESIGN.md §12).
+  /// simulator, rx on `rx_shard`'s.  Gives each half its side object,
+  /// notes the latency and registers rx's with `rx_shard`, then tx's with
+  /// `tx_shard` — registration order is the drain order, so splitting
+  /// links in topology order is part of the determinism contract
+  /// (DESIGN.md §12).  The TX half's sender and the RX half's receiver are
+  /// the pair's consumers; the other two ends stay unattached.
   static void split(sim::ShardRuntime& rt, int tx_shard, int rx_shard,
                     Link& tx, Link& rx);
 
   /// The other half of a split link (nullptr on a whole link).
-  [[nodiscard]] Link* peer() const { return peer_; }
-
-  /// Schedules this half's inbox into its own simulator (`dst`): frames as
-  /// landing events on an RX half, credits on a TX half.
-  void drain_into(sim::Simulator& dst) override;
+  [[nodiscard]] Link* peer() const;
 
   // ---- fault injection (DESIGN.md §14) ----
   //
@@ -156,8 +182,10 @@ class Link final : public sim::ShardExchange {
   [[nodiscard]] std::size_t peak_buffered() const { return peak_buffered_; }
 
  private:
+  struct Split;  // the split-only state (link.cpp)
+
   void notify_ready() {
-    if (ready_cb_ && ready()) ready_cb_();
+    if (sender_ != nullptr && ready()) sender_->link_ready(sender_port_);
   }
   /// Posts the landing, at `at`, of the frame just queued at the back of
   /// frames_: by a whole link's send(), or by an RX half's drain.
@@ -178,13 +206,15 @@ class Link final : public sim::ShardExchange {
     notify_ready();
   }
   void sample_depth();
+  /// A split half's inbox drained into its own simulator: frames as landing
+  /// events on an RX half, credits on a TX half.
+  void drain_inbox(sim::Simulator& dst);
 
   sim::Simulator& sim_;
   std::string name_;
   Params p_;
   bool tx_busy_ = false;
   bool down_ = false;
-  bool rx_half_ = false;  // split() sets it on the RX half
   // Bumped by every set_down()/set_up(); in-flight serialization and
   // delivery events, and cross-shard messages, captured the epoch when
   // they left and are dropped on mismatch.
@@ -199,28 +229,20 @@ class Link final : public sim::ShardExchange {
   // frame here holds a slot, so size() <= buffer_frames on every link, and
   // the ring's storage grows only as deep as the link has ever queued.
   FrameRing frames_;
-  std::size_t landed_ = 0;
+  std::uint32_t landed_ = 0;
   // Downstream slots reserved by send(): freed by take() on a whole link,
   // by a credit on a TX half, and all at once by set_down().
-  std::size_t reserved_ = 0;
-  std::function<void()> ready_cb_;
-  std::function<void()> deliver_cb_;
-  // Split links only: the other half, and the cross-shard messages bound
-  // for this half — frames on an RX half, credits (no frame) on a TX
-  // half.  Its producer appends only while running a window and
-  // drain_into() runs between the round's two barrier phases, so the round
-  // barrier orders every append before the drain that reads it.
-  struct Crossing {
-    sim::SimTime at;
-    std::uint32_t epoch;
-    Frame frame;
-  };
-  Link* peer_ = nullptr;
-  std::vector<Crossing> inbox_;
+  std::uint32_t reserved_ = 0;
+  std::uint32_t peak_buffered_ = 0;
+  int sender_port_ = -1;
+  int receiver_port_ = -1;
+  LinkConsumer* sender_ = nullptr;
+  LinkConsumer* receiver_ = nullptr;
+  // Null on a whole link; split() sets it on both halves.
+  std::unique_ptr<Split> split_;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_carried_ = 0;
   std::uint64_t bytes_carried_ = 0;
-  std::size_t peak_buffered_ = 0;
 };
 
 }  // namespace hpcvorx::hw

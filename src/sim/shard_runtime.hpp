@@ -78,8 +78,8 @@ class ShardBarrier {
   std::atomic<std::uint32_t> backoff_{1};
 };
 
-/// A shard's inbound channel from one peer.  The implementation is the
-/// receiving end itself — each half of a split hw::Link is the exchange for
+/// A shard's inbound channel from one peer.  The implementation belongs to
+/// the receiving end — each half of a split hw::Link owns the exchange for
 /// its own inbound traffic (frames into an RX half, credits into a TX
 /// half).  It buffers whatever the producer shard emitted during a window;
 /// at the round barrier the runtime calls drain_into() on the destination

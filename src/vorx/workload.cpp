@@ -1,7 +1,9 @@
 #include "vorx/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
@@ -200,6 +202,54 @@ struct SpurtDesc {
   int frames = 1;         // media frames in the spurt
 };
 
+// A list of at most N entries, stored in place.  Every per-session list is
+// bounded by the fixed traffic shape (kMaxMembers - 1 members, kMaxSpurts
+// spurts), so a heap block per list — one per session and list, live for
+// the whole run — would cost more than the entries themselves.
+template <typename T, std::size_t N>
+class InlineList {
+ public:
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  [[nodiscard]] T* begin() { return items_.data(); }
+  [[nodiscard]] T* end() { return items_.data() + n_; }
+  [[nodiscard]] const T* begin() const { return items_.data(); }
+  [[nodiscard]] const T* end() const { return items_.data() + n_; }
+  [[nodiscard]] T& operator[](std::size_t i) {
+    assert(i < n_);
+    return items_[i];
+  }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    assert(i < n_);
+    return items_[i];
+  }
+
+  void push_back(const T& v) {
+    assert(n_ < N && "InlineList is full");
+    items_[n_++] = v;
+  }
+  /// Replaces the contents with `n` copies of `v`.
+  void assign(std::size_t n, const T& v) {
+    assert(n <= N);
+    std::fill_n(items_.begin(), n, v);
+    n_ = static_cast<std::uint8_t>(n);
+  }
+  /// Removes the entry at `pos`, keeping the others' order.
+  void erase(const T* pos) {
+    T* at = begin() + (pos - begin());
+    std::move(at + 1, end(), at);
+    --n_;
+  }
+  void clear() { n_ = 0; }
+
+ private:
+  static_assert(N <= 255, "the count is one byte");
+  std::array<T, N> items_{};
+  std::uint8_t n_ = 0;
+};
+
+constexpr std::size_t kMaxOthers = kMaxMembers - 1;  // members besides root
+
 // Session state lives in dense per-node tables: every session owns one
 // root-table slot on its root node and one member-table slot on each member
 // node, numbered at generation time.  Invite, data and bye frames carry the
@@ -210,12 +260,13 @@ struct SessionDesc {
   sim::SimTime start = 0;
   int root = 0;                   // root node index
   std::uint32_t root_slot = 0;    // slot in the root node's root table
-  std::vector<int> members;       // other member node indices (unique)
-  std::vector<std::uint32_t> member_slot;  // parallel to members: slot in
-                                           // that node's member table
-  std::vector<SpurtDesc> spurts;
+  // Other member node indices (unique), and parallel to them each
+  // member's slot in that node's member table.
+  InlineList<int, kMaxOthers> members;
+  InlineList<std::uint32_t, kMaxOthers> member_slot;
+  InlineList<SpurtDesc, kMaxSpurts> spurts;
   // Churn: (position in members, leave offset from session activation).
-  std::vector<std::pair<std::size_t, sim::Duration>> leaves;
+  InlineList<std::pair<std::size_t, sim::Duration>, kMaxOthers> leaves;
 };
 
 // Root-side session phases.  kDone/kFailed/kLost are terminal; the slot is
@@ -236,8 +287,8 @@ struct RootSession {
   int attempt = 0;          // allocation attempts made
   hw::StationId host = -1;  // granted host station (-1 = none)
   int round = 0;            // invite rounds completed
-  std::vector<char> accepted;     // parallel to desc->members
-  std::vector<LiveMember> live;   // members still in the conference
+  InlineList<char, kMaxOthers> accepted;    // parallel to desc->members
+  InlineList<LiveMember, kMaxOthers> live;  // members still in the call
   std::size_t spurt = 0;
   int frames_left = 0;
 };
@@ -467,9 +518,9 @@ void WorkloadGen::Impl::generate(std::uint64_t seed) {
     }
     for (std::size_t i = 0; i < d.members.size(); ++i) {
       if (rng.chance(kChurnProb) && nominal > 0) {
-        d.leaves.emplace_back(
-            i, static_cast<sim::Duration>(
-                   rng.below(static_cast<std::uint64_t>(nominal))));
+        d.leaves.push_back(
+            {i, static_cast<sim::Duration>(
+                    rng.below(static_cast<std::uint64_t>(nominal)))});
       }
     }
     descs.push_back(std::move(d));

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "fake_link_consumer.hpp"
 #include "hw/cluster.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -72,22 +73,27 @@ class Harness {
     next_.assign(static_cast<std::size_t>(ports), 0);
     armed_.assign(static_cast<std::size_t>(ports), 0);
     schedule_.resize(static_cast<std::size_t>(ports));
+    // The harness is the receiver of every output link and the sender of
+    // every input link; the port says which.
+    ends_.delivered = [this](int p) {
+      delivered_at_[static_cast<std::size_t>(p)].push_back(sim_.now());
+      if (p % 4 == 1) {
+        relay(p);
+      } else {
+        sim_.post_after(static_cast<sim::Duration>(rng_.below(3000)),
+                        [this, p] { drain(p); });
+      }
+    };
+    ends_.ready = [this](int p) {
+      if (p % 4 == 1) {
+        relay(p);  // a loop port
+      } else {
+        feed(p);   // a sink port
+      }
+    };
     for (int p = 0; p < ports; ++p) {
-      outs_[static_cast<std::size_t>(p)]->set_deliver_cb([this, p] {
-        delivered_at_[static_cast<std::size_t>(p)].push_back(sim_.now());
-        if (p % 4 == 1) {
-          relay(p);
-        } else {
-          sim_.post_after(static_cast<sim::Duration>(rng_.below(3000)),
-                          [this, p] { drain(p); });
-        }
-      });
-    }
-    for (int p : loops_) {
-      ins_[static_cast<std::size_t>(p)]->set_ready_cb([this, p] { relay(p); });
-    }
-    for (int p : sinks_) {
-      ins_[static_cast<std::size_t>(p)]->set_ready_cb([this, p] { feed(p); });
+      outs_[static_cast<std::size_t>(p)]->set_receiver(&ends_, p);
+      ins_[static_cast<std::size_t>(p)]->set_sender(&ends_, p);
     }
     cluster_.set_route_fn([this](const Frame& f) { return route(f); });
     cluster_.set_reroute_blocked_heads(true);
@@ -256,6 +262,7 @@ class Harness {
   sim::Rng rng_;
   std::vector<std::unique_ptr<Link>> ins_;
   std::vector<std::unique_ptr<Link>> outs_;
+  FakeLinkConsumer ends_;
   std::vector<int> loops_;
   std::vector<int> sinks_;
   std::vector<std::deque<sim::SimTime>> delivered_at_;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "fake_link_consumer.hpp"
 #include "hw/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -20,6 +21,10 @@ struct Rig {
           Link::Params{.ns_per_byte = 10, .latency = 100, .buffer_frames = 2}));
       cluster.attach_in(p, ins.back().get());
       cluster.attach_out(p, outs.back().get());
+      senders.push_back(std::make_unique<FakeLinkConsumer>());
+      receivers.push_back(std::make_unique<FakeLinkConsumer>());
+      ins.back()->set_sender(senders.back().get(), p);
+      outs.back()->set_receiver(receivers.back().get(), p);
     }
     // Station `dst` is reached through output port dst.
     cluster.set_route_fn([](const Frame& f) { return Cluster::Route{f.dst}; });
@@ -27,6 +32,10 @@ struct Rig {
   Cluster cluster;
   std::vector<std::unique_ptr<Link>> ins;
   std::vector<std::unique_ptr<Link>> outs;
+  // The test's ends of the links: the sender feeding each input link and
+  // the receiver draining each output link.
+  std::vector<std::unique_ptr<FakeLinkConsumer>> senders;
+  std::vector<std::unique_ptr<FakeLinkConsumer>> receivers;
 };
 
 Frame frame_to(StationId dst, std::uint32_t payload, std::uint64_t seq = 0) {
@@ -41,9 +50,9 @@ TEST(Cluster, ForwardsToRoutedPort) {
   sim::Simulator sim;
   Rig rig(sim);
   std::vector<Frame> got;
-  rig.outs[2]->set_deliver_cb([&] {
+  rig.receivers[2]->delivered = [&](int) {
     while (auto f = rig.outs[2]->take()) got.push_back(*std::move(f));
-  });
+  };
   rig.ins[0]->send(frame_to(2, 32));
   sim.run();
   ASSERT_EQ(got.size(), 1u);
@@ -56,14 +65,14 @@ TEST(Cluster, IndependentOutputsForwardConcurrently) {
   sim::Simulator sim;
   Rig rig(sim);
   sim::SimTime t2 = -1, t3 = -1;
-  rig.outs[2]->set_deliver_cb([&] {
+  rig.receivers[2]->delivered = [&](int) {
     rig.outs[2]->take();
     t2 = sim.now();
-  });
-  rig.outs[3]->set_deliver_cb([&] {
+  };
+  rig.receivers[3]->delivered = [&](int) {
     rig.outs[3]->take();
     t3 = sim.now();
-  });
+  };
   rig.ins[0]->send(frame_to(2, 32));
   rig.ins[1]->send(frame_to(3, 32));
   sim.run();
@@ -77,11 +86,11 @@ TEST(Cluster, ContendedOutputServesInputsRoundRobin) {
   sim::Simulator sim;
   Rig rig(sim);
   std::vector<int> src_order;
-  rig.outs[3]->set_deliver_cb([&] {
+  rig.receivers[3]->delivered = [&](int) {
     while (auto f = rig.outs[3]->take()) {
       src_order.push_back(static_cast<int>(f->seq));  // seq carries input id
     }
-  });
+  };
   // Inputs 0, 1, 2 each feed 4 frames for output 3.
   for (int p = 0; p < 3; ++p) {
     auto feed = std::make_shared<std::function<void()>>();
@@ -96,7 +105,7 @@ TEST(Cluster, ContendedOutputServesInputsRoundRobin) {
         ++*sent;
       }
     };
-    in->set_ready_cb([feed] { (*feed)(); });
+    rig.senders[static_cast<size_t>(p)]->ready = [feed](int) { (*feed)(); };
     (*feed)();
   }
   sim.run();
@@ -123,9 +132,10 @@ TEST(Cluster, MulticastReplicaAccountingInvariant) {
   int delivered = 0;
   for (int p = 1; p <= 3; ++p) {
     Link* out = rig.outs[static_cast<std::size_t>(p)].get();
-    out->set_deliver_cb([out, &delivered] {
-      while (out->take()) ++delivered;
-    });
+    rig.receivers[static_cast<std::size_t>(p)]->delivered =
+        [out, &delivered](int) {
+          while (out->take()) ++delivered;
+        };
   }
   Frame mf;
   mf.group = gid;
@@ -140,10 +150,10 @@ TEST(Cluster, MulticastReplicaAccountingInvariant) {
   EXPECT_EQ(rig.cluster.bytes_forwarded(), 3u * (100 + kHeaderBytes));
 
   // A unicast forward afterwards: totals split into unicast + replicas.
-  rig.outs[2]->set_deliver_cb([&] {
+  rig.receivers[2]->delivered = [&](int) {
     while (rig.outs[2]->take()) {
     }
-  });
+  };
   rig.ins[0]->send(frame_to(2, 32));
   sim.run();
   EXPECT_EQ(rig.cluster.frames_forwarded(), 4u);
@@ -179,16 +189,16 @@ TEST(Cluster, BackpressurePropagatesUpstream) {
       ++sent;
     }
   };
-  in->set_ready_cb([feed] { (*feed)(); });
+  rig.senders[0]->ready = [feed](int) { (*feed)(); };
   (*feed)();
   sim.run();
   EXPECT_LE(sent, 5);  // 2 downstream + 2 input fifo + 1 in transit
   EXPECT_LT(sent, 10);
   // Draining the output lets the rest flow.
-  rig.outs[2]->set_deliver_cb([&] {
+  rig.receivers[2]->delivered = [&](int) {
     while (rig.outs[2]->take()) {
     }
-  });
+  };
   while (rig.outs[2]->take()) {
   }
   sim.run();

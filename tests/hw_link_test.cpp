@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "fake_link_consumer.hpp"
 #include "hw/frame_pool.hpp"
 #include "hw/frame_ring.hpp"
 #include "hw/link.hpp"
@@ -77,12 +78,24 @@ TEST(FrameRing, ClearReleasesPayloadsAndKeepsStorage) {
   EXPECT_EQ(ring.capacity(), 2u);
 }
 
+// A 4096-station fabric holds 18,432 links, and every buffered frame is a
+// Frame: typed consumers, split-only state in a side object and 32-bit
+// ring counts keep a whole link at 168 bytes or less, and field order
+// keeps a frame free of padding.  Pinned for the 64-bit g++ toolchain the
+// project builds with.
+TEST(LinkLayout, WholeLinkAndFrameStayCompact) {
+  EXPECT_LE(sizeof(Link), 168u);
+  EXPECT_EQ(sizeof(Frame), 80u);
+}
+
 TEST(Link, DeliversAfterSerializationPlusLatency) {
   sim::Simulator sim;
   Link link(sim, "l", {.ns_per_byte = 50, .latency = 500, .buffer_frames = 2});
   ASSERT_TRUE(link.ready());
   sim::SimTime delivered_at = -1;
-  link.set_deliver_cb([&] { delivered_at = sim.now(); });
+  FakeLinkConsumer rx;
+  rx.delivered = [&](int) { delivered_at = sim.now(); };
+  link.set_receiver(&rx, 0);
   link.send(frame_to(1, 84));  // wire = 84 + 16 = 100 bytes
   sim.run();
   EXPECT_EQ(delivered_at, 100 * 50 + 500);
@@ -117,7 +130,9 @@ TEST(Link, TakeFreesSlotAndFiresReadyCb) {
   sim::Simulator sim;
   Link link(sim, "l", {.ns_per_byte = 1, .latency = 0, .buffer_frames = 1});
   int ready_calls = 0;
-  link.set_ready_cb([&] { ++ready_calls; });
+  FakeLinkConsumer tx;
+  tx.ready = [&](int) { ++ready_calls; };
+  link.set_sender(&tx, 0);
   link.send(frame_to(1, 10));
   sim.run();
   EXPECT_FALSE(link.ready());
@@ -132,12 +147,14 @@ TEST(Link, FramesArriveInOrder) {
   sim::Simulator sim;
   Link link(sim, "l", {.ns_per_byte = 2, .latency = 100, .buffer_frames = 8});
   std::vector<std::uint64_t> got;
-  link.set_deliver_cb([&] {
+  FakeLinkConsumer ends;
+  ends.delivered = [&](int) {
     while (const Frame* f = link.peek()) {
       got.push_back(f->seq);
       link.take();
     }
-  });
+  };
+  link.set_receiver(&ends, 0);
   // Feed frames whenever the transmitter is free.
   std::uint64_t next = 0;
   auto feed = [&] {
@@ -147,7 +164,8 @@ TEST(Link, FramesArriveInOrder) {
       link.send(std::move(f));
     }
   };
-  link.set_ready_cb(feed);
+  ends.ready = [&](int) { feed(); };
+  link.set_sender(&ends, 0);
   feed();
   sim.run();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
@@ -159,12 +177,14 @@ TEST(Link, PipelinesWhenBufferAllows) {
   sim::Simulator sim;
   Link link(sim, "l", {.ns_per_byte = 10, .latency = 1000, .buffer_frames = 16});
   int delivered = 0;
-  link.set_deliver_cb([&] {
+  FakeLinkConsumer ends;
+  ends.delivered = [&](int) {
     while (link.peek() != nullptr) {
       link.take();
       ++delivered;
     }
-  });
+  };
+  link.set_receiver(&ends, 0);
   int sent = 0;
   auto feed = [&] {
     while (sent < 10 && link.ready()) {
@@ -172,7 +192,8 @@ TEST(Link, PipelinesWhenBufferAllows) {
       ++sent;
     }
   };
-  link.set_ready_cb(feed);
+  ends.ready = [&](int) { feed(); };
+  link.set_sender(&ends, 0);
   feed();
   sim.run();
   EXPECT_EQ(delivered, 10);
@@ -183,7 +204,9 @@ TEST(Link, PipelinesWhenBufferAllows) {
 TEST(Link, CarriedCountTracksDeliveries) {
   sim::Simulator sim;
   Link link(sim, "l", {.ns_per_byte = 1, .latency = 0, .buffer_frames = 4});
-  link.set_deliver_cb([&] { link.take(); });
+  FakeLinkConsumer rx;
+  rx.delivered = [&](int) { link.take(); };
+  link.set_receiver(&rx, 0);
   link.send(frame_to(1, 4));
   sim.run();
   link.send(frame_to(1, 4));
@@ -196,8 +219,11 @@ TEST(Link, SetDownDropsLandedAndInFlightFrames) {
   Link link(sim, "l", {.ns_per_byte = 1, .latency = 100, .buffer_frames = 4});
   int delivered = 0;
   int ready_calls = 0;
-  link.set_deliver_cb([&] { ++delivered; });
-  link.set_ready_cb([&] { ++ready_calls; });
+  FakeLinkConsumer ends;
+  ends.delivered = [&](int) { ++delivered; };
+  ends.ready = [&](int) { ++ready_calls; };
+  link.set_receiver(&ends, 0);
+  link.set_sender(&ends, 0);
   link.send(frame_to(1, 10));  // wire 26 B: tx frees at 26, lands at 126
   sim.run_until(126);
   ASSERT_EQ(link.buffered(), 1u);
@@ -266,14 +292,16 @@ TEST(LinkSplit, LandsAfterSerializationPlusLatencyWithDetachedPayload) {
   sim::SimTime landed_at = -1;
   const void* landed_data = nullptr;
   std::vector<std::byte> landed_bytes;
-  s.rx.set_deliver_cb([&] {
+  FakeLinkConsumer rx;
+  rx.delivered = [&](int) {
     landed_at = s.rx_sim().now();
     const Frame* f = s.rx.peek();
     ASSERT_NE(f, nullptr);
     ASSERT_NE(f->data, nullptr);
     landed_data = f->data.get();
     landed_bytes = *f->data;
-  });
+  };
+  s.rx.set_receiver(&rx, 0);
   s.rt.run();
   EXPECT_EQ(landed_at, 1000 + 100 * 50 + 500);
   EXPECT_EQ(s.rx.buffered(), 1u);
@@ -287,19 +315,59 @@ TEST(LinkSplit, LandsAfterSerializationPlusLatencyWithDetachedPayload) {
   EXPECT_EQ(s.tx.queue_depth(), 1u);  // the slot is reserved until a take
 }
 
+TEST(LinkSplit, ConsumersHearTheirOwnPort) {
+  // The TX half's sender sits at port 3 on shard 0, the RX half's receiver
+  // at port 7 on shard 1.  Each hears only its own side's calls, with its
+  // own port; the other side's handler must never run.
+  SplitPair s({.ns_per_byte = 1, .latency = 1000, .buffer_frames = 1});
+  std::vector<int> sender_ports;    // written on shard 0's thread only
+  std::vector<int> receiver_ports;  // written on shard 1's thread only
+  int sent = 0;
+  FakeLinkConsumer sender;
+  sender.ready = [&](int port) {
+    sender_ports.push_back(port);
+    if (sent < 3 && s.tx.ready()) {
+      s.tx.send(frame_to(1, 10));
+      ++sent;
+    }
+  };
+  sender.delivered = [&](int port) { sender_ports.push_back(-1 - port); };
+  FakeLinkConsumer receiver;
+  receiver.delivered = [&](int port) {
+    receiver_ports.push_back(port);
+    EXPECT_TRUE(s.rx.take().has_value());
+  };
+  receiver.ready = [&](int port) { receiver_ports.push_back(-1 - port); };
+  s.tx.set_sender(&sender, 3);
+  s.rx.set_receiver(&receiver, 7);
+  s.tx_sim().post_at(0, [&] {
+    s.tx.send(frame_to(1, 10));
+    ++sent;
+  });
+  s.rt.run();
+  // One slot: every ready call is a credit, one per frame taken.
+  EXPECT_EQ(sent, 3);
+  EXPECT_EQ(sender_ports, (std::vector<int>{3, 3, 3}));
+  EXPECT_EQ(receiver_ports, (std::vector<int>{7, 7, 7}));
+}
+
 TEST(LinkSplit, TxSlotFreesOneLatencyAfterRxTake) {
   SplitPair s({.ns_per_byte = 1, .latency = 1000, .buffer_frames = 1});
   s.tx_sim().post_at(0, [&] { s.tx.send(frame_to(1, 10)); });  // lands 1026
   sim::SimTime taken_at = -1;
-  s.rx.set_deliver_cb([&] {
+  FakeLinkConsumer rx;
+  rx.delivered = [&](int) {
     s.rx_sim().post_after(300, [&] {
       taken_at = s.rx_sim().now();
       EXPECT_TRUE(s.rx.take().has_value());
     });
-  });
+  };
+  s.rx.set_receiver(&rx, 0);
   std::vector<sim::SimTime> ready_at;
   std::vector<std::size_t> depth_before_credit;
-  s.tx.set_ready_cb([&] { ready_at.push_back(s.tx_sim().now()); });
+  FakeLinkConsumer tx;
+  tx.ready = [&](int) { ready_at.push_back(s.tx_sim().now()); };
+  s.tx.set_sender(&tx, 0);
   // Probe the TX half one tick before the credit is due.
   s.tx_sim().post_at(1026 + 300 + 1000 - 1, [&] {
     depth_before_credit.push_back(s.tx.queue_depth());
@@ -341,11 +409,13 @@ TEST(LinkSplit, FaultMidTransferDropsAndCreditsWithoutLeakingSlots) {
     s.tx.send(frame_to(1, 10));  // lands 4026
   });
   std::vector<sim::SimTime> taken_at;
-  s.rx.set_deliver_cb([&] {
+  FakeLinkConsumer rx;
+  rx.delivered = [&](int) {
     if (s.rx_sim().now() < 3000) return;  // leave A parked
     taken_at.push_back(s.rx_sim().now());
     EXPECT_TRUE(s.rx.take().has_value());
-  });
+  };
+  s.rx.set_receiver(&rx, 0);
   s.rt.run();
   // The fault cleared A from the buffer and B from the wire; the TX half's
   // set_down() reclaimed both slots, so no credit is owed for either.
@@ -383,10 +453,12 @@ TEST(LinkSplit, StaleCreditAfterRecoveryCannotFreeAnOccupiedSlot) {
   // Readiness after B would be a freed slot: fill it once, as a switch
   // would.
   std::vector<sim::SimTime> ready_at;
-  s.tx.set_ready_cb([&] {
+  FakeLinkConsumer tx;
+  tx.ready = [&](int) {
     ready_at.push_back(s.tx_sim().now());
     if (ready_at.size() == 2) s.tx.send(frame_to(1, 10));
-  });
+  };
+  s.tx.set_sender(&tx, 0);
   s.rt.run();
   EXPECT_EQ(ready_at, std::vector<sim::SimTime>{1100});
   EXPECT_EQ(s.rx.frames_dropped(), 0u);
@@ -409,14 +481,18 @@ TEST(LinkSplit, FlapDropsInFlightFrameLikeAWholeLink) {
   sim::Simulator sim;
   Link whole(sim, "w", p);
   int whole_delivered = 0;
-  whole.set_deliver_cb([&] { ++whole_delivered; });
+  FakeLinkConsumer whole_rx;
+  whole_rx.delivered = [&](int) { ++whole_delivered; };
+  whole.set_receiver(&whole_rx, 0);
   sim.post_at(0, [&] { whole.send(frame_to(1, 10)); });
   flap(sim, whole);
   sim.run();
 
   SplitPair s(p);
   int split_delivered = 0;
-  s.rx.set_deliver_cb([&] { ++split_delivered; });
+  FakeLinkConsumer split_rx;
+  split_rx.delivered = [&](int) { ++split_delivered; };
+  s.rx.set_receiver(&split_rx, 0);
   s.tx_sim().post_at(0, [&] { s.tx.send(frame_to(1, 10)); });
   flap(s.tx_sim(), s.tx);
   flap(s.rx_sim(), s.rx);
