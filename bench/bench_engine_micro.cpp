@@ -250,14 +250,13 @@ void run(bench::Reporter& r) {
     vorx::SystemConfig cfg;
     cfg.nodes = 3;
     vorx::System sys(sim, cfg);
-    constexpr std::uint32_t kKind = 4242;  // disjoint from vorx::msg kinds
     int delivered = 0;
     sys.node(0).kernel().register_handler(
-        kKind, [&delivered](hw::Frame) { ++delivered; });
+        vorx::msg::kRaw, [&delivered](hw::Frame) { ++delivered; });
     for (int i = 0; i < 32; ++i) {
       for (const int src : {1, 2}) {
         hw::Frame f;
-        f.kind = kKind;
+        f.kind = vorx::msg::kRaw;
         f.dst = sys.node(0).station();
         f.payload_bytes = 256;
         sys.node(src).kernel().send(std::move(f));

@@ -150,18 +150,16 @@ int Cluster::head_route(int in_port) {
   if (!in.route_ok) {
     const Frame* head = in.link->peek();
     assert(head != nullptr && "head_route with an empty input fifo");
-    assert(route_fn_ && "cluster forwarding before set_route_fn");
+    assert(router_ != nullptr && "cluster forwarding before set_router");
     assert(head->dst >= 0);
     unregister(in_port);
-    in.route = route_fn_(*head);
+    in.route = router_->route(index_, *head);
     in.route_ok = true;
     if (in.route.port >= 0) {
       in.row = in.route.port;
       set_bit(row(in.row), in_port);
       clear_bit(pending(), in_port);
-      if (reroute_blocked_ && in.route.candidates != 0) {
-        set_bit(movable(), in_port);
-      }
+      if (in.route.candidates != 0) set_bit(movable(), in_port);
     } else {
       set_bit(pending(), in_port);  // visited until dropped
     }
@@ -337,7 +335,7 @@ void Cluster::collect_candidates(int out_port) {
   // Blocked heads elsewhere: a rip-up re-resolves them, and is a no-op —
   // so the visit can be skipped — exactly when the decision is fixed, or
   // already on its escape port while none of its candidates is ready
-  // (the route function then returns the escape port again).
+  // (the router then returns the escape port again).
   const std::uint64_t* mov = movable();
   const std::uint64_t ready_low = ready_mask()[0];
   for (std::size_t w = 0; w < words_; ++w) {
@@ -417,10 +415,11 @@ void Cluster::try_output(int out_port) {
         continue;
       }
       int r = head_route(p);
-      if (r >= 0 && r != out_port && reroute_blocked_ && !port_ready(r)) {
+      if (r >= 0 && r != out_port && in.route.candidates != 0 &&
+          !port_ready(r)) {
         // Rip-up: the head committed to a port that cannot accept it now
         // while this one can — re-resolve against current occupancy (see
-        // set_reroute_blocked_heads).
+        // set_router).
         in.route_ok = false;
         r = head_route(p);
       }

@@ -10,11 +10,11 @@
 // the port's input fifo) and forwards whole frames.  Every output port has
 // a round-robin arbiter over the input ports — the "fair hardware
 // scheduling mechanism [that] ensures that every sender is eventually
-// serviced" (§2).  Routing is computed: the Fabric supplies a route
-// function (topology next-hop — e-cube, fat-tree up/down, adaptive — plus
-// local station delivery) and the cluster resolves it once per head frame,
-// caching the decision until that head is consumed.  The sticky cache is
-// what makes occupancy-dependent (adaptive) decisions well defined: a head
+// serviced" (§2).  Routing is computed: the cluster asks its Router (the
+// Fabric: topology next-hop — e-cube, fat-tree up/down, adaptive — plus
+// local station delivery) once per head frame, caching the decision until
+// that head is consumed.  The sticky cache is what makes
+// occupancy-dependent (adaptive) decisions well defined: a head
 // commits to one egress port and waits there, exactly like a self-routing
 // switch that latched the route nibble, instead of flapping between ports
 // as queue depths change (DESIGN.md §15).
@@ -28,7 +28,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +37,8 @@
 namespace hpcvorx::hw {
 
 inline constexpr int kClusterPorts = 12;
+
+class Router;
 
 class Cluster final : public LinkConsumer {
  public:
@@ -69,25 +70,19 @@ class Cluster final : public LinkConsumer {
     int escape = -1;
   };
 
-  /// The Fabric-supplied routing oracle.  Evaluated once per head frame
-  /// per input port; the cached decision is invalidated when the head is
+  /// Attaches the routing oracle, asked router->route(index, head) once per
+  /// head frame per input port; the decision is cached until the head is
   /// consumed, ripped up, or routes change (on_routes_changed).  It may
-  /// read output readiness (port_ready) and queue depths, nothing else
-  /// that changes.
-  using RouteFn = std::function<Route(const Frame&)>;
-  void set_route_fn(RouteFn fn) { route_fn_ = std::move(fn); }
-
-  /// Rip-up (adaptive routing only, DESIGN.md §15): when an output port
-  /// becomes ready and an input's head is committed to a port that cannot
-  /// accept a frame right now, retire the cached decision and re-resolve
-  /// against current occupancy.  Without this a head can pin itself to one
-  /// full port inside a buffer-wait cycle and deadlock the fabric; with it
-  /// a head moves as soon as *any* of its candidate ports drains.  Off
-  /// (the default) a head's first decision is final — deterministic
-  /// routing never needs a second look.  The arbiter skips rip-ups the
-  /// Route contract proves are no-ops: a fixed decision, or one already on
-  /// its escape port while none of its candidates is ready.
-  void set_reroute_blocked_heads(bool on) { reroute_blocked_ = on; }
+  /// read port_ready and queue depths, nothing else that changes.  Rip-up
+  /// (DESIGN.md §15): when an output becomes ready, a head blocked on
+  /// another port whose decision has alternatives (candidates != 0) is
+  /// re-resolved against current occupancy, so an adaptive head cannot pin
+  /// itself to one full port inside a buffer-wait cycle and deadlock the
+  /// fabric.  A fixed decision is final.
+  void set_router(Router* router, int index) {
+    router_ = router;
+    index_ = index;
+  }
 
   /// Programs the replication set for hardware-multicast group `gid`: the
   /// output ports a group frame leaves through (tree children and/or
@@ -105,8 +100,8 @@ class Cluster final : public LinkConsumer {
   }
 
   /// Whether output `port` can accept a frame now: the arbiter's mirror of
-  /// out_link(port)->ready() (false when unattached).  Exact whenever a
-  /// route function runs — see the sync points in cluster.cpp.
+  /// out_link(port)->ready() (false when unattached).  Exact whenever the
+  /// router runs — see the sync points in cluster.cpp.
   [[nodiscard]] bool port_ready(int port) const {
     return test(ready_mask(), port);
   }
@@ -119,11 +114,11 @@ class Cluster final : public LinkConsumer {
   /// volatile switch state.
   void restart();
 
-  /// The route function is about to change under live traffic, and other
+  /// The router's answers are about to change under live traffic, and other
   /// clusters may be rerouted (and cascade into this one) before this
   /// one's on_routes_changed(): until then every queued head is revisited
   /// on each arbitration, since its cached decision may no longer match
-  /// the route function.  Also resynchronizes port readiness after links
+  /// the router.  Also resynchronizes port readiness after links
   /// went down.
   void routes_changing();
 
@@ -202,8 +197,7 @@ class Cluster final : public LinkConsumer {
   //             the multicast head's replication set);
   //   pending   inputs visited on every walk: a head not yet resolved or
   //             registered (or whose cached decision may be stale);
-  //   movable   unicast heads with alternatives (candidates != 0) while
-  //             rip-up is on;
+  //   movable   unicast heads with alternatives (candidates != 0);
   //   ready     outputs that can accept a frame now;
   //   walk      the candidate set of the arbitration in progress.
   [[nodiscard]] std::uint64_t* row(int out) {
@@ -218,7 +212,7 @@ class Cluster final : public LinkConsumer {
   [[nodiscard]] std::uint64_t* walk() { return row(num_ports() + 3); }
 
   /// Output port for the head frame of `in_port`, resolved through the
-  /// route function at most once per head (sticky cache; see above) and
+  /// router at most once per head (sticky cache; see above) and
   /// registered in that port's request row.  -1 when this cluster has no
   /// surviving route to the head's dst (possible only after fault-time
   /// rerouting; the caller drops).
@@ -260,8 +254,8 @@ class Cluster final : public LinkConsumer {
   std::vector<Output> outs_;
   std::size_t words_;                 // 64-bit words per mask set
   std::vector<std::uint64_t> masks_;  // the mask sets above, one allocation
-  RouteFn route_fn_;
-  bool reroute_blocked_ = false;      // rip-up blocked heads (adaptive)
+  Router* router_ = nullptr;
+  int index_ = -1;                    // this cluster's index for router_
   std::unordered_map<std::uint64_t, std::vector<int>> mcast_routes_;
   std::unordered_map<std::uint64_t, std::uint64_t> mcast_copies_;
   std::uint64_t mcast_copies_total_ = 0;
@@ -269,6 +263,14 @@ class Cluster final : public LinkConsumer {
   std::uint64_t bytes_fwd_ = 0;
   std::uint64_t frames_dropped_ = 0;
   sim::Duration hol_blocked_ = 0;
+};
+
+/// A cluster's routing oracle (Cluster::set_router): the Fabric for every
+/// cluster it builds, a fake in hand-wired test rigs.
+class Router {
+ public:
+  virtual ~Router() = default;
+  virtual Cluster::Route route(int cluster, const Frame& head) = 0;
 };
 
 }  // namespace hpcvorx::hw

@@ -116,25 +116,7 @@ Link* Fabric::add_direction(sim::ShardRuntime* rt, int from, int to,
   return tx;
 }
 
-void Fabric::program_routes() {
-  // Every cluster routes through the fabric's computed oracle — there is
-  // no per-destination table to fill, which is exactly why routing state
-  // stays O(stations + clusters) at 4096 nodes (DESIGN.md §15).
-  for (int c = 0; c < num_clusters(); ++c) {
-    clusters_[static_cast<std::size_t>(c)]->set_route_fn(
-        [this, c](const Frame& f) { return route_port(c, f); });
-    // Adaptive heads may rip up a blocked commitment (a sticky decision
-    // through a buffer-wait cycle would deadlock); deterministic decisions
-    // are final.
-    clusters_[static_cast<std::size_t>(c)]->set_reroute_blocked_heads(
-        params_.routing == RoutingMode::kAdaptive);
-  }
-  // Fault-time state stays unallocated until a shard's first fault.
-  shard_edge_up_.resize(static_cast<std::size_t>(num_fault_domains()));
-  fault_next_port_.resize(static_cast<std::size_t>(num_fault_domains()));
-}
-
-Cluster::Route Fabric::route_port(int cluster, const Frame& f) {
+Cluster::Route Fabric::route(int cluster, const Frame& f) {
   assert(f.dst >= 0 && f.dst < num_stations() &&
          "frame addressed to a station this fabric never built");
   const int dc = station_cluster_[static_cast<std::size_t>(f.dst)];
@@ -198,10 +180,10 @@ Cluster::Route Fabric::adaptive_next_port(int from, int to) const {
   // break deterministically — the escape port first, then the lowest port
   // index.  Heads are only committed to ports that can accept a frame
   // now; when every candidate is stalled the head parks on the escape
-  // port and is ripped up as soon as any candidate drains (Cluster's
-  // reroute_blocked_heads).  What makes this deadlock-free is the shape
-  // of the candidate set, not the scoring — see each topology below and
-  // DESIGN.md §15.
+  // port and is ripped up as soon as any candidate drains (the cluster
+  // rips up decisions that report candidates).  What makes this
+  // deadlock-free is the shape of the candidate set, not the scoring — see
+  // each topology below and DESIGN.md §15.
   const Cluster& cl = *clusters_[static_cast<std::size_t>(from)];
   Cluster::Route r;
   std::size_t best_depth = 0;
@@ -521,6 +503,10 @@ std::unique_ptr<Fabric> Fabric::build(std::vector<sim::Simulator*> sims,
     f->clusters_.push_back(std::make_unique<Cluster>(
         f->cluster_sim(c), "c" + std::to_string(c),
         c < leaves ? ports : leaves));
+    // The fabric is the computed oracle: no per-destination table to fill,
+    // which is why routing state stays O(stations + clusters) at 4096
+    // nodes (DESIGN.md §15).
+    f->clusters_.back()->set_router(f.get(), c);
   }
   f->cable_at_.assign(static_cast<std::size_t>(n_clusters * ports), -1);
   const Link::Params trunk_p = params.cluster_link.value_or(params.link);
@@ -557,7 +543,9 @@ std::unique_ptr<Fabric> Fabric::build(std::vector<sim::Simulator*> sims,
       f->pools_[sh].set_max_free(std::max<std::size_t>(1024, hosted[sh] * 8));
     }
   }
-  f->program_routes();
+  // Fault-time state stays unallocated until a shard's first fault.
+  f->shard_edge_up_.resize(static_cast<std::size_t>(n_shards));
+  f->fault_next_port_.resize(static_cast<std::size_t>(n_shards));
   return f;
 }
 

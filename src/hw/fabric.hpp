@@ -10,8 +10,8 @@
 //   * fat_tree — a two-level leaf/spine folded Clos over the same cluster
 //     hardware, the paper-era contrast topology for the scaling sweeps.
 //
-// Routing is computed, not tabulated: each cluster gets a route function
-// that derives the egress port from the frame's destination on the fly
+// Routing is computed, not tabulated: the fabric is every cluster's Router
+// and derives the egress port from the frame's destination on the fly
 // (e-cube bit arithmetic on the cube, up/down on the tree, or the adaptive
 // congestion-aware variant).  Routing state is therefore O(stations +
 // clusters) — the O(clusters²) next-hop table this replaced is what kept
@@ -119,7 +119,7 @@ struct FabricParams {
   RoutingMode routing = RoutingMode::kEcube;
 };
 
-class Fabric {
+class Fabric final : public Router {
  public:
   using Params = FabricParams;
 
@@ -284,12 +284,10 @@ class Fabric {
   /// shards — its TX half, split through `rt` (the RX half is its peer).
   Link* add_direction(sim::ShardRuntime* rt, int from, int to, int port_out,
                       int port_in, const Link::Params& p);
-  /// Hands every cluster its computed route function.
-  void program_routes();
-  /// The per-cluster routing oracle (bound into Cluster::set_route_fn):
-  /// local delivery port, fault-table route when this shard has live
-  /// faults, else the computed deterministic or adaptive next hop.
-  [[nodiscard]] Cluster::Route route_port(int cluster, const Frame& f);
+  /// Every cluster's routing oracle (Cluster::set_router): local delivery
+  /// port, fault-table route when this shard has live faults, else the
+  /// computed deterministic or adaptive next hop.
+  Cluster::Route route(int cluster, const Frame& f) override;
   /// Minimal adaptive next hop: the productive egress port with the
   /// lowest queue depth among those ready to accept a frame, ties broken
   /// to the escape port and then the lowest port index; falls back to the
@@ -305,9 +303,6 @@ class Fabric {
   std::vector<char>& edge_mirror(int shard);
   /// Rebuilds `shard`'s fault-route table from its link-state mirror.
   void recompute_shard_routes(int shard);
-  [[nodiscard]] int num_fault_domains() const {
-    return static_cast<int>(sims_.size());
-  }
 
   std::vector<sim::Simulator*> sims_;  // one per shard
   Params params_;

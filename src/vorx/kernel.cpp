@@ -1,6 +1,9 @@
 #include "vorx/kernel.hpp"
 
+#include <cassert>
 #include <utility>
+
+#include "vorx/udco.hpp"
 
 namespace hpcvorx::vorx {
 
@@ -24,12 +27,11 @@ Kernel::Kernel(sim::Simulator& sim, hw::Endpoint& ep, sim::Cpu& cpu,
 }
 
 void Kernel::register_handler(std::uint32_t kind, Handler h) {
+  assert(kind < msg::kNumKinds && "register_handler: kind outside msg::");
   handlers_[kind] = std::move(h);
 }
 
-void Kernel::register_object(std::uint64_t obj, Handler isr) {
-  objects_[obj] = std::move(isr);
-}
+void Kernel::register_object(Udco& obj) { objects_[obj.id()] = &obj; }
 
 void Kernel::unregister_object(std::uint64_t obj) { objects_.erase(obj); }
 
@@ -84,15 +86,16 @@ sim::Proc Kernel::rx_pump() {
 
 void Kernel::dispatch(hw::Frame f) {
   if (f.kind == msg::kUdco) {
-    auto it = objects_.find(f.obj);
+    // Looked up again after the charge: the object may have closed while
+    // its frame waited, and then the frame goes to the kUdco handler.
+    const auto it = objects_.find(f.obj);
     if (it != objects_.end()) {
-      it->second(std::move(f));
+      it->second->deliver(std::move(f));
       return;
     }
   }
-  auto it = handlers_.find(f.kind);
-  if (it != handlers_.end()) {
-    it->second(std::move(f));
+  if (f.kind < handlers_.size() && handlers_[f.kind]) {
+    handlers_[f.kind](std::move(f));
     return;
   }
   ++dropped_;

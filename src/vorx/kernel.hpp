@@ -15,10 +15,10 @@
 // routines to handle incoming messages."
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <unordered_map>
 
 #include "hw/fabric.hpp"
@@ -30,6 +30,8 @@
 
 namespace hpcvorx::vorx {
 
+class Udco;
+
 class Kernel {
  public:
   using Handler = std::function<void(hw::Frame)>;
@@ -39,15 +41,17 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  /// Registers the protocol handler for a message kind.  The handler runs
-  /// after the receive-interrupt cost has been charged; it should do only
+  /// Registers the protocol handler for a message kind (< msg::kNumKinds),
+  /// replacing any earlier one.  The handler runs after the
+  /// receive-interrupt cost has been charged; it should do only
   /// bookkeeping (further costed work belongs in its own coroutine).
   void register_handler(std::uint32_t kind, Handler h);
 
   /// Registers a user-defined communications object: frames with
-  /// kind==kUdco and a matching object id are delivered to `isr` after
-  /// charging the *user* ISR cost instead of the kernel receive path.
-  void register_object(std::uint64_t obj, Handler isr);
+  /// kind==kUdco and object id obj.id() are delivered to obj.deliver()
+  /// after charging the *user* ISR cost instead of the kernel receive path.
+  /// The object unregisters itself before it dies.
+  void register_object(Udco& obj);
   void unregister_object(std::uint64_t obj);
 
   /// Queues a frame for transmission.  The caller has already paid the CPU
@@ -101,8 +105,9 @@ class Kernel {
   sim::Cpu& cpu_;
   const CostModel& costs_;
 
-  std::unordered_map<std::uint32_t, Handler> handlers_;
-  std::unordered_map<std::uint64_t, Handler> objects_;
+  // Indexed by Frame::kind; an empty slot drops the frame.
+  std::array<Handler, msg::kNumKinds> handlers_;
+  std::unordered_map<std::uint64_t, Udco*> objects_;
 
   std::deque<hw::Frame> txq_;
   sim::Event tx_ready_ev_;

@@ -13,7 +13,7 @@ Udco::Udco(Kernel& kernel, NodeCensus& census, std::uint64_t id,
       name_(std::move(name)),
       peer_(peer),
       arrival_(kernel.simulator()) {
-  kernel_.register_object(id_, [this](hw::Frame f) { deliver(std::move(f)); });
+  kernel_.register_object(*this);
 }
 
 Udco::~Udco() { kernel_.unregister_object(id_); }

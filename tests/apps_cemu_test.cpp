@@ -1,10 +1,20 @@
 // Tests for the logic-simulation kernel and the distributed CEMU app.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/cemu_app.hpp"
 #include "apps/logic.hpp"
 
 namespace hpcvorx::apps {
+
+// ctest names each CemuTransports case by this instead of the enum's raw
+// bytes.  gtest finds it by argument-dependent lookup, so it lives in the
+// enum's namespace.
+void PrintTo(CemuTransport t, std::ostream* os) {
+  *os << (t == CemuTransport::kChannels ? "channels" : "sliding_window");
+}
+
 namespace {
 
 TEST(Logic, GateEvaluationTruthTables) {

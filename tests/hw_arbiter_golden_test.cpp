@@ -6,8 +6,9 @@
 // (4, 12, 16, 70 — the last spans two mask words) is driven through every
 // path the arbiter has:
 //
-//   * an occupancy-dependent route function (least-queued ready candidate,
-//     an escape port when none is ready) with rip-up of blocked heads on;
+//   * an occupancy-dependent router (least-queued ready candidate, an
+//     escape port when none is ready), whose decisions report their
+//     candidates, so blocked heads are ripped up;
 //   * loopback ports whose relay re-injects a frame into the cluster and,
 //     by taking it off the egress link, re-enters arbitration
 //     synchronously from inside the cluster's own input takes;
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "fake_link_consumer.hpp"
+#include "fake_router.hpp"
 #include "hw/cluster.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -95,8 +97,8 @@ class Harness {
       outs_[static_cast<std::size_t>(p)]->set_receiver(&ends_, p);
       ins_[static_cast<std::size_t>(p)]->set_sender(&ends_, p);
     }
-    cluster_.set_route_fn([this](const Frame& f) { return route(f); });
-    cluster_.set_reroute_blocked_heads(true);
+    router_.decide = [this](const Frame& f) { return route(f); };
+    cluster_.set_router(&router_, 0);
     cluster_.set_multicast_route(1, {sinks_.front(), sinks_.back()});
     cluster_.set_multicast_route(2, {loops_.front(), sinks_[1]});
     std::vector<int> every_third;
@@ -263,6 +265,7 @@ class Harness {
   std::vector<std::unique_ptr<Link>> ins_;
   std::vector<std::unique_ptr<Link>> outs_;
   FakeLinkConsumer ends_;
+  FakeRouter router_;
   std::vector<int> loops_;
   std::vector<int> sinks_;
   std::vector<std::deque<sim::SimTime>> delivered_at_;

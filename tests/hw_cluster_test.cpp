@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fake_link_consumer.hpp"
+#include "fake_router.hpp"
 #include "hw/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -27,8 +28,10 @@ struct Rig {
       outs.back()->set_receiver(receivers.back().get(), p);
     }
     // Station `dst` is reached through output port dst.
-    cluster.set_route_fn([](const Frame& f) { return Cluster::Route{f.dst}; });
+    router.decide = [](const Frame& f) { return Cluster::Route{f.dst}; };
+    cluster.set_router(&router, 0);
   }
+  FakeRouter router;
   Cluster cluster;
   std::vector<std::unique_ptr<Link>> ins;
   std::vector<std::unique_ptr<Link>> outs;
@@ -203,6 +206,51 @@ TEST(Cluster, BackpressurePropagatesUpstream) {
   }
   sim.run();
   EXPECT_EQ(sent, 10);
+}
+
+TEST(Cluster, BlockedHeadIsAskedAgainOnlyWhenItHasCandidates) {
+  sim::Simulator sim;
+  Rig rig(sim);
+  // Outputs 2 and 3 are not drained: two frames fill each one's link.
+  for (const int p : {2, 3}) {
+    auto left = std::make_shared<int>(2);
+    Link* in = rig.ins[static_cast<std::size_t>(p)].get();
+    auto feed = [in, p, left](int) {
+      while (*left > 0 && in->ready()) {
+        in->send(frame_to(p, 16));
+        --*left;
+      }
+    };
+    rig.senders[static_cast<std::size_t>(p)]->ready = feed;
+    feed(p);
+  }
+  // Two heads want the full output 2: seq 1 on input 0 with a fixed
+  // decision, seq 2 on input 1 with output 3 as its alternative.
+  int fixed_asked = 0;
+  int movable_asked = 0;
+  rig.router.decide = [&](const Frame& f) -> Cluster::Route {
+    if (f.seq == 1) {
+      ++fixed_asked;
+      return {2};
+    }
+    if (f.seq == 2) {
+      ++movable_asked;
+      return {rig.cluster.port_ready(3) ? 3 : 2, std::uint64_t{0b1100}, 2};
+    }
+    return {f.dst};
+  };
+  sim.post_at(sim::usec(10), [&rig] {
+    rig.ins[0]->send(frame_to(2, 16, 1));
+    rig.ins[1]->send(frame_to(2, 16, 2));
+  });
+  // Taking one frame off output 3 makes it ready again.
+  sim.post_at(sim::usec(20), [&rig] { (void)rig.outs[3]->take(); });
+  sim.run();
+  EXPECT_EQ(fixed_asked, 1);
+  EXPECT_EQ(movable_asked, 2);
+  EXPECT_EQ(rig.ins[0]->buffered(), 1u);  // still waits for output 2
+  EXPECT_EQ(rig.ins[1]->buffered(), 0u);  // ripped up, left through 3
+  EXPECT_EQ(rig.outs[3]->buffered(), 2u);
 }
 
 }  // namespace

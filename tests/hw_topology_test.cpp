@@ -3,6 +3,7 @@
 // O(stations + clusters) routing-state guarantee at paper scale.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -12,6 +13,12 @@
 #include "sim/simulator.hpp"
 
 namespace hpcvorx::hw {
+
+// ctest names each AdaptiveDelivery case by this instead of the enum's raw
+// bytes.  gtest finds it by argument-dependent lookup, so it lives in the
+// enum's namespace.
+void PrintTo(TopologyKind t, std::ostream* os) { *os << to_string(t); }
+
 namespace {
 
 Frame frame_to(StationId dst, std::uint32_t payload, std::uint64_t seq = 0) {

@@ -25,6 +25,11 @@ struct SwpParam {
   std::uint32_t bytes;
 };
 
+// ctest names each case by this instead of the struct's raw bytes.
+void PrintTo(const SwpParam& p, std::ostream* os) {
+  *os << 'w' << p.window << "_b" << p.bytes;
+}
+
 class SwpSweep : public ::testing::TestWithParam<SwpParam> {};
 
 TEST_P(SwpSweep, LosslessOrderedBounded) {

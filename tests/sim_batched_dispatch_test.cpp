@@ -368,16 +368,15 @@ TEST(KernelCoalescing, BurstPreservesPerSourceOrderAndCoalesces) {
   vorx::SystemConfig cfg;
   cfg.nodes = 3;
   vorx::System sys(sim, cfg);
-  constexpr std::uint32_t kKind = 4242;  // disjoint from vorx::msg kinds
   std::vector<std::pair<int, std::uint32_t>> got;
-  sys.node(0).kernel().register_handler(kKind, [&got](hw::Frame f) {
+  sys.node(0).kernel().register_handler(vorx::msg::kRaw, [&got](hw::Frame f) {
     got.emplace_back(f.src, f.payload_bytes);
   });
   constexpr int kPerSource = 16;
   for (int i = 0; i < kPerSource; ++i) {
     for (const int src : {1, 2}) {
       hw::Frame f;
-      f.kind = kKind;
+      f.kind = vorx::msg::kRaw;
       f.dst = sys.node(0).station();
       f.payload_bytes = static_cast<std::uint32_t>(i);
       sys.node(src).kernel().send(std::move(f));

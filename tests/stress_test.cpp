@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "sim/random.hpp"
 #include "vorx/node.hpp"
@@ -24,6 +25,12 @@ struct FabricSweepParam {
   int per_cluster;
   std::uint64_t seed;
 };
+
+// ctest names each case by this; without it, by the struct's raw bytes,
+// padding included.
+void PrintTo(const FabricSweepParam& p, std::ostream* os) {
+  *os << 's' << p.stations << "_c" << p.per_cluster << "_seed" << p.seed;
+}
 
 class FabricTrafficSweep : public ::testing::TestWithParam<FabricSweepParam> {};
 

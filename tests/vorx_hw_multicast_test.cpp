@@ -3,6 +3,8 @@
 // implement multicast efficiently").
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "vorx/multicast.hpp"
 #include "vorx_test_util.hpp"
 
@@ -17,6 +19,13 @@ struct HwMcastParam {
   int members;
   std::uint64_t seed;
 };
+
+// ctest names each case by this; without it, by the struct's raw bytes,
+// padding included.
+void PrintTo(const HwMcastParam& p, std::ostream* os) {
+  *os << 's' << p.stations << "_c" << p.per_cluster << "_m" << p.members
+      << "_seed" << p.seed;
+}
 
 class HwMulticastSweep : public ::testing::TestWithParam<HwMcastParam> {};
 
