@@ -284,15 +284,6 @@ std::vector<char>& Fabric::edge_mirror(int shard) {
   return row;
 }
 
-bool Fabric::cube_edge_up(int shard, int a, int b) const {
-  const int idx = cube_pair_index(a, b);
-  assert(idx >= 0);
-  const std::vector<char>& row =
-      shard_edge_up_.at(static_cast<std::size_t>(shard));
-  // An unallocated mirror means the shard has never seen a fault: all up.
-  return row.empty() || row[static_cast<std::size_t>(idx)] != 0;
-}
-
 void Fabric::apply_cube_fault(int shard, int a, int b, bool up) {
   const int idx = cube_pair_index(a, b);
   assert(idx >= 0 && "no cube cable between these clusters");

@@ -239,9 +239,6 @@ class Fabric final : public Router {
   /// shard owns it; a no-op on every other shard.
   void apply_cluster_restart(int shard, int c);
 
-  /// This shard's view of the cable between `a` and `b` (diagnostics).
-  [[nodiscard]] bool cube_edge_up(int shard, int a, int b) const;
-
   /// Frames lost inside the interconnect (downed links + restarted and
   /// unroutable-at cluster drops), summed fabric-wide.  Virtual-time
   /// deterministic; read after run() — while shards are running the

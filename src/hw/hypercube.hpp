@@ -88,23 +88,15 @@ inline constexpr CubeLabel kMaxCubeLabels = CubeLabel{1} << 31;
   }
 }
 
-/// Appends the route from `from` to `to` (excluding `from`, including
-/// `to`) to `out` without clearing it.  The allocation-free sibling of
-/// hypercube_route for per-frame callers that reuse a scratch vector.
-inline void hypercube_route_into(CubeLabel from, CubeLabel to, CubeLabel n,
-                                 std::vector<CubeLabel>& out) {
-  while (from != to) {
-    from = next_hypercube_hop(from, to, n);
-    out.push_back(from);
-  }
-}
-
 /// The full route from `from` to `to` (excluding `from`, including `to`).
 [[nodiscard]] inline std::vector<CubeLabel> hypercube_route(CubeLabel from,
                                                             CubeLabel to,
                                                             CubeLabel n) {
   std::vector<CubeLabel> route;
-  hypercube_route_into(from, to, n, route);
+  while (from != to) {
+    from = next_hypercube_hop(from, to, n);
+    route.push_back(from);
+  }
   return route;
 }
 

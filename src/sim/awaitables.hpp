@@ -3,7 +3,7 @@
 //   Event     — latched broadcast condition (set / reset / wait)
 //   Semaphore — counting semaphore with FIFO handoff
 //   Gate      — arrive/wait completion barrier ("join N processes")
-//   Mailbox<T>— bounded FIFO with blocking send/recv (direct handoff)
+//   Mailbox<T>— unbounded FIFO with push and blocking recv (direct handoff)
 //   ParkedPump— parking spot of an owner-lifetime pump resumed inline
 //
 // All wakeups are direct handoffs: a released permit or delivered item is
@@ -15,7 +15,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -130,7 +129,6 @@ class Gate {
   }
 
   [[nodiscard]] auto wait() { return ev_.wait(); }
-  [[nodiscard]] std::size_t arrived() const { return arrived_; }
 
  private:
   Event ev_;
@@ -138,39 +136,24 @@ class Gate {
   std::size_t arrived_ = 0;
 };
 
-/// Bounded FIFO channel between simulated processes.  send() blocks while
-/// the mailbox is full; recv() blocks while it is empty.  Items and blocked
-/// processes are both served in strict FIFO order.
+/// Unbounded FIFO channel between simulated processes.  push() never
+/// blocks; recv() blocks while the mailbox is empty.  Items and blocked
+/// receivers are both served in strict FIFO order.
 template <typename T>
 class Mailbox {
  public:
-  explicit Mailbox(Simulator& sim,
-                   std::size_t capacity = std::numeric_limits<std::size_t>::max())
-      : sim_(sim), capacity_(capacity) {}
+  explicit Mailbox(Simulator& sim) : sim_(sim) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  struct SendAwaiter {
-    Mailbox& mb;
-    T value;
-    bool await_ready() { return mb.offer(value); }
-    void await_suspend(std::coroutine_handle<> h) {
-      mb.send_waiters_.push_back(this);
-      handle = h;
-    }
-    void await_resume() const noexcept {}
-    std::coroutine_handle<> handle;
-  };
 
   struct RecvAwaiter {
     Mailbox& mb;
     std::optional<T> slot;
     bool await_ready() {
-      slot = mb.poll();
+      slot = mb.try_recv();
       return slot.has_value();
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -184,72 +167,35 @@ class Mailbox {
     std::coroutine_handle<> handle;
   };
 
-  /// Blocking send.  Completes immediately if a receiver is waiting or
-  /// buffer space exists.
-  [[nodiscard]] SendAwaiter send(T value) {
-    return SendAwaiter{*this, std::move(value), {}};
-  }
-
-  /// Non-blocking send; returns false if the mailbox is full.
-  [[nodiscard]] bool try_send(T value) { return offer(value); }
-
-  /// Blocking receive.
-  [[nodiscard]] RecvAwaiter recv() { return RecvAwaiter{*this, std::nullopt, {}}; }
-
-  /// Non-blocking receive.
-  [[nodiscard]] std::optional<T> try_recv() { return poll(); }
-
- private:
-  // Attempts to place `value` (moved from on success).  Invariant: a waiting
-  // receiver implies an empty buffer, so handoff order stays FIFO.
-  bool offer(T& value) {
+  /// Hands `value` to the first waiting receiver, or queues it.  Invariant:
+  /// a waiting receiver implies an empty queue, so handoff order stays FIFO.
+  void push(T value) {
     if (!recv_waiters_.empty()) {
       assert(items_.empty());
       RecvAwaiter* w = recv_waiters_.front();
       recv_waiters_.pop_front();
       w->slot = std::move(value);
       resume_later(sim_, w->handle);
-      return true;
+      return;
     }
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(value));
-      return true;
-    }
-    return false;
+    items_.push_back(std::move(value));
   }
 
-  // Attempts to take an item, refilling buffer space from blocked senders.
-  std::optional<T> poll() {
-    if (!items_.empty()) {
-      T v = std::move(items_.front());
-      items_.pop_front();
-      refill_from_sender();
-      return v;
-    }
-    if (!send_waiters_.empty()) {  // capacity == 0 rendezvous case
-      SendAwaiter* s = send_waiters_.front();
-      send_waiters_.pop_front();
-      T v = std::move(s->value);
-      resume_later(sim_, s->handle);
-      return v;
-    }
-    return std::nullopt;
+  /// Blocking receive.
+  [[nodiscard]] RecvAwaiter recv() { return RecvAwaiter{*this, std::nullopt, {}}; }
+
+  /// Non-blocking receive.
+  [[nodiscard]] std::optional<T> try_recv() {
+    if (items_.empty()) return std::nullopt;
+    T v = std::move(items_.front());
+    items_.pop_front();
+    return v;
   }
 
-  void refill_from_sender() {
-    if (!send_waiters_.empty() && items_.size() < capacity_) {
-      SendAwaiter* s = send_waiters_.front();
-      send_waiters_.pop_front();
-      items_.push_back(std::move(s->value));
-      resume_later(sim_, s->handle);
-    }
-  }
-
+ private:
   Simulator& sim_;
-  std::size_t capacity_;
   std::deque<T> items_;
   std::deque<RecvAwaiter*> recv_waiters_;
-  std::deque<SendAwaiter*> send_waiters_;
 };
 
 /// The parking spot of a persistent pump: one coroutine that lives as long

@@ -5,17 +5,6 @@
 
 namespace hpcvorx::sim {
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkDown: return "link_down";
-    case FaultKind::kLinkUp: return "link_up";
-    case FaultKind::kClusterRestart: return "cluster_restart";
-    case FaultKind::kHostCrash: return "host_crash";
-    case FaultKind::kHostRestart: return "host_restart";
-  }
-  return "?";
-}
-
 void FaultPlan::sort() {
   std::sort(events_.begin(), events_.end(),
             [](const FaultEvent& x, const FaultEvent& y) {
@@ -27,7 +16,7 @@ void FaultPlan::sort() {
 }
 
 bool FaultPlan::known(const std::string& name) {
-  return name == "none" || name == "no_fault" || name == "link_flap" ||
+  return name == "none" || name == "link_flap" ||
          name == "cluster_restart" || name == "stub_crash";
 }
 
@@ -35,7 +24,7 @@ FaultPlan FaultPlan::named(const std::string& name, const MachineShape& shape,
                            std::uint64_t seed, Duration horizon) {
   assert(known(name) && "unknown fault plan name");
   FaultPlan plan;
-  if (name == "none" || name == "no_fault" || horizon <= 0) return plan;
+  if (name == "none" || horizon <= 0) return plan;
   // Distinct streams per plan name so "link_flap seed 7" and
   // "cluster_restart seed 7" are uncorrelated.
   std::uint64_t salt = 0;
@@ -98,9 +87,6 @@ FaultPlan FaultPlan::named(const std::string& name, const MachineShape& shape,
     }
   }
   plan.sort();
-  // A down/up pair for the same target at the same instant would be
-  // order-ambiguous to a reader (sort() fixes it: kLinkDown < kLinkUp),
-  // but keep flap pairs strictly ordered anyway.
   return plan;
 }
 

@@ -34,8 +34,6 @@ enum class FaultKind : std::uint8_t {
   kHostRestart,    // a = host index (back, with empty slot/stub tables)
 };
 
-[[nodiscard]] const char* to_string(FaultKind k);
-
 struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kLinkDown;

@@ -4,9 +4,9 @@
 // small-buffer optimization (16 bytes in libstdc++) forces a heap
 // allocation for any capture beyond two pointers — which made every
 // frame-delivery and timer lambda in the hot path allocate.  InlineFn
-// widens the buffer to 64 bytes (one cache line; every current call site
-// in src/ fits) and keeps a heap fallback for oversized captures so the
-// API stays total.
+// widens the buffer to 64 bytes (one cache line) and has no heap fallback:
+// a capture that does not fit is a compile error that says to capture a
+// pointer instead, so storing an event never allocates.
 //
 // Design notes:
 //   * move-only — events are scheduled once and fired once, so copyability
@@ -16,13 +16,12 @@
 //     erased type, not a vtable — no per-object pointer beyond the table
 //     pointer, and relocation is a real move+destroy so entries can live
 //     by value inside the event queue's slabs and heap vector;
-//   * inline eligibility requires nothrow move construction, so queue
+//   * a stored callable must be nothrow move constructible, so queue
 //     growth (vector reallocation moves entries) keeps the strong
 //     exception guarantee for free.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -36,6 +35,15 @@ class InlineFn {
   /// event-queue entries stay compact.
   static constexpr std::size_t kInlineBytes = 64;
 
+  /// True when a callable of type F can be stored: it fits the inline
+  /// budget, needs no more than max_align_t alignment, and moves without
+  /// throwing (queue growth relocates entries, so relocation must not fail).
+  template <typename F>
+  static constexpr bool fits =
+      sizeof(std::decay_t<F>) <= kInlineBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
   InlineFn() noexcept = default;
 
   template <typename F,
@@ -44,7 +52,12 @@ class InlineFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                      // std::function at every scheduling call site.
-    emplace(std::forward<F>(f));
+    using D = std::decay_t<F>;
+    static_assert(fits<D>,
+                  "InlineFn: capture exceeds 64 bytes, is over-aligned or has "
+                  "a throwing move; capture a pointer instead");
+    ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
+    ops_ = &InlineOps<D>::ops;
   }
 
   InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
@@ -80,13 +93,6 @@ class InlineFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  /// True when the callable spilled to the heap fallback (capture larger
-  /// than kInlineBytes or over-aligned).  Exposed for tests and benches
-  /// that pin the zero-allocation property.
-  [[nodiscard]] bool heap_allocated() const noexcept {
-    return ops_ != nullptr && ops_->heap;
-  }
-
   void operator()() { ops_->invoke(&storage_); }
 
   /// Fires a callable whose storage may be reclaimed or relocated *by the
@@ -109,13 +115,7 @@ class InlineFn {
     void (*relocate)(void* dst, void* src) noexcept;  // move-construct + destroy src
     void (*destroy)(void* p) noexcept;
     void (*move_invoke)(void* p);  // move capture out, destroy src, invoke
-    bool heap;
   };
-
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
   struct InlineOps {
@@ -131,40 +131,8 @@ class InlineFn {
       src->~D();
       d();
     }
-    static constexpr Ops ops{&invoke, &relocate, &destroy, &move_invoke,
-                             false};
+    static constexpr Ops ops{&invoke, &relocate, &destroy, &move_invoke};
   };
-
-  template <typename D>
-  struct HeapOps {
-    static D*& slot(void* p) noexcept { return *static_cast<D**>(p); }
-    static void invoke(void* p) { (*slot(p))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) D*(slot(src));
-    }
-    static void destroy(void* p) noexcept { delete slot(p); }
-    static void move_invoke(void* p) {
-      // Heap captures are already storage-stable; only the 8-byte slot
-      // lived in the slab, and it was read before user code ran.
-      D* d = slot(p);
-      (*d)();
-      delete d;
-    }
-    static constexpr Ops ops{&invoke, &relocate, &destroy, &move_invoke,
-                             true};
-  };
-
-  template <typename F>
-  void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::ops;
-    } else {
-      ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::ops;
-    }
-  }
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];
   const Ops* ops_ = nullptr;

@@ -45,11 +45,6 @@ inline constexpr std::size_t kNumCategories = 7;
   return "?";
 }
 
-[[nodiscard]] constexpr bool is_idle(Category c) {
-  return c == Category::kIdleInput || c == Category::kIdleOutput ||
-         c == Category::kIdleMixed || c == Category::kIdleOther;
-}
-
 /// One contiguous span of CPU time attributed to a category.
 struct Interval {
   SimTime start;

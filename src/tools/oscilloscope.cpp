@@ -1,6 +1,7 @@
 #include "tools/oscilloscope.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 namespace hpcvorx::tools {
@@ -18,12 +19,12 @@ char glyph_for(sim::Category c) {
   }
   return '?';
 }
-}  // namespace
 
-std::array<sim::Duration, sim::kNumCategories> Oscilloscope::bucket_totals(
-    hw::StationId s, sim::SimTime t0, sim::SimTime t1) const {
+// Time per category within [t0, t1), each interval clipped to the window.
+std::array<sim::Duration, sim::kNumCategories> category_totals(
+    const std::vector<sim::Interval>& intervals, sim::SimTime t0,
+    sim::SimTime t1) {
   std::array<sim::Duration, sim::kNumCategories> totals{};
-  const auto& intervals = sys_.station(s).cpu().ledger().intervals();
   for (const sim::Interval& iv : intervals) {
     const sim::SimTime a = std::max(iv.start, t0);
     const sim::SimTime b = std::min(iv.end, t1);
@@ -31,10 +32,12 @@ std::array<sim::Duration, sim::kNumCategories> Oscilloscope::bucket_totals(
   }
   return totals;
 }
+}  // namespace
 
 Oscilloscope::Util Oscilloscope::utilization(hw::StationId s, sim::SimTime t0,
                                              sim::SimTime t1) const {
-  const auto totals = bucket_totals(s, t0, t1);
+  const auto totals =
+      category_totals(sys_.station(s).cpu().ledger().intervals(), t0, t1);
   const double span = static_cast<double>(t1 - t0);
   Util u;
   if (span <= 0) return u;
@@ -106,12 +109,7 @@ std::string render_interval_timeline(
     for (int b = 0; b < cols; ++b) {
       const sim::SimTime a = t0 + (t1 - t0) * b / cols;
       const sim::SimTime z = t0 + (t1 - t0) * (b + 1) / cols;
-      std::array<sim::Duration, sim::kNumCategories> totals{};
-      for (const sim::Interval& iv : intervals[s]) {
-        const sim::SimTime lo = std::max(iv.start, a);
-        const sim::SimTime hi = std::min(iv.end, z);
-        if (hi > lo) totals[static_cast<std::size_t>(iv.category)] += hi - lo;
-      }
+      const auto totals = category_totals(intervals[s], a, z);
       std::size_t best = 0;
       for (std::size_t c = 1; c < totals.size(); ++c) {
         if (totals[c] > totals[best]) best = c;

@@ -20,7 +20,6 @@
 // expressed as the [t0, t1) window and column count of render().
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -66,10 +65,6 @@ class Oscilloscope {
                                        int buckets) const;
 
  private:
-  // Time per category within [t0, t1) for one station.
-  [[nodiscard]] std::array<sim::Duration, sim::kNumCategories> bucket_totals(
-      hw::StationId s, sim::SimTime t0, sim::SimTime t1) const;
-
   vorx::System& sys_;
 };
 

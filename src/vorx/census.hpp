@@ -22,7 +22,7 @@ class NodeCensus {
     switch (r) {
       case BlockReason::kInput: input_ += delta; break;
       case BlockReason::kOutput: output_ += delta; break;
-      case BlockReason::kOther: other_ += delta; break;
+      case BlockReason::kOther: break;  // labelled kIdleOther by default
     }
     cpu_.note_idle_reason_changed();
   }
@@ -34,15 +34,10 @@ class NodeCensus {
     return sim::Category::kIdleOther;
   }
 
-  [[nodiscard]] int blocked_on_input() const { return input_; }
-  [[nodiscard]] int blocked_on_output() const { return output_; }
-  [[nodiscard]] int blocked_other() const { return other_; }
-
  private:
   sim::Cpu& cpu_;
   int input_ = 0;
   int output_ = 0;
-  int other_ = 0;
 };
 
 /// RAII: marks a thread blocked for `reason` for the guard's lifetime.

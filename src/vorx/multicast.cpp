@@ -46,7 +46,6 @@ void Mcast::record_delivery(const hw::Frame& f) {
   sim::Simulator& sim = svc_.kernel().simulator();
   const sim::Duration lat = sim.now() - static_cast<sim::SimTime>(f.aux);
   ++deliveries_;
-  delivery_latency_total_ += lat;
   if (lat > delivery_latency_max_) delivery_latency_max_ = lat;
   sim::CounterTimeline& ct = sim.counters();
   if (!ct.enabled()) return;
@@ -139,7 +138,6 @@ sim::Task<void> Mcast::write(Subprocess& sp, std::uint32_t bytes,
       record_software_copy();
     }
   }
-  ++writes_;
   const bool expect_acks = mode_ == McastMode::kHardware
                                ? order_.size() > 1
                                : !children().empty();
@@ -173,7 +171,6 @@ sim::Task<ChannelMsg> Mcast::read(Subprocess& sp) {
   }
   ChannelMsg m = std::move(rxq_.front());
   rxq_.pop_front();
-  ++reads_;
   co_return m;
 }
 

@@ -67,8 +67,6 @@ class Mcast {
   [[nodiscard]] std::uint64_t gid() const { return gid_; }
   [[nodiscard]] bool is_root() const { return my_pos_ == 0; }
   [[nodiscard]] std::size_t member_count() const { return order_.size(); }
-  [[nodiscard]] std::uint64_t messages_written() const { return writes_; }
-  [[nodiscard]] std::uint64_t messages_read() const { return reads_; }
 
   // ---- per-group observability (§4.2: receiver processing, not wire
   // time, dominates multicast delivery — these counters show it) ----
@@ -81,12 +79,9 @@ class Mcast {
   /// Messages delivered to this member over the network (the root's local
   /// filing is not counted — its delivery time is zero by construction).
   [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
-  /// Sum / max of root-send-to-member-delivery virtual time, over every
-  /// network delivery at this member.  The root's send time rides in
-  /// Frame::aux (injected_at is re-stamped per hop and cannot be used).
-  [[nodiscard]] sim::Duration delivery_latency_total() const {
-    return delivery_latency_total_;
-  }
+  /// Max of root-send-to-member-delivery virtual time, over every network
+  /// delivery at this member.  The root's send time rides in Frame::aux
+  /// (injected_at is re-stamped per hop and cannot be used).
   [[nodiscard]] sim::Duration delivery_latency_max() const {
     return delivery_latency_max_;
   }
@@ -127,13 +122,9 @@ class Mcast {
   };
   std::unordered_map<std::uint64_t, SeqState> pending_;
 
-  std::uint64_t writes_ = 0;
-  std::uint64_t reads_ = 0;
-
   std::string track_;  // CounterTimeline track ("mcast.g<gid>"), cached
   std::uint64_t sw_copies_ = 0;
   std::uint64_t deliveries_ = 0;
-  sim::Duration delivery_latency_total_ = 0;
   sim::Duration delivery_latency_max_ = 0;
 };
 

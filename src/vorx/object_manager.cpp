@@ -181,9 +181,7 @@ void OmService::on_accept(hw::Frame f) {
   Channel* ch = chans_.create_channel(
       f.aux >> 32, f.aux & 0xffffffffULL, name,
       static_cast<hw::StationId>(static_cast<std::int64_t>(f.obj)));
-  const bool queued = port->acceptq_.try_send(ch);
-  assert(queued && "server accept queue is unbounded");
-  (void)queued;
+  port->acceptq_.push(ch);
 }
 
 }  // namespace hpcvorx::vorx

@@ -140,7 +140,6 @@ class Subprocess {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] SpState state() const { return state_; }
   void set_state(SpState s) { state_ = s; }
-  [[nodiscard]] std::int64_t owner_id() const { return owner_id_; }
   [[nodiscard]] sim::Duration switch_cost() const { return switch_cost_; }
 
  private:

@@ -19,7 +19,6 @@ sim::Task<void> SlidingWindowSender::send(Subprocess& sp, std::uint32_t bytes,
     ++credits_;
   }
   if (credits_ == 0) {
-    ++blocked_;
     hw::Frame cf = co_await link_.recv(sp);  // wait for a credit
     assert(cf.aux == kCreditAux);
     (void)cf;

@@ -56,7 +56,6 @@ sim::Proc SnetStation::drain_pump() {
       }
       auto frag = bus_.fifo_pop(id_);
       assert(frag.has_value());
-      drained_ += total;
       if (!frag->complete) {
         // The §2 residue: read it, recognise the truncation, throw it away.
         ++discarded_;
@@ -82,7 +81,7 @@ void SnetStation::dispatch(hw::Frame f) {
       if (reservation_server_ && f.src == authorized_) {
         authorized_ = -1;  // transfer complete; the next sender may go
       }
-      (void)inbox_.try_send(std::move(f));
+      inbox_.push(std::move(f));
       try_grant();
       break;
   }

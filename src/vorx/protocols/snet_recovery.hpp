@@ -65,7 +65,6 @@ class SnetStation {
   [[nodiscard]] sim::Cpu& cpu() { return cpu_; }
   [[nodiscard]] std::uint64_t messages_received() const { return received_; }
   [[nodiscard]] std::uint64_t partials_discarded() const { return discarded_; }
-  [[nodiscard]] std::uint64_t bytes_drained() const { return drained_; }
 
  private:
   /// The persistent fifo drain pump: one coroutine for the station's
@@ -89,7 +88,6 @@ class SnetStation {
   sim::Semaphore bus_mutex_;  // one outstanding bus request per processor
   std::uint64_t received_ = 0;
   std::uint64_t discarded_ = 0;
-  std::uint64_t drained_ = 0;
 
   // Reservation protocol state.
   bool reservation_server_ = false;

@@ -164,7 +164,7 @@ TEST(Gate, ZeroTargetIsOpenImmediately) {
 
 Proc mb_producer(Simulator& sim, Mailbox<int>& mb, int count, Duration gap) {
   for (int i = 0; i < count; ++i) {
-    co_await mb.send(i);
+    mb.push(i);
     co_await delay(sim, gap);
   }
 }
@@ -194,38 +194,6 @@ TEST(Mailbox, ConsumerBeforeProducerWorks) {
   mb_producer(sim, mb, 3, 0);
   sim.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
-}
-
-Proc blocking_sender(Simulator& sim, Mailbox<int>& mb, SimTime& done_at) {
-  co_await mb.send(1);
-  co_await mb.send(2);  // blocks: capacity 1
-  done_at = sim.now();
-}
-
-Proc late_receiver(Simulator& sim, Mailbox<int>& mb, Duration when) {
-  co_await delay(sim, when);
-  (void)co_await mb.recv();
-}
-
-TEST(Mailbox, SendBlocksWhenFull) {
-  Simulator sim;
-  Mailbox<int> mb(sim, 1);
-  SimTime done_at = -1;
-  blocking_sender(sim, mb, done_at);
-  late_receiver(sim, mb, usec(7));
-  sim.run();
-  EXPECT_EQ(done_at, usec(7));
-  EXPECT_EQ(mb.size(), 1u);  // the second message now buffered
-}
-
-TEST(Mailbox, TrySendRespectsCapacity) {
-  Simulator sim;
-  Mailbox<int> mb(sim, 2);
-  EXPECT_TRUE(mb.try_send(1));
-  EXPECT_TRUE(mb.try_send(2));
-  EXPECT_FALSE(mb.try_send(3));
-  EXPECT_EQ(mb.try_recv().value(), 1);
-  EXPECT_TRUE(mb.try_send(3));
 }
 
 TEST(Mailbox, TryRecvOnEmptyIsNullopt) {
