@@ -142,6 +142,14 @@ class EventQueue {
 
   /// Takes the next insertion sequence number without queueing anything.
   [[nodiscard]] EventTicket reserve() { return EventTicket{next_seq_++}; }
+  /// Takes the next `n` sequence numbers as one block and returns the
+  /// first: ticket `first.seq + i` is the one the (i+1)-th of n reserve()
+  /// calls made now would have returned.
+  [[nodiscard]] EventTicket reserve(std::uint64_t n) {
+    const EventTicket first{next_seq_};
+    next_seq_ += n;
+    return first;
+  }
 
   /// Schedules `fn` at `at` in the (time, seq) slot `ticket` reserved: it
   /// fires exactly where post(at, fn) made at reservation time would have

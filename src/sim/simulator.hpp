@@ -79,6 +79,12 @@ class Simulator {
   /// reserves one ticket per item up front, so same-instant ties with
   /// other events still break in the eager order.
   [[nodiscard]] EventTicket reserve() { return queue_.reserve(); }
+  /// Reserves `n` consecutive positions at once (EventQueue::reserve(n)):
+  /// a stream that knows its item count but generates the items later
+  /// hands out `first.seq + i` as the i-th item's ticket.
+  [[nodiscard]] EventTicket reserve(std::uint64_t n) {
+    return queue_.reserve(n);
+  }
   /// Schedules `fn` at `at` in the slot `ticket` reserved.  Unlike the
   /// eager overload this does not clamp: `at` must not be in the past.
   void post_at(SimTime at, EventTicket ticket, InlineFn&& fn) {

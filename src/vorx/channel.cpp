@@ -117,12 +117,12 @@ ChannelService::ChannelService(Kernel& kernel, NodeCensus& census,
       side_buffers_(side_buffers),
       delivery_pulse_(kernel.simulator()) {
   kernel_.register_handler(msg::kChanData,
-                           [this](hw::Frame f) { on_data(std::move(f)); });
+                           [this](const hw::Frame& f) { on_data(f); });
   kernel_.register_handler(msg::kChanAck,
-                           [this](hw::Frame f) { on_ack(std::move(f)); });
-  kernel_.register_handler(msg::kChanRetransmitReq, [this](hw::Frame f) {
-    on_retransmit_req(std::move(f));
-  });
+                           [this](const hw::Frame& f) { on_ack(f); });
+  kernel_.register_handler(
+      msg::kChanRetransmitReq,
+      [this](const hw::Frame& f) { on_retransmit_req(f); });
 }
 
 Channel* ChannelService::create_channel(std::uint64_t id, std::uint64_t peer_id,

@@ -28,7 +28,7 @@ Kernel::Kernel(sim::Simulator& sim, hw::Endpoint& ep, sim::Cpu& cpu,
 
 void Kernel::register_handler(std::uint32_t kind, Handler h) {
   assert(kind < msg::kNumKinds && "register_handler: kind outside msg::");
-  handlers_[kind] = std::move(h);
+  handlers_[kind] = h;
 }
 
 void Kernel::register_object(Udco& obj) { objects_[obj.id()] = &obj; }
@@ -95,7 +95,7 @@ void Kernel::dispatch(hw::Frame f) {
     }
   }
   if (f.kind < handlers_.size() && handlers_[f.kind]) {
-    handlers_[f.kind](std::move(f));
+    handlers_[f.kind](f);
     return;
   }
   ++dropped_;

@@ -16,9 +16,11 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 
 #include "hw/fabric.hpp"
@@ -34,7 +36,32 @@ class Udco;
 
 class Kernel {
  public:
-  using Handler = std::function<void(hw::Frame)>;
+  /// A frame handler: a trivially copyable callable of up to four
+  /// pointers (a lambda capturing `this` and a few pointers or
+  /// references), stored in place and called with the frame by reference.
+  class Handler {
+   public:
+    Handler() = default;
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_same_v<F, Handler> &&
+                              std::is_invocable_v<const F&, const hw::Frame&>>>
+    Handler(F f)  // NOLINT(google-explicit-constructor): lambdas convert
+        : call_([](const void* fn, const hw::Frame& frame) {
+            (*static_cast<const F*>(fn))(frame);
+          }) {
+      static_assert(sizeof(F) <= sizeof(fn_) && alignof(F) <= alignof(void*) &&
+                        std::is_trivially_copyable_v<F>,
+                    "Kernel::Handler: capture at most four pointers or "
+                    "references");
+      ::new (static_cast<void*>(fn_)) F(f);
+    }
+    explicit operator bool() const { return call_ != nullptr; }
+    void operator()(const hw::Frame& f) const { call_(fn_, f); }
+
+   private:
+    void (*call_)(const void*, const hw::Frame&) = nullptr;
+    alignas(void*) std::byte fn_[4 * sizeof(void*)];
+  };
 
   Kernel(sim::Simulator& sim, hw::Endpoint& ep, sim::Cpu& cpu,
          const CostModel& costs);

@@ -10,9 +10,9 @@ namespace hpcvorx::vorx {
 
 LoaderService::LoaderService(Node& node) : node_(node) {
   node_.kernel().register_handler(
-      msg::kLoadSegment, [this](hw::Frame f) { on_segment(std::move(f)); });
+      msg::kLoadSegment, [this](const hw::Frame& f) { on_segment(f); });
   node_.kernel().register_handler(
-      msg::kLoadDone, [this](hw::Frame f) { on_done(std::move(f)); });
+      msg::kLoadDone, [this](const hw::Frame& f) { on_done(f); });
 }
 
 void LoaderService::expect(ReceivePlan plan) {

@@ -37,13 +37,15 @@ inline constexpr std::uint32_t kMcastAck = 14;
 // Processor allocation (§3.1).  The workload generator's session-slot
 // admission runs over these: req/reply against a host's slot table, plus
 // the explicit free VORX requires ("not available to anyone else until
-// explicitly freed").
+// explicitly freed").  A workload request carries (root slot << 8 |
+// attempt) in Frame::seq, and the reply echoes it.
 inline constexpr std::uint32_t kAllocReq = 15;
 inline constexpr std::uint32_t kAllocReply = 16;
 inline constexpr std::uint32_t kAllocFree = 17;
 
 // Conferencing workload sessions (vorx::WorkloadGen, DESIGN.md §14).
-// Frame::obj carries the session id end to end.
+// Frame::obj carries the session id end to end; an invite carries the
+// root slot in Frame::aux, and the accept echoes it.
 inline constexpr std::uint32_t kSessInvite = 18;  // root -> member node
 inline constexpr std::uint32_t kSessAccept = 19;  // member -> root
 inline constexpr std::uint32_t kSessData = 20;    // talk-spurt media frame

@@ -177,9 +177,9 @@ sim::Task<ChannelMsg> Mcast::read(Subprocess& sp) {
 McastService::McastService(Kernel& kernel, NodeCensus& census)
     : kernel_(kernel), census_(census) {
   kernel_.register_handler(msg::kMcastData,
-                           [this](hw::Frame f) { on_data(std::move(f)); });
+                           [this](const hw::Frame& f) { on_data(f); });
   kernel_.register_handler(msg::kMcastAck,
-                           [this](hw::Frame f) { on_ack(std::move(f)); });
+                           [this](const hw::Frame& f) { on_ack(f); });
 }
 
 Mcast* McastService::create_group(std::uint64_t gid,

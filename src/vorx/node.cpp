@@ -20,16 +20,16 @@ Node::Node(sim::Simulator& sim, hw::Endpoint& ep, const CostModel& costs,
   cpu_.ledger().enable_recording(opts.record_intervals);
   // Stash user-defined-object frames that beat the open reply; make_udco
   // replays them.
-  kernel_.register_handler(msg::kUdco, [this](hw::Frame f) {
-    udco_orphans_[f.obj].push_back(std::move(f));
+  kernel_.register_handler(msg::kUdco, [this](const hw::Frame& f) {
+    udco_orphans_[f.obj].push_back(f);
   });
-  kernel_.register_handler(msg::kSyscallReq, [this](hw::Frame f) {
+  kernel_.register_handler(msg::kSyscallReq, [this](const hw::Frame& f) {
     auto it = stubs_.find(f.obj);
-    if (it != stubs_.end()) it->second->on_request(std::move(f));
+    if (it != stubs_.end()) it->second->on_request(f);
   });
-  kernel_.register_handler(msg::kSyscallReply, [this](hw::Frame f) {
+  kernel_.register_handler(msg::kSyscallReply, [this](const hw::Frame& f) {
     auto it = sys_clients_.find(f.obj);
-    if (it != sys_clients_.end()) it->second->on_reply(std::move(f));
+    if (it != sys_clients_.end()) it->second->on_reply(f);
   });
 }
 

@@ -41,13 +41,13 @@ OmService::OmService(Kernel& kernel, ChannelService& chans, Locator locate)
       // on the host.  Minted per-simulator (shard-ready, R6).
       mgr_owner_(kernel.simulator().allocate_id()) {
   kernel_.register_handler(msg::kOmOpen,
-                           [this](hw::Frame f) { on_request(std::move(f)); });
+                           [this](const hw::Frame& f) { on_request(f); });
   kernel_.register_handler(msg::kOmRegisterServer,
-                           [this](hw::Frame f) { on_request(std::move(f)); });
+                           [this](const hw::Frame& f) { on_request(f); });
   kernel_.register_handler(msg::kOmReply,
-                           [this](hw::Frame f) { on_reply(std::move(f)); });
+                           [this](const hw::Frame& f) { on_reply(f); });
   kernel_.register_handler(msg::kOmAccept,
-                           [this](hw::Frame f) { on_accept(std::move(f)); });
+                           [this](const hw::Frame& f) { on_accept(f); });
 }
 
 sim::Task<OpenResult> OmService::open_pair(Subprocess& sp, std::string name,

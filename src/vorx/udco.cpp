@@ -21,7 +21,7 @@ Udco::~Udco() { kernel_.unregister_object(id_); }
 void Udco::deliver(hw::Frame f) {
   ++received_;
   if (isr_) {
-    isr_(std::move(f));
+    isr_(f);
     return;
   }
   // Default ISR: queue with no flow control (the receiver is responsible
@@ -30,7 +30,7 @@ void Udco::deliver(hw::Frame f) {
   arrival_.set();
 }
 
-void Udco::set_isr(std::function<void(hw::Frame)> isr) { isr_ = std::move(isr); }
+void Udco::set_isr(Kernel::Handler isr) { isr_ = isr; }
 
 sim::Task<void> Udco::send(Subprocess& sp, std::uint32_t bytes,
                            hw::Payload data, std::uint64_t seq,

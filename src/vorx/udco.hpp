@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -64,7 +63,7 @@ class Udco {
 
   /// Replaces the default inbox ISR; `isr` runs at interrupt level after
   /// the user ISR cost has been charged.
-  void set_isr(std::function<void(hw::Frame)> isr);
+  void set_isr(Kernel::Handler isr);
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] std::uint64_t peer_end_id() const { return peer_id_; }
@@ -87,7 +86,7 @@ class Udco {
   hw::StationId peer_;
   std::deque<hw::Frame> inbox_;
   sim::Event arrival_;
-  std::function<void(hw::Frame)> isr_;
+  Kernel::Handler isr_;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

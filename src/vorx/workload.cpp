@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
+#include <queue>
 #include <sstream>
 #include <stdexcept>
 
@@ -193,32 +195,67 @@ std::int64_t percentile_us(std::span<std::uint32_t> samples, int pct) {
   return *k;
 }
 
-// ---- pre-generated session descriptors -----------------------------------
+void LatencyCounts::add(std::uint32_t us) {
+  ++n_;
+  if (us >= kDense) {
+    over_.push_back(us);
+    return;
+  }
+  if (dense_.empty()) dense_.resize(kDense);
+  assert(dense_[us] < std::numeric_limits<std::uint32_t>::max());
+  ++dense_[us];
+}
+
+std::int64_t LatencyCounts::percentile(
+    std::span<const LatencyCounts* const> parts, int pct) {
+  std::size_t n = 0;
+  for (const LatencyCounts* p : parts) n += p->n_;
+  if (n == 0) return -1;
+  // The rank-th smallest sample, counting from 0, over all the parts.
+  std::size_t rank = sim::nearest_rank_index(n, pct);
+  for (std::uint32_t us = 0; us < kDense; ++us) {
+    std::size_t here = 0;
+    for (const LatencyCounts* p : parts) {
+      if (!p->dense_.empty()) here += p->dense_[us];
+    }
+    if (rank < here) return us;
+    rank -= here;
+  }
+  std::vector<std::uint32_t> over;
+  for (const LatencyCounts* p : parts) {
+    over.insert(over.end(), p->over_.begin(), p->over_.end());
+  }
+  const auto k = over.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(over.begin(), k, over.end());
+  return *k;
+}
+
+std::int64_t LatencyCounts::percentile(int pct) const {
+  const LatencyCounts* self = this;
+  return percentile(std::span(&self, 1), pct);
+}
+
+// ---- the session stream ----------------------------------------------------
 
 namespace {
 
 struct SpurtDesc {
-  sim::Duration gap = 0;  // silence before the spurt
-  int frames = 1;         // media frames in the spurt
+  std::uint32_t gap = 0;     // ns of silence before the spurt
+  std::uint32_t frames = 1;  // media frames in the spurt
 };
+static_assert(kGapCap <= std::numeric_limits<std::uint32_t>::max(),
+              "a spurt gap fits SpurtDesc::gap");
 
 // A list of at most N entries, stored in place.  Every per-session list is
 // bounded by the fixed traffic shape (kMaxMembers - 1 members, kMaxSpurts
-// spurts), so a heap block per list — one per session and list, live for
-// the whole run — would cost more than the entries themselves.
+// spurts), so a heap block per list would cost more than the entries.
 template <typename T, std::size_t N>
 class InlineList {
  public:
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
-  [[nodiscard]] T* begin() { return items_.data(); }
-  [[nodiscard]] T* end() { return items_.data() + n_; }
   [[nodiscard]] const T* begin() const { return items_.data(); }
   [[nodiscard]] const T* end() const { return items_.data() + n_; }
-  [[nodiscard]] T& operator[](std::size_t i) {
-    assert(i < n_);
-    return items_[i];
-  }
   [[nodiscard]] const T& operator[](std::size_t i) const {
     assert(i < n_);
     return items_[i];
@@ -228,19 +265,6 @@ class InlineList {
     assert(n_ < N && "InlineList is full");
     items_[n_++] = v;
   }
-  /// Replaces the contents with `n` copies of `v`.
-  void assign(std::size_t n, const T& v) {
-    assert(n <= N);
-    std::fill_n(items_.begin(), n, v);
-    n_ = static_cast<std::uint8_t>(n);
-  }
-  /// Removes the entry at `pos`, keeping the others' order.
-  void erase(const T* pos) {
-    T* at = begin() + (pos - begin());
-    std::move(at + 1, end(), at);
-    --n_;
-  }
-  void clear() { n_ = 0; }
 
  private:
   static_assert(N <= 255, "the count is one byte");
@@ -250,60 +274,170 @@ class InlineList {
 
 constexpr std::size_t kMaxOthers = kMaxMembers - 1;  // members besides root
 
-// Session state lives in dense per-node tables: every session owns one
-// root-table slot on its root node and one member-table slot on each member
-// node, numbered at generation time.  Invite, data and bye frames carry the
-// member's slot in Frame::seq (unused by session frames otherwise), so the
-// member side indexes its table directly.
+// One session as the stream draws it.  Its root copies it into a root
+// slot when the session starts and keeps it there until it resolves.
+// Invite, data and bye frames carry the member's slot in that member
+// node's member table in Frame::seq, so the member side indexes its table
+// directly.
 struct SessionDesc {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  // 0 only in a free root slot
   sim::SimTime start = 0;
-  int root = 0;                   // root node index
-  std::uint32_t root_slot = 0;    // slot in the root node's root table
+  int root = 0;  // root node index
   // Other member node indices (unique), and parallel to them each
   // member's slot in that node's member table.
   InlineList<int, kMaxOthers> members;
   InlineList<std::uint32_t, kMaxOthers> member_slot;
   InlineList<SpurtDesc, kMaxSpurts> spurts;
-  // Churn: (position in members, leave offset from session activation).
-  InlineList<std::pair<std::size_t, sim::Duration>, kMaxOthers> leaves;
+};
+
+// A churn departure: member `member` (a position in SessionDesc::members)
+// leaves `offset` after the session's earliest possible activation.
+struct Leave {
+  std::size_t member = 0;
+  sim::Duration offset = 0;
+};
+using Leaves = InlineList<Leave, kMaxOthers>;
+
+// Every session of the run, in generation order, drawn from one linear Rng
+// stream.  The sessions depend only on (cfg, seed, nodes) — never on shard
+// count or on anything the machine does — so the offered load is identical
+// across engines, and any number of streams built alike draw the same
+// sessions.
+class SessionStream {
+ public:
+  SessionStream(const WorkloadConfig& cfg, std::uint64_t seed, int nodes)
+      : rng_(seed),
+        nodes_(nodes),
+        horizon_ns_(static_cast<double>(cfg.horizon)) {
+    const double mean_members =
+        (static_cast<double>(kMinMembers) + kMaxMembers) / 2.0;
+    const double expected =
+        static_cast<double>(cfg.users) * kSessionsPerUser / mean_members;
+    done_ = expected <= 0.0 || cfg.horizon <= 0;
+    if (done_) return;
+    const double rate_mean = expected / horizon_ns_;  // arrivals per ns
+    rate_max_ = rate_mean * (1.0 + kDiurnalSwing);
+  }
+
+  // Draws the next session into `d` and its churn into `leaves`, numbering
+  // member slots from `member_slots` (per node) when it is not null.
+  // False once the horizon is past.
+  bool next(SessionDesc& d, Leaves& leaves, std::uint32_t* member_slots) {
+    while (!done_) {
+      // Homogeneous candidates at rate_max, thinned to the diurnal curve.
+      t_ += -det_ln(unit_open(rng_)) / rate_max_;
+      if (t_ >= horizon_ns_) break;
+      // Triangle wave: 0 at the edges of the horizon, 1 at its midpoint.
+      const double x = t_ / horizon_ns_;
+      const double tri = 1.0 - (x < 0.5 ? 1.0 - 2.0 * x : 2.0 * x - 1.0);
+      const double accept =
+          (1.0 - kDiurnalSwing + 2.0 * kDiurnalSwing * tri) /
+          (1.0 + kDiurnalSwing);
+      if (!rng_.chance(accept)) continue;
+      draw(d, leaves, member_slots);
+      return true;
+    }
+    done_ = true;
+    return false;
+  }
+
+ private:
+  void draw(SessionDesc& d, Leaves& leaves, std::uint32_t* member_slots) {
+    d = SessionDesc{};
+    leaves = Leaves{};
+    d.id = next_id_++;
+    d.start = static_cast<sim::SimTime>(t_);
+    const auto nodes = static_cast<std::uint64_t>(nodes_);
+    d.root = static_cast<int>(rng_.below(nodes));
+    const int want = static_cast<int>(rng_.range(kMinMembers, kMaxMembers));
+    const int size = std::min(want, nodes_);  // distinct nodes available
+    while (static_cast<int>(d.members.size()) < size - 1) {
+      const int m = static_cast<int>(rng_.below(nodes));
+      if (m == d.root) continue;
+      if (std::find(d.members.begin(), d.members.end(), m) !=
+          d.members.end()) {
+        continue;
+      }
+      d.members.push_back(m);
+      d.member_slot.push_back(member_slots != nullptr ? member_slots[m]++ : 0);
+    }
+    const int nspurts = static_cast<int>(rng_.range(kMinSpurts, kMaxSpurts));
+    sim::Duration nominal = 0;
+    for (int i = 0; i < nspurts; ++i) {
+      const sim::Duration gap = sample_exp(rng_, kSpurtGap, kGapCap);
+      const sim::Duration len =
+          sample_pareto(rng_, kSpurtXm, kSpurtAlpha, kSpurtCap);
+      const int frames = 1 + static_cast<int>(len / kFrameInterval);
+      nominal += gap + static_cast<sim::Duration>(frames) * kFrameInterval;
+      d.spurts.push_back({static_cast<std::uint32_t>(gap),
+                          static_cast<std::uint32_t>(frames)});
+    }
+    for (std::size_t i = 0; i < d.members.size(); ++i) {
+      if (rng_.chance(kChurnProb) && nominal > 0) {
+        leaves.push_back({i, static_cast<sim::Duration>(rng_.below(
+                                 static_cast<std::uint64_t>(nominal)))});
+      }
+    }
+  }
+
+  sim::Rng rng_;
+  int nodes_;
+  double horizon_ns_;
+  double rate_max_ = 0.0;
+  double t_ = 0.0;
+  std::uint64_t next_id_ = 1;
+  bool done_ = false;
 };
 
 // Root-side session phases.  kDone/kFailed/kLost are terminal; the slot is
-// cleared once counted, so the watchdog treats "slot still live" as
+// freed once counted, so "the slot still holds the sid" means
 // not-yet-resolved.
-enum Phase : int { kAllocating = 0, kInviting = 1, kActive = 2 };
+enum Phase : std::uint8_t { kAllocating = 0, kInviting = 1, kActive = 2 };
 
-// A member still in an active conference: where to send its frames.
-struct LiveMember {
-  int node = 0;            // member node index
-  std::uint32_t slot = 0;  // its slot in that node's member table
-};
-
+// One slot of a node's root table: a live session rooted there.  The
+// member sets are bit masks over desc.members (bit i: members[i]).
 struct RootSession {
-  const SessionDesc* desc = nullptr;  // null: not started, or resolved
-  int phase = kAllocating;
-  std::uint32_t epoch = 0;  // invalidates outstanding control timers
-  int attempt = 0;          // allocation attempts made
+  SessionDesc desc;         // desc.id == 0: the slot is free
   hw::StationId host = -1;  // granted host station (-1 = none)
-  int round = 0;            // invite rounds completed
-  InlineList<char, kMaxOthers> accepted;    // parallel to desc->members
-  InlineList<LiveMember, kMaxOthers> live;  // members still in the call
-  std::size_t spurt = 0;
+  std::uint32_t epoch = 0;  // invalidates outstanding control timers
   int frames_left = 0;
+  std::uint8_t phase = kAllocating;
+  std::uint8_t attempt = 0;   // allocation attempts made
+  std::uint8_t round = 0;     // invite rounds completed
+  std::uint8_t spurt = 0;
+  std::uint8_t accepted = 0;  // members that accepted the invite
+  std::uint8_t live = 0;      // members still in the call
 };
 
-// One item of a lazy feed (see Impl::Feed): a pre-computed event with the
-// queue position it reserved.
-enum class FeedKind : std::uint8_t { kStart, kWatchdog, kLeave, kMemberGc };
+static_assert(kMaxOthers <= 8, "member sets are one-byte bit masks");
 
-struct FeedItem {
+// An allocation request carries the root slot above the attempt number in
+// Frame::seq; the host echoes seq in its reply.
+constexpr int kAttemptBits = 8;
+static_assert(kAllocAttempts < (1 << kAttemptBits));
+
+// A churn leave waiting on a member node's simulator.
+struct LeaveItem {
+  sim::SimTime at = 0;
+  std::uint64_t seq = 0;   // its ticket in the simulator's block
+  std::uint64_t sid = 0;
+  int root = 0;            // the session's root node
+  int node = 0;            // the leaving member's node
+  std::uint32_t slot = 0;  // its member-table slot
+};
+
+// Orders a min-heap of leaves on (at, seq).
+struct LeavesAfter {
+  bool operator()(const LeaveItem& a, const LeaveItem& b) const {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+};
+
+// A member-side GC deadline (see on_invite).
+struct GcItem {
   sim::SimTime at = 0;
   sim::EventTicket ticket;
-  std::uint64_t sid = 0;
-  int node = 0;            // agent the item acts on
-  std::uint32_t slot = 0;  // member-table slot (kLeave, kMemberGc)
-  FeedKind kind = FeedKind::kStart;
+  std::uint32_t slot = 0;  // member-table slot to reclaim
 };
 
 }  // namespace
@@ -311,55 +445,57 @@ struct FeedItem {
 // ---- agents ---------------------------------------------------------------
 
 struct WorkloadGen::Impl {
-  // A lazy event stream: items in (time, seq) order, of which only the head
-  // is in the event queue, posted on the ticket the item reserved when the
-  // stream was fed.  Each fire posts the next head before acting, so every
-  // item fires exactly where an eager post at reservation time would have
-  // — same-instant ties included — while the queue holds one entry per
-  // stream instead of one per item.
-  struct Feed {
-    Feed() = default;
-    Feed(const Feed&) = delete;  // the queued head's callback holds `this`
-    Feed& operator=(const Feed&) = delete;
+  // A walk over the session stream that stops at each session rooted on its
+  // feed's simulator.  It numbers that simulator's items as it passes them.
+  struct Cursor {
+    explicit Cursor(SessionStream s) : stream(s) {}
+    SessionStream stream;
+    std::uint64_t index = 0;  // the simulator's items numbered so far
+    SessionDesc d;            // the session it stopped at
+    std::uint64_t seq = 0;    // ticket seq of d's start; its watchdog's + 1
+    bool live = false;        // false once the stream is exhausted
+  };
 
-    Impl* impl = nullptr;
-    sim::Simulator* sim = nullptr;
-    std::deque<FeedItem> items;
+  // One simulator's arrival feed (DESIGN.md §14.1): the session starts,
+  // root watchdogs and churn leaves of the nodes the simulator runs, in
+  // (time, seq) order.  Only the head is in the event queue, posted on its
+  // ticket; each fire posts the next head before acting.  The items come
+  // from three sources: the lead cursor's next start; the churn leaves the
+  // lead cursor has passed, in a min-heap; and the trailing cursor, a
+  // second walk of the stream that stops at each watchdog, kTtlEff behind
+  // the starts.  No item precedes its session's start, so when the lead
+  // stops at the next start every earlier item is already in a source.
+  struct ArrivalFeed {
+    ArrivalFeed(sim::Simulator* s, const SessionStream& stream, int nodes)
+        : sim(s),
+          lead(stream),
+          trail(stream),
+          member_slots(static_cast<std::size_t>(nodes), 0) {}
+    ArrivalFeed(const ArrivalFeed&) = delete;  // the queued head holds `this`
+    ArrivalFeed& operator=(const ArrivalFeed&) = delete;
 
-    // Appends an item that orders after every one already fed.
-    void append(const FeedItem& it) {
-      items.push_back(it);
-      if (items.size() == 1) post_head();
-    }
-    // Orders items fed out of order straight into `items`, then queues
-    // the head.
-    void start() {
-      std::sort(items.begin(), items.end(),
-                [](const FeedItem& a, const FeedItem& b) {
-                  return a.at != b.at ? a.at < b.at
-                                      : a.ticket.seq < b.ticket.seq;
-                });
-      if (!items.empty()) post_head();
-    }
-    void post_head() {
-      sim->post_at(items.front().at, items.front().ticket, [this] {
-        const FeedItem it = items.front();
-        items.pop_front();
-        if (!items.empty()) post_head();
-        impl->fire(it);
-      });
-    }
+    enum class Head : std::uint8_t { kStart, kWatchdog, kLeave };
+
+    sim::Simulator* sim;
+    std::uint64_t items = 0;  // items in the run, from the counting pass
+    sim::EventTicket base;    // the first ticket of their block
+    Cursor lead;
+    Cursor trail;
+    std::vector<std::uint32_t> member_slots;  // per node, numbered so far
+    std::priority_queue<LeaveItem, std::vector<LeaveItem>, LeavesAfter> leaves;
+    Head head = Head::kStart;  // the source of the queued head
+    LatencyCounts deliveries;  // delivery latencies at the nodes it runs
   };
 
   struct NodeAgent {
     Node* node = nullptr;
     int index = 0;
-    std::vector<RootSession> roots;  // by SessionDesc::root_slot
-    std::vector<char> member_in;     // by member slot: 1 while a member
-    Feed member_gc_feed;             // member-side GC deadlines
-    Feed* arrivals = nullptr;        // this node's simulator's arrival feed
-    std::vector<std::uint32_t> join_lat;   // latency_us samples
-    std::vector<std::uint32_t> deliv_lat;
+    ArrivalFeed* feed = nullptr;      // this node's simulator's feed
+    std::vector<RootSession> roots;   // live sessions rooted here, by slot
+    std::vector<std::uint32_t> free_roots;  // slots of resolved sessions
+    std::vector<char> member_in;      // by member slot: 1 while a member
+    std::deque<GcItem> gc;            // member-side GC deadlines, in order
+    std::vector<std::uint32_t> join_lat;  // latency_us samples
     // (time, +1/-1) activation log for the concurrent-sessions peak.
     std::vector<std::pair<sim::SimTime, int>> active_log;
     std::uint64_t completed = 0;
@@ -391,30 +527,33 @@ struct WorkloadGen::Impl {
 
   Impl(System& sys, WorkloadConfig cfg, std::uint64_t seed);
 
-  void install();
-  void generate(std::uint64_t seed);
-  void schedule();
-  void fire(const FeedItem& it);
+  void install(const SessionStream& stream);
+  bool advance(ArrivalFeed& f, Cursor& c, bool lead);
+  void post_head(ArrivalFeed& f);
+  void fire_head(ArrivalFeed& f);
+  void post_gc_head(NodeAgent& ag);
 
-  // Root-side state machine.
-  void start_session(NodeAgent& ag, std::uint64_t sid);
-  void send_alloc(NodeAgent& ag, RootSession& rs);
+  // Root-side state machine.  `slot` is the session's root-table slot.
+  void start_session(NodeAgent& ag, const SessionDesc& d);
+  void send_alloc(NodeAgent& ag, std::uint32_t slot);
   void on_alloc_reply(NodeAgent& ag, const hw::Frame& f);
-  void start_invites(NodeAgent& ag, RootSession& rs, bool resend_only);
+  void start_invites(NodeAgent& ag, std::uint32_t slot, bool resend_only);
   void on_accept(NodeAgent& ag, const hw::Frame& f);
-  void invite_timeout(NodeAgent& ag, std::uint64_t sid, std::uint32_t epoch);
-  void activate(NodeAgent& ag, RootSession& rs);
-  void spurt_step(NodeAgent& ag, std::uint64_t sid, std::uint32_t epoch);
+  void invite_timeout(NodeAgent& ag, std::uint32_t slot, std::uint64_t sid,
+                      std::uint32_t epoch);
+  void activate(NodeAgent& ag, std::uint32_t slot);
+  void spurt_step(NodeAgent& ag, std::uint32_t slot, std::uint64_t sid,
+                  std::uint32_t epoch);
   void on_leave(NodeAgent& ag, const hw::Frame& f);
-  void finish(NodeAgent& ag, std::uint64_t sid);
-  void fail_join(NodeAgent& ag, std::uint64_t sid);
+  void finish(NodeAgent& ag, std::uint32_t slot);
+  void fail_join(NodeAgent& ag, std::uint32_t slot);
   void watchdog(NodeAgent& ag, std::uint64_t sid);
 
   // Member side.
   void on_invite(NodeAgent& ag, const hw::Frame& f);
   void on_data(NodeAgent& ag, const hw::Frame& f);
   void on_bye(NodeAgent& ag, const hw::Frame& f);
-  void member_leave(NodeAgent& ag, std::uint32_t slot, std::uint64_t sid);
+  void member_leave(NodeAgent& ag, const LeaveItem& it);
 
   // Host side.
   void on_alloc_req(HostAgent& h, const hw::Frame& f);
@@ -423,147 +562,106 @@ struct WorkloadGen::Impl {
 
   void send_free(NodeAgent& ag, hw::StationId host, std::uint64_t sid);
 
-  // The root-table slot of session `sid` on its root node `ag`, or null
-  // when the session has not started or is already resolved.
-  [[nodiscard]] RootSession* live_root(NodeAgent& ag, std::uint64_t sid) {
-    const SessionDesc& d = descs[sid - 1];
-    assert(d.root == ag.index);
-    RootSession& rs = ag.roots[d.root_slot];
-    return rs.desc != nullptr ? &rs : nullptr;
+  // Root slot `slot` on `ag` when it still holds session `sid`; null once
+  // the session has resolved, even if a later session reuses the slot.
+  [[nodiscard]] static RootSession* live_root(NodeAgent& ag,
+                                              std::uint64_t slot,
+                                              std::uint64_t sid) {
+    assert(slot < ag.roots.size());
+    RootSession& rs = ag.roots[slot];
+    return rs.desc.id == sid ? &rs : nullptr;
   }
-  // Clears a resolved session's root slot (and frees its vectors).
-  static void resolve(RootSession& rs) { rs = RootSession{}; }
+  // The root slot of live session `sid`, by a scan of the table (bounded by
+  // the node's peak live sessions), for the two callers that do not know
+  // the slot: the watchdog and a member's leave.
+  [[nodiscard]] static RootSession* find_root(NodeAgent& ag,
+                                              std::uint64_t sid) {
+    if (ag.free_roots.size() == ag.roots.size()) return nullptr;  // none live
+    for (RootSession& rs : ag.roots) {
+      if (rs.desc.id == sid) return &rs;
+    }
+    return nullptr;
+  }
+  // Frees a resolved session's root slot for the next session to start.
+  static void resolve(NodeAgent& ag, std::uint32_t slot) {
+    ag.roots[slot] = RootSession{};
+    ag.free_roots.push_back(slot);
+  }
+  [[nodiscard]] static std::uint32_t slot_of(const NodeAgent& ag,
+                                             const RootSession& rs) {
+    return static_cast<std::uint32_t>(&rs - ag.roots.data());
+  }
+  [[nodiscard]] NodeAgent& agent(int node) {
+    return *node_agents[static_cast<std::size_t>(node)];
+  }
 
   [[nodiscard]] sim::SimTime end_time() const { return run_end(cfg.horizon); }
 
   System& sys;
   WorkloadConfig cfg;
-  std::vector<SessionDesc> descs;
+  std::uint64_t sessions_total = 0;
   std::vector<std::unique_ptr<NodeAgent>> node_agents;
   std::vector<std::unique_ptr<HostAgent>> host_agents;
-  std::vector<std::unique_ptr<Feed>> arrival_feeds;  // one per simulator
+  std::vector<std::unique_ptr<ArrivalFeed>> feeds;  // one per simulator
 };
 
+// The counting pass walks the whole stream once and stores nothing: it
+// counts the sessions and each simulator's feed items, so every simulator
+// reserves its items' tickets as one block.  The block sits exactly where
+// the items' one-by-one reservations used to, and the cursors hand out
+// base + index in the order those reservations were made: per session,
+// start, watchdog, then each churn leave, each on its owning simulator.
 WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
     : sys(s), cfg(std::move(c)) {
-  install();
-  generate(seed);
-  schedule();
-}
-
-// Pre-generates every session descriptor from one linear Rng stream.  The
-// result depends only on (cfg, seed) — never on shard count or on anything
-// the machine does — so the offered load is identical across engines.
-// Also numbers each session's root and member slots and sizes the agents'
-// session tables to match.
-void WorkloadGen::Impl::generate(std::uint64_t seed) {
-  sim::Rng rng(seed);
-  const int nodes = sys.num_nodes();
-  std::vector<std::uint32_t> root_slots(static_cast<std::size_t>(nodes), 0);
-  std::vector<std::uint32_t> member_slots(static_cast<std::size_t>(nodes), 0);
-  const double mean_members =
-      (static_cast<double>(kMinMembers) + kMaxMembers) / 2.0;
-  const double expected =
-      static_cast<double>(cfg.users) * kSessionsPerUser / mean_members;
-  if (expected <= 0.0 || cfg.horizon <= 0) return;
-  const double horizon_ns = static_cast<double>(cfg.horizon);
-  const double rate_mean = expected / horizon_ns;       // arrivals per ns
-  const double rate_max = rate_mean * (1.0 + kDiurnalSwing);
-
-  double t = 0.0;
-  std::uint64_t next_id = 1;
-  while (true) {
-    // Homogeneous candidates at rate_max, thinned to the diurnal curve.
-    t += -det_ln(unit_open(rng)) / rate_max;
-    if (t >= horizon_ns) break;
-    // Triangle wave: 0 at the edges of the horizon, 1 at its midpoint.
-    const double x = t / horizon_ns;
-    const double tri = 1.0 - (x < 0.5 ? 1.0 - 2.0 * x : 2.0 * x - 1.0);
-    const double accept =
-        (1.0 - kDiurnalSwing + 2.0 * kDiurnalSwing * tri) /
-        (1.0 + kDiurnalSwing);
-    if (!rng.chance(accept)) continue;
-
-    SessionDesc d;
-    d.id = next_id++;
-    d.start = static_cast<sim::SimTime>(t);
-    d.root = static_cast<int>(rng.below(static_cast<std::uint64_t>(nodes)));
-    d.root_slot = root_slots[static_cast<std::size_t>(d.root)]++;
-    const int want = static_cast<int>(
-        rng.range(kMinMembers, kMaxMembers));
-    const int size = std::min(want, nodes);  // distinct nodes available
-    while (static_cast<int>(d.members.size()) < size - 1) {
-      const int m =
-          static_cast<int>(rng.below(static_cast<std::uint64_t>(nodes)));
-      if (m == d.root) continue;
-      if (std::find(d.members.begin(), d.members.end(), m) !=
-          d.members.end()) {
-        continue;
-      }
-      d.members.push_back(m);
-      d.member_slot.push_back(member_slots[static_cast<std::size_t>(m)]++);
-    }
-    const int nspurts =
-        static_cast<int>(rng.range(kMinSpurts, kMaxSpurts));
-    sim::Duration nominal = 0;
-    for (int i = 0; i < nspurts; ++i) {
-      SpurtDesc sp;
-      sp.gap = sample_exp(rng, kSpurtGap, kGapCap);
-      const sim::Duration len =
-          sample_pareto(rng, kSpurtXm, kSpurtAlpha, kSpurtCap);
-      sp.frames = 1 + static_cast<int>(len / kFrameInterval);
-      nominal += sp.gap + static_cast<sim::Duration>(sp.frames) *
-                              kFrameInterval;
-      d.spurts.push_back(sp);
-    }
-    for (std::size_t i = 0; i < d.members.size(); ++i) {
-      if (rng.chance(kChurnProb) && nominal > 0) {
-        d.leaves.push_back(
-            {i, static_cast<sim::Duration>(
-                    rng.below(static_cast<std::uint64_t>(nominal)))});
-      }
-    }
-    descs.push_back(std::move(d));
+  const SessionStream stream(cfg, seed, sys.num_nodes());
+  install(stream);
+  SessionStream all = stream;
+  SessionDesc d;
+  Leaves leaves;
+  while (all.next(d, leaves, nullptr)) {
+    ++sessions_total;
+    agent(d.root).feed->items += 2;
+    for (const Leave& l : leaves) ++agent(d.members[l.member]).feed->items;
   }
-  for (std::size_t i = 0; i < node_agents.size(); ++i) {
-    node_agents[i]->roots.resize(root_slots[i]);
-    node_agents[i]->member_in.assign(member_slots[i], 0);
+  for (const std::unique_ptr<ArrivalFeed>& f : feeds) {
+    f->base = f->sim->reserve(f->items);
+    f->lead.live = advance(*f, f->lead, /*lead=*/true);
+    f->trail.live = advance(*f, f->trail, /*lead=*/false);
+    post_head(*f);
   }
 }
 
-void WorkloadGen::Impl::install() {
+void WorkloadGen::Impl::install(const SessionStream& stream) {
   node_agents.reserve(static_cast<std::size_t>(sys.num_nodes()));
   for (int i = 0; i < sys.num_nodes(); ++i) {
     auto ag = std::make_unique<NodeAgent>();
     ag->node = &sys.node(i);
     ag->index = i;
     sim::Simulator* sim = &ag->node->simulator();
-    ag->member_gc_feed.impl = this;
-    ag->member_gc_feed.sim = sim;
     // One arrival feed per simulator, shared by every node it runs.
-    for (const std::unique_ptr<Feed>& f : arrival_feeds) {
-      if (f->sim == sim) ag->arrivals = f.get();
+    for (const std::unique_ptr<ArrivalFeed>& f : feeds) {
+      if (f->sim == sim) ag->feed = f.get();
     }
-    if (ag->arrivals == nullptr) {
-      arrival_feeds.push_back(std::make_unique<Feed>());
-      ag->arrivals = arrival_feeds.back().get();
-      ag->arrivals->impl = this;
-      ag->arrivals->sim = sim;
+    if (ag->feed == nullptr) {
+      feeds.push_back(
+          std::make_unique<ArrivalFeed>(sim, stream, sys.num_nodes()));
+      ag->feed = feeds.back().get();
     }
     NodeAgent* a = ag.get();
     Kernel& k = a->node->kernel();
-    k.register_handler(msg::kAllocReply,
-                       [this, a](hw::Frame f) { on_alloc_reply(*a, f); });
+    k.register_handler(msg::kAllocReply, [this, a](const hw::Frame& f) {
+      on_alloc_reply(*a, f);
+    });
     k.register_handler(msg::kSessInvite,
-                       [this, a](hw::Frame f) { on_invite(*a, f); });
+                       [this, a](const hw::Frame& f) { on_invite(*a, f); });
     k.register_handler(msg::kSessAccept,
-                       [this, a](hw::Frame f) { on_accept(*a, f); });
+                       [this, a](const hw::Frame& f) { on_accept(*a, f); });
     k.register_handler(msg::kSessData,
-                       [this, a](hw::Frame f) { on_data(*a, f); });
+                       [this, a](const hw::Frame& f) { on_data(*a, f); });
     k.register_handler(msg::kSessLeave,
-                       [this, a](hw::Frame f) { on_leave(*a, f); });
+                       [this, a](const hw::Frame& f) { on_leave(*a, f); });
     k.register_handler(msg::kSessBye,
-                       [this, a](hw::Frame f) { on_bye(*a, f); });
+                       [this, a](const hw::Frame& f) { on_bye(*a, f); });
     node_agents.push_back(std::move(ag));
   }
   host_agents.reserve(static_cast<std::size_t>(sys.num_hosts()));
@@ -574,105 +672,164 @@ void WorkloadGen::Impl::install() {
     HostAgent* h = hg.get();
     Kernel& k = h->node->kernel();
     k.register_handler(msg::kAllocReq,
-                       [this, h](hw::Frame f) { on_alloc_req(*h, f); });
+                       [this, h](const hw::Frame& f) { on_alloc_req(*h, f); });
     k.register_handler(msg::kAllocFree,
-                       [this, h](hw::Frame f) { on_alloc_free(*h, f); });
+                       [this, h](const hw::Frame& f) { on_alloc_free(*h, f); });
     host_agents.push_back(std::move(hg));
   }
 }
 
-// Feeds every session start, root watchdog, and churn departure to the
-// arrival feed of the owning node's own simulator — the only
-// cross-shard-safe way to seed work (R7: cross-shard effects travel only in
-// link frames).  Tickets are reserved in the order the events would have
-// been posted eagerly, so each fires in its eager (time, seq) slot while
-// the queue holds one arrival per simulator.
-void WorkloadGen::Impl::schedule() {
-  for (const SessionDesc& d : descs) {
-    NodeAgent& root = *node_agents[static_cast<std::size_t>(d.root)];
-    sim::Simulator& rsim = root.node->simulator();
-    root.arrivals->items.push_back(
-        {d.start, rsim.reserve(), d.id, d.root, 0, FeedKind::kStart});
-    root.arrivals->items.push_back({d.start + kTtlEff, rsim.reserve(), d.id,
-                                    d.root, 0, FeedKind::kWatchdog});
-    for (const auto& [i, offset] : d.leaves) {
-      NodeAgent& mem = *node_agents[static_cast<std::size_t>(d.members[i])];
-      // Earliest the member could be active; if the invite never arrived
-      // (faults) the leave finds no local session and is a no-op.
-      const sim::SimTime leave_at =
-          d.start + kAllocTimeout + kInviteTimeout + offset;
-      mem.arrivals->items.push_back({leave_at, mem.node->simulator().reserve(),
-                                     d.id, mem.index, d.member_slot[i],
-                                     FeedKind::kLeave});
+// Draws sessions until one is rooted on `f`'s simulator, numbering every
+// item the drawn sessions put there.  The lead cursor numbers member slots
+// and keeps the leaves; the trailing one only counts them.  Every shard
+// walks the whole stream and keeps only its own items, so nothing but
+// frames crosses shards (R7).  False once the stream is exhausted.
+bool WorkloadGen::Impl::advance(ArrivalFeed& f, Cursor& c, bool lead) {
+  Leaves leaves;
+  while (c.stream.next(c.d, leaves,
+                       lead ? f.member_slots.data() : nullptr)) {
+    const bool here = agent(c.d.root).feed == &f;
+    const std::uint64_t first = c.index;
+    if (here) c.index += 2;  // start, watchdog
+    for (const Leave& l : leaves) {
+      const int m = c.d.members[l.member];
+      if (agent(m).feed != &f) continue;
+      if (lead) {
+        // Earliest the member could be active; if the invite never arrived
+        // (faults) the leave finds no local session and is a no-op.
+        f.leaves.push({c.d.start + kAllocTimeout + kInviteTimeout + l.offset,
+                       f.base.seq + c.index, c.d.id, c.d.root, m,
+                       c.d.member_slot[l.member]});
+      }
+      ++c.index;
+    }
+    if (here) {
+      c.seq = f.base.seq + first;
+      return true;
     }
   }
-  for (const std::unique_ptr<Feed>& f : arrival_feeds) f->start();
+  return false;
 }
 
-void WorkloadGen::Impl::fire(const FeedItem& it) {
-  NodeAgent& ag = *node_agents[static_cast<std::size_t>(it.node)];
-  switch (it.kind) {
-    case FeedKind::kStart:
-      start_session(ag, it.sid);
-      break;
-    case FeedKind::kWatchdog:
-      watchdog(ag, it.sid);
-      break;
-    case FeedKind::kLeave:
-      member_leave(ag, it.slot, it.sid);
-      break;
-    case FeedKind::kMemberGc:
-      // Member-side GC: reclaim the slot if the bye never came.
-      if (ag.member_in[it.slot] != 0) {
-        ag.member_in[it.slot] = 0;
-        ++ag.member_gc;
-      }
-      break;
+// Queues the earliest head of the feed's three sources on its ticket.
+void WorkloadGen::Impl::post_head(ArrivalFeed& f) {
+  bool any = false;
+  sim::SimTime at = 0;
+  std::uint64_t seq = 0;
+  auto offer = [&](sim::SimTime a, std::uint64_t s, ArrivalFeed::Head h) {
+    if (!any || a < at || (a == at && s < seq)) {
+      any = true;
+      at = a;
+      seq = s;
+      f.head = h;
+    }
+  };
+  if (f.lead.live) offer(f.lead.d.start, f.lead.seq, ArrivalFeed::Head::kStart);
+  if (f.trail.live) {
+    offer(f.trail.d.start + kTtlEff, f.trail.seq + 1,
+          ArrivalFeed::Head::kWatchdog);
   }
+  if (!f.leaves.empty()) {
+    offer(f.leaves.top().at, f.leaves.top().seq, ArrivalFeed::Head::kLeave);
+  }
+  if (!any) return;
+  // vorx-lint: allow(R8) f is owned by Impl's feed table for the whole run
+  f.sim->post_at(at, sim::EventTicket{seq}, [this, &f] { fire_head(f); });
+}
+
+void WorkloadGen::Impl::fire_head(ArrivalFeed& f) {
+  switch (f.head) {
+    case ArrivalFeed::Head::kStart: {
+      const SessionDesc d = f.lead.d;
+      f.lead.live = advance(f, f.lead, /*lead=*/true);
+      post_head(f);
+      start_session(agent(d.root), d);
+      break;
+    }
+    case ArrivalFeed::Head::kWatchdog: {
+      const std::uint64_t sid = f.trail.d.id;
+      NodeAgent& root = agent(f.trail.d.root);
+      f.trail.live = advance(f, f.trail, /*lead=*/false);
+      post_head(f);
+      watchdog(root, sid);
+      break;
+    }
+    case ArrivalFeed::Head::kLeave: {
+      const LeaveItem it = f.leaves.top();
+      f.leaves.pop();
+      post_head(f);
+      member_leave(agent(it.node), it);
+      break;
+    }
+  }
+}
+
+// The member-side GC feed: one per node, fed in deadline order by
+// on_invite, with only its head in the event queue.
+void WorkloadGen::Impl::post_gc_head(NodeAgent& ag) {
+  const GcItem& head = ag.gc.front();
+  // vorx-lint: allow(R8) ag lives in Impl's per-node table for the whole run
+  ag.node->simulator().post_at(head.at, head.ticket, [this, &ag] {
+    const std::uint32_t slot = ag.gc.front().slot;
+    ag.gc.pop_front();
+    if (!ag.gc.empty()) post_gc_head(ag);
+    // Reclaim the slot if the bye never came.
+    if (ag.member_in[slot] != 0) {
+      ag.member_in[slot] = 0;
+      ++ag.member_gc;
+    }
+  });
 }
 
 // ---- root-side state machine ----------------------------------------------
 
-void WorkloadGen::Impl::start_session(NodeAgent& ag, std::uint64_t sid) {
-  RootSession& rs = ag.roots[descs[sid - 1].root_slot];
-  rs.desc = &descs[sid - 1];
-  rs.accepted.assign(rs.desc->members.size(), 0);
-  send_alloc(ag, rs);
+void WorkloadGen::Impl::start_session(NodeAgent& ag, const SessionDesc& d) {
+  std::uint32_t slot = 0;
+  if (ag.free_roots.empty()) {
+    slot = static_cast<std::uint32_t>(ag.roots.size());
+    ag.roots.emplace_back();
+  } else {
+    slot = ag.free_roots.back();
+    ag.free_roots.pop_back();
+  }
+  ag.roots[slot].desc = d;
+  send_alloc(ag, slot);
 }
 
-void WorkloadGen::Impl::send_alloc(NodeAgent& ag, RootSession& rs) {
+void WorkloadGen::Impl::send_alloc(NodeAgent& ag, std::uint32_t slot) {
+  RootSession& rs = ag.roots[slot];
   if (rs.attempt >= kAllocAttempts) {
-    fail_join(ag, rs.desc->id);
+    fail_join(ag, slot);
     return;
   }
-  const std::uint64_t sid = rs.desc->id;
+  const std::uint64_t sid = rs.desc.id;
   const int host_ix = static_cast<int>(
-      (sid + static_cast<std::uint64_t>(rs.attempt)) %
-      static_cast<std::uint64_t>(sys.num_hosts()));
+      (sid + rs.attempt) % static_cast<std::uint64_t>(sys.num_hosts()));
   ++ag.alloc_attempts;
   hw::Frame f;
   f.kind = msg::kAllocReq;
   f.dst = sys.host_station(host_ix);
   f.obj = sid;
-  f.seq = static_cast<std::uint64_t>(rs.attempt);
+  f.seq = std::uint64_t{slot} << kAttemptBits | rs.attempt;
   ag.node->kernel().send(std::move(f));
   const std::uint32_t e = ++rs.epoch;
   // vorx-lint: allow(R8) ag lives in Impl's per-node table for the whole run
-  ag.node->simulator().post_after(kAllocTimeout, [this, &ag, sid, e] {
-    RootSession* r = live_root(ag, sid);
+  ag.node->simulator().post_after(kAllocTimeout, [this, &ag, slot, sid, e] {
+    RootSession* r = live_root(ag, slot, sid);
     if (r == nullptr || r->phase != kAllocating || r->epoch != e) return;
     ++ag.alloc_timeouts;
     ++r->attempt;
-    send_alloc(ag, *r);
+    send_alloc(ag, slot);
   });
 }
 
 void WorkloadGen::Impl::on_alloc_reply(NodeAgent& ag, const hw::Frame& f) {
   const std::uint64_t sid = f.obj;
   const bool grant = f.aux == 1;
-  RootSession* r = live_root(ag, sid);
-  if (r == nullptr || r->phase != kAllocating ||
-      f.seq != static_cast<std::uint64_t>(r->attempt)) {
+  const auto slot = static_cast<std::uint32_t>(f.seq >> kAttemptBits);
+  const std::uint64_t attempt = f.seq & ((1u << kAttemptBits) - 1);
+  RootSession* r = live_root(ag, slot, sid);
+  if (r == nullptr || r->phase != kAllocating || attempt != r->attempt) {
     // Late or duplicate reply.  A late *grant* holds a slot nobody will
     // ever use — release it (the §3.1 explicit-free contract).
     if (grant && (r == nullptr || r->host != f.src)) {
@@ -686,28 +843,31 @@ void WorkloadGen::Impl::on_alloc_reply(NodeAgent& ag, const hw::Frame& f) {
   if (!grant) {
     ++ag.alloc_denied;
     ++rs.attempt;
-    send_alloc(ag, rs);
+    send_alloc(ag, slot);
     return;
   }
   rs.host = f.src;
   rs.phase = kInviting;
-  if (rs.desc->members.empty()) {
-    activate(ag, rs);
+  if (rs.desc.members.empty()) {
+    activate(ag, slot);
     return;
   }
-  start_invites(ag, rs, /*resend_only=*/false);
+  start_invites(ag, slot, /*resend_only=*/false);
 }
 
-void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
+// Invites carry the root slot in Frame::aux; the accept echoes it.
+void WorkloadGen::Impl::start_invites(NodeAgent& ag, std::uint32_t slot,
                                       bool resend_only) {
-  const std::uint64_t sid = rs.desc->id;
-  for (std::size_t i = 0; i < rs.desc->members.size(); ++i) {
-    if (resend_only && rs.accepted[i]) continue;
+  RootSession& rs = ag.roots[slot];
+  const std::uint64_t sid = rs.desc.id;
+  for (std::size_t i = 0; i < rs.desc.members.size(); ++i) {
+    if (resend_only && (rs.accepted >> i & 1u) != 0) continue;
     hw::Frame f;
     f.kind = msg::kSessInvite;
-    f.dst = sys.node_station(rs.desc->members[i]);
+    f.dst = sys.node_station(rs.desc.members[i]);
     f.obj = sid;
-    f.seq = rs.desc->member_slot[i];
+    f.seq = rs.desc.member_slot[i];
+    f.aux = slot;
     ag.node->kernel().send(std::move(f));
     ++ag.invites_sent;
   }
@@ -715,91 +875,89 @@ void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
   ag.node->simulator().post_after(
       kInviteTimeout,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-      [this, &ag, sid, e] { invite_timeout(ag, sid, e); });
+      [this, &ag, slot, sid, e] { invite_timeout(ag, slot, sid, e); });
 }
 
 void WorkloadGen::Impl::on_accept(NodeAgent& ag, const hw::Frame& f) {
-  RootSession* r = live_root(ag, f.obj);
+  RootSession* r = live_root(ag, f.aux, f.obj);
   if (r == nullptr || r->phase != kInviting) return;
   RootSession& rs = *r;
-  const auto pos = std::find(rs.desc->members.begin(),
-                             rs.desc->members.end(), static_cast<int>(f.src));
-  if (pos == rs.desc->members.end()) return;
-  rs.accepted[static_cast<std::size_t>(pos - rs.desc->members.begin())] = 1;
-  if (std::find(rs.accepted.begin(), rs.accepted.end(), 0) ==
-      rs.accepted.end()) {
+  const auto pos = std::find(rs.desc.members.begin(), rs.desc.members.end(),
+                             static_cast<int>(f.src));
+  if (pos == rs.desc.members.end()) return;
+  rs.accepted |=
+      static_cast<std::uint8_t>(1u << (pos - rs.desc.members.begin()));
+  if (rs.accepted == (1u << rs.desc.members.size()) - 1) {
     ++rs.epoch;  // cancel the round timer
-    activate(ag, rs);
+    activate(ag, slot_of(ag, rs));
   }
 }
 
-void WorkloadGen::Impl::invite_timeout(NodeAgent& ag, std::uint64_t sid,
+void WorkloadGen::Impl::invite_timeout(NodeAgent& ag, std::uint32_t slot,
+                                       std::uint64_t sid,
                                        std::uint32_t epoch) {
-  RootSession* r = live_root(ag, sid);
+  RootSession* r = live_root(ag, slot, sid);
   if (r == nullptr || r->phase != kInviting || r->epoch != epoch) return;
   RootSession& rs = *r;
   ++rs.round;
   if (rs.round < kInviteRounds) {
     ++ag.reinvite_rounds;
-    start_invites(ag, rs, /*resend_only=*/true);
+    start_invites(ag, slot, /*resend_only=*/true);
     return;
   }
   // Out of rounds: prune the silent members (the group-repair contract —
   // the conference proceeds without them) or give up if nobody answered.
-  const std::size_t pruned = static_cast<std::size_t>(
-      std::count(rs.accepted.begin(), rs.accepted.end(), 0));
+  const auto pruned = rs.desc.members.size() -
+                      static_cast<std::size_t>(std::popcount(rs.accepted));
   ag.members_pruned += pruned;
-  if (pruned == rs.accepted.size()) {
-    fail_join(ag, sid);
+  if (pruned == rs.desc.members.size()) {
+    fail_join(ag, slot);
     return;
   }
   ++rs.epoch;
-  activate(ag, rs);
+  activate(ag, slot);
 }
 
-void WorkloadGen::Impl::activate(NodeAgent& ag, RootSession& rs) {
+void WorkloadGen::Impl::activate(NodeAgent& ag, std::uint32_t slot) {
+  RootSession& rs = ag.roots[slot];
   rs.phase = kActive;
-  rs.live.clear();
-  for (std::size_t i = 0; i < rs.desc->members.size(); ++i) {
-    if (rs.accepted[i]) {
-      rs.live.push_back({rs.desc->members[i], rs.desc->member_slot[i]});
-    }
-  }
-  ag.members_joined += rs.live.size();
+  rs.live = rs.accepted;
+  ag.members_joined += static_cast<std::uint64_t>(std::popcount(rs.live));
   const sim::SimTime now = ag.node->simulator().now();
-  ag.join_lat.push_back(latency_us(now - rs.desc->start));
+  ag.join_lat.push_back(latency_us(now - rs.desc.start));
   ag.active_log.emplace_back(now, +1);
-  if (rs.desc->spurts.empty()) {
-    finish(ag, rs.desc->id);
+  if (rs.desc.spurts.empty()) {
+    finish(ag, slot);
     return;
   }
   rs.spurt = 0;
   rs.frames_left = 0;
-  const std::uint64_t sid = rs.desc->id;
+  const std::uint64_t sid = rs.desc.id;
   const std::uint32_t e = rs.epoch;
   ag.node->simulator().post_after(
-      rs.desc->spurts[0].gap,
+      rs.desc.spurts[0].gap,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-      [this, &ag, sid, e] { spurt_step(ag, sid, e); });
+      [this, &ag, slot, sid, e] { spurt_step(ag, slot, sid, e); });
 }
 
 // One step of the talk-spurt chain: send the next media frame to every
 // live member, then self-schedule the next frame or the next spurt's gap.
-void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
-                                   std::uint32_t epoch) {
-  RootSession* r = live_root(ag, sid);
+void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint32_t slot,
+                                   std::uint64_t sid, std::uint32_t epoch) {
+  RootSession* r = live_root(ag, slot, sid);
   if (r == nullptr || r->phase != kActive || r->epoch != epoch) return;
   RootSession& rs = *r;
   if (rs.frames_left == 0) {
-    rs.frames_left = rs.desc->spurts[rs.spurt].frames;
+    rs.frames_left = static_cast<int>(rs.desc.spurts[rs.spurt].frames);
   }
   const sim::SimTime now = ag.node->simulator().now();
-  for (const LiveMember& m : rs.live) {
+  for (std::size_t i = 0; i < rs.desc.members.size(); ++i) {
+    if ((rs.live >> i & 1u) == 0) continue;
     hw::Frame f;
     f.kind = msg::kSessData;
-    f.dst = sys.node_station(m.node);
+    f.dst = sys.node_station(rs.desc.members[i]);
     f.obj = sid;
-    f.seq = m.slot;
+    f.seq = rs.desc.member_slot[i];
     f.aux = static_cast<std::uint64_t>(now);  // end-to-end latency origin
     f.payload_bytes = kFrameBytes;        // timing-only media frame
     ag.node->kernel().send(std::move(f));
@@ -810,71 +968,70 @@ void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
     ag.node->simulator().post_after(
         kFrameInterval,
         // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-        [this, &ag, sid, epoch] { spurt_step(ag, sid, epoch); });
+        [this, &ag, slot, sid, epoch] { spurt_step(ag, slot, sid, epoch); });
     return;
   }
   ++rs.spurt;
-  if (rs.spurt >= rs.desc->spurts.size()) {
-    finish(ag, sid);
+  if (rs.spurt >= rs.desc.spurts.size()) {
+    finish(ag, slot);
     return;
   }
   ag.node->simulator().post_after(
-      rs.desc->spurts[rs.spurt].gap,
+      rs.desc.spurts[rs.spurt].gap,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-      [this, &ag, sid, epoch] { spurt_step(ag, sid, epoch); });
+      [this, &ag, slot, sid, epoch] { spurt_step(ag, slot, sid, epoch); });
 }
 
 void WorkloadGen::Impl::on_leave(NodeAgent& ag, const hw::Frame& f) {
-  RootSession* r = live_root(ag, f.obj);
+  RootSession* r = find_root(ag, f.obj);
   if (r == nullptr || r->phase != kActive) return;
   RootSession& rs = *r;
-  const auto pos =
-      std::find_if(rs.live.begin(), rs.live.end(), [&f](const LiveMember& m) {
-        return m.node == static_cast<int>(f.src);
-      });
-  if (pos == rs.live.end()) return;
-  rs.live.erase(pos);
+  const auto pos = std::find(rs.desc.members.begin(), rs.desc.members.end(),
+                             static_cast<int>(f.src));
+  if (pos == rs.desc.members.end()) return;
+  const auto bit =
+      static_cast<std::uint8_t>(1u << (pos - rs.desc.members.begin()));
+  if ((rs.live & bit) == 0) return;
+  rs.live &= static_cast<std::uint8_t>(~bit);
   ++ag.churn_leaves;
 }
 
-void WorkloadGen::Impl::finish(NodeAgent& ag, std::uint64_t sid) {
-  RootSession* r = live_root(ag, sid);
-  assert(r != nullptr);
-  RootSession& rs = *r;
-  for (const LiveMember& m : rs.live) {
+void WorkloadGen::Impl::finish(NodeAgent& ag, std::uint32_t slot) {
+  RootSession& rs = ag.roots[slot];
+  for (std::size_t i = 0; i < rs.desc.members.size(); ++i) {
+    if ((rs.live >> i & 1u) == 0) continue;
     hw::Frame f;
     f.kind = msg::kSessBye;
-    f.dst = sys.node_station(m.node);
-    f.obj = sid;
-    f.seq = m.slot;
+    f.dst = sys.node_station(rs.desc.members[i]);
+    f.obj = rs.desc.id;
+    f.seq = rs.desc.member_slot[i];
     ag.node->kernel().send(std::move(f));
   }
-  if (rs.host >= 0) send_free(ag, rs.host, sid);
+  if (rs.host >= 0) send_free(ag, rs.host, rs.desc.id);
   ag.active_log.emplace_back(ag.node->simulator().now(), -1);
   ++ag.completed;
-  resolve(rs);
+  resolve(ag, slot);
 }
 
-void WorkloadGen::Impl::fail_join(NodeAgent& ag, std::uint64_t sid) {
-  RootSession* r = live_root(ag, sid);
-  assert(r != nullptr);
-  if (r->host >= 0) send_free(ag, r->host, sid);
+void WorkloadGen::Impl::fail_join(NodeAgent& ag, std::uint32_t slot) {
+  RootSession& rs = ag.roots[slot];
+  if (rs.host >= 0) send_free(ag, rs.host, rs.desc.id);
   ++ag.failed_joins;
-  resolve(*r);
+  resolve(ag, slot);
 }
 
 // The last line of accounting: any session still unresolved ttl after its
 // start is LOST.  This must stay zero — every recovery path above is
 // supposed to drive the session to completed or failed on its own.
 void WorkloadGen::Impl::watchdog(NodeAgent& ag, std::uint64_t sid) {
-  RootSession* r = live_root(ag, sid);
+  RootSession* r = find_root(ag, sid);
   if (r == nullptr) return;  // resolved long ago
   if (r->host >= 0) send_free(ag, r->host, sid);
   if (r->phase == kActive) {
     ag.active_log.emplace_back(ag.node->simulator().now(), -1);
   }
   ++ag.lost;
-  resolve(*r);
+  resolve(ag, slot_of(ag, *r));
 }
 
 void WorkloadGen::Impl::send_free(NodeAgent& ag, hw::StationId host,
@@ -888,23 +1045,26 @@ void WorkloadGen::Impl::send_free(NodeAgent& ag, hw::StationId host,
 
 // ---- member side -----------------------------------------------------------
 
+// The member table grows as invites arrive, not as the stream numbers the
+// slots, so it holds only the memberships invited so far.
 void WorkloadGen::Impl::on_invite(NodeAgent& ag, const hw::Frame& f) {
-  assert(f.seq < ag.member_in.size());
-  const std::uint32_t slot = static_cast<std::uint32_t>(f.seq);
+  const auto slot = static_cast<std::uint32_t>(f.seq);
+  if (slot >= ag.member_in.size()) ag.member_in.resize(slot + 1, 0);
   const bool fresh = ag.member_in[slot] == 0;
   ag.member_in[slot] = 1;
   hw::Frame a;
   a.kind = msg::kSessAccept;
   a.dst = f.src;
   a.obj = f.obj;
+  a.aux = f.aux;  // the root slot
   ag.node->kernel().send(std::move(a));
   if (fresh) {
     // Member-side GC: if the bye is lost to a fault, reclaim the slot once
     // the session cannot possibly still be live.  Deadlines arrive in
     // order, so the node's GC feed needs no sort.
     sim::Simulator& s = ag.node->simulator();
-    ag.member_gc_feed.append({s.now() + kTtlEff, s.reserve(), f.obj,
-                              ag.index, slot, FeedKind::kMemberGc});
+    ag.gc.push_back({s.now() + kTtlEff, s.reserve(), slot});
+    if (ag.gc.size() == 1) post_gc_head(ag);
   }
 }
 
@@ -912,7 +1072,7 @@ void WorkloadGen::Impl::on_data(NodeAgent& ag, const hw::Frame& f) {
   assert(f.seq < ag.member_in.size());
   if (ag.member_in[f.seq] == 0) return;  // left / stale
   const sim::SimTime now = ag.node->simulator().now();
-  ag.deliv_lat.push_back(latency_us(now - static_cast<sim::SimTime>(f.aux)));
+  ag.feed->deliveries.add(latency_us(now - static_cast<sim::SimTime>(f.aux)));
   ++ag.data_delivered;
 }
 
@@ -921,15 +1081,15 @@ void WorkloadGen::Impl::on_bye(NodeAgent& ag, const hw::Frame& f) {
   ag.member_in[f.seq] = 0;
 }
 
-void WorkloadGen::Impl::member_leave(NodeAgent& ag, std::uint32_t slot,
-                                     std::uint64_t sid) {
-  if (ag.member_in[slot] == 0) return;  // never joined, or already over
+void WorkloadGen::Impl::member_leave(NodeAgent& ag, const LeaveItem& it) {
+  // Never invited, never joined, or already over.
+  if (it.slot >= ag.member_in.size() || ag.member_in[it.slot] == 0) return;
   hw::Frame f;
   f.kind = msg::kSessLeave;
-  f.dst = sys.node_station(descs[sid - 1].root);
-  f.obj = sid;
+  f.dst = sys.node_station(it.root);
+  f.obj = it.sid;
   ag.node->kernel().send(std::move(f));
-  ag.member_in[slot] = 0;
+  ag.member_in[it.slot] = 0;
 }
 
 // ---- host side -------------------------------------------------------------
@@ -991,7 +1151,7 @@ WorkloadGen::~WorkloadGen() = default;
 void WorkloadGen::run() { sys_.run_until(impl_->end_time()); }
 
 std::uint64_t WorkloadGen::sessions_generated() const {
-  return impl_->descs.size();
+  return impl_->sessions_total;
 }
 
 std::size_t WorkloadGen::slots_held(int host) const {
@@ -1008,20 +1168,18 @@ sim::MachineShape WorkloadGen::machine_shape() {
 
 WorkloadReport WorkloadGen::report() {
   WorkloadReport r;
-  r.sessions_total = impl_->descs.size();
+  r.sessions_total = impl_->sessions_total;
   r.horizon_us = cfg_.horizon / 1000;
   // Merge in node-index order: deterministic whatever the shard layout.
   // Each merged vector is sized exactly before it fills.
-  std::size_t njoin = 0, ndeliv = 0, nlog = 0;
+  std::size_t njoin = 0, nlog = 0;
   for (const auto& ag : impl_->node_agents) {
     njoin += ag->join_lat.size();
-    ndeliv += ag->deliv_lat.size();
     nlog += ag->active_log.size();
   }
-  std::vector<std::uint32_t> join, deliv;
+  std::vector<std::uint32_t> join;
   std::vector<std::pair<sim::SimTime, int>> log;
   join.reserve(njoin);
-  deliv.reserve(ndeliv);
   log.reserve(nlog);
   for (const auto& ag : impl_->node_agents) {
     r.completed += ag->completed;
@@ -1040,7 +1198,6 @@ WorkloadReport WorkloadGen::report() {
     r.data_frames_sent += ag->data_sent;
     r.data_frames_delivered += ag->data_delivered;
     join.insert(join.end(), ag->join_lat.begin(), ag->join_lat.end());
-    deliv.insert(deliv.end(), ag->deliv_lat.begin(), ag->deliv_lat.end());
     log.insert(log.end(), ag->active_log.begin(), ag->active_log.end());
   }
   for (const auto& h : impl_->host_agents) {
@@ -1050,8 +1207,12 @@ WorkloadReport WorkloadGen::report() {
   r.fabric_frames_dropped = sys_.fabric().frames_dropped();
   r.join_p50_us = percentile_us(join, 50);
   r.join_p99_us = percentile_us(join, 99);
-  r.delivery_p50_us = percentile_us(deliv, 50);
-  r.delivery_p99_us = percentile_us(deliv, 99);
+  // Delivery latencies are counted per simulator; summing the counts is
+  // the merge.
+  std::vector<const LatencyCounts*> deliv;
+  for (const auto& f : impl_->feeds) deliv.push_back(&f->deliveries);
+  r.delivery_p50_us = LatencyCounts::percentile(deliv, 50);
+  r.delivery_p99_us = LatencyCounts::percentile(deliv, 99);
   // Concurrency peak: sweep the merged (time, ±1) log; -1 sorts before +1
   // at equal times (instantaneous handovers do not count as overlap).
   std::sort(log.begin(), log.end());

@@ -9,13 +9,14 @@
 // "not available to anyone else until explicitly freed" contract), invites
 // its member nodes, exchanges heavy-tailed (Pareto) talk spurts, suffers
 // member churn, and tears down.  Nothing in the driver waits for the
-// machine: session start times are fixed up front from the seed, so the
+// machine: session start times are a function of the seed alone, so the
 // offered load is identical whatever the machine does with it — exactly
 // what an SLO measurement needs.
 //
-// Everything stochastic is pre-generated on the driver thread from one
-// sim::Rng before the simulation starts; in-sim behaviour is a
-// deterministic function of those descriptors plus frame arrivals.  Agents
+// Everything stochastic comes from one linear sim::Rng stream, drawn
+// lazily as the run reaches each session, so the generator holds state
+// for live sessions only; in-sim behaviour is a deterministic function of
+// that stream plus frame arrivals.  Agents
 // interact across nodes ONLY through kernel frames (msg::kSess*,
 // msg::kAlloc*), so the same workload runs unchanged on the sequential
 // engine and on a sharded ShardRuntime, byte for byte (R6/R7).
@@ -113,11 +114,34 @@ struct WorkloadReport {
 [[nodiscard]] std::int64_t percentile_us(std::span<std::uint32_t> samples,
                                          int pct);
 
+/// Latency samples (latency_us values) kept as exact counts: one counter
+/// per microsecond below kDense, and the rarer larger samples raw.  Its
+/// percentiles are those percentile_us gives over the samples themselves,
+/// bit for bit, in memory that does not grow with the common samples.
+class LatencyCounts {
+ public:
+  static constexpr std::uint32_t kDense = 1u << 16;  // 65.5 ms
+
+  void add(std::uint32_t us);
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+  /// Nearest-rank percentile of the union of `parts`' samples, as
+  /// percentile_us over them all would give it; -1 when they are empty.
+  [[nodiscard]] static std::int64_t percentile(
+      std::span<const LatencyCounts* const> parts, int pct);
+  [[nodiscard]] std::int64_t percentile(int pct) const;
+
+ private:
+  std::vector<std::uint32_t> dense_;  // counts by µs; allocated on first use
+  std::vector<std::uint32_t> over_;   // samples >= kDense
+  std::size_t n_ = 0;
+};
+
 /// The open-loop conferencing workload over a vorx::System.
 ///
 /// Usage:
 ///   vorx::System sys(rt, scfg);
-///   vorx::WorkloadGen gen(sys, wcfg, seed);       // pre-generates + installs
+///   vorx::WorkloadGen gen(sys, wcfg, seed);       // counts + installs
 ///   vorx::FaultInjector inj(sys, &gen);
 ///   inj.install(sim::FaultPlan::named("link_flap", gen.machine_shape(),
 ///                                     seed, wcfg.horizon));

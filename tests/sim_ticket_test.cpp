@@ -242,5 +242,34 @@ TEST(EventTicket, TicketedPostsSpillAndKeepTheirSlot) {
   EXPECT_EQ(sim.queue_stats().l0_inserts, 2u);
 }
 
+// A block reserved at once hands out the tickets the same number of
+// one-by-one reservations would have: a stream that only counts its items
+// first spends them later in generation order, ties included.
+TEST(EventTicket, ReservedBlockMatchesOneByOneReservations) {
+  auto fire_order = [](bool block) {
+    sim::Simulator sim;
+    std::vector<int> fired;
+    sim.post_at(20, [&fired] { fired.push_back(-1); });
+    std::vector<sim::EventTicket> tickets;
+    if (block) {
+      const sim::EventTicket first = sim.reserve(4);
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        tickets.push_back(sim::EventTicket{first.seq + i});
+      }
+    } else {
+      for (int i = 0; i < 4; ++i) tickets.push_back(sim.reserve());
+    }
+    sim.post_at(20, [&fired] { fired.push_back(-2); });
+    for (int i = 3; i >= 0; --i) {
+      sim.post_at(i % 2 == 0 ? 20 : 10, tickets[static_cast<std::size_t>(i)],
+                  [&fired, i] { fired.push_back(i); });
+    }
+    sim.run();
+    return fired;
+  };
+  EXPECT_EQ(fire_order(true), fire_order(false));
+  EXPECT_EQ(fire_order(true), (std::vector<int>{1, 3, -1, 0, 2, -2}));
+}
+
 }  // namespace
 }  // namespace hpcvorx

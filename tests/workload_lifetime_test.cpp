@@ -1,11 +1,12 @@
 // Storm state that must follow the live sessions (DESIGN.md §14.1): a
 // host's stubs die with their slots and with the host, and the latency
-// samples kept in whole microseconds give exactly the nanosecond
-// nearest-rank percentiles.
+// samples kept in whole microseconds, or counted, give exactly the
+// nanosecond nearest-rank percentiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -124,8 +125,9 @@ TEST(StubLifetimeDeathTest, FreeingAStubBlockedOnTheKeyboardAsserts) {
   EXPECT_EQ(stub.calls_served(), 1u);
 }
 
-// The report's selection over whole-microsecond samples against the
-// nanosecond reference: sort, sim::nearest_rank, divide by 1000.
+// The report's selection over whole-microsecond samples, and the same
+// samples kept as LatencyCounts, against the nanosecond reference: sort,
+// sim::nearest_rank, divide by 1000.
 void expect_matches_ns_reference(const std::vector<sim::Duration>& ns,
                                  const std::string& what) {
   std::vector<sim::Duration> sorted = ns;
@@ -133,9 +135,16 @@ void expect_matches_ns_reference(const std::vector<sim::Duration>& ns,
   for (const int pct : {50, 99}) {
     std::vector<std::uint32_t> us;
     us.reserve(ns.size());
-    for (const sim::Duration d : ns) us.push_back(latency_us(d));
-    EXPECT_EQ(percentile_us(us, pct), sim::nearest_rank(sorted, pct) / 1000)
+    LatencyCounts counts;
+    for (const sim::Duration d : ns) {
+      us.push_back(latency_us(d));
+      counts.add(latency_us(d));
+    }
+    const std::int64_t want = sim::nearest_rank(sorted, pct) / 1000;
+    EXPECT_EQ(percentile_us(us, pct), want)
         << what << " n=" << ns.size() << " p" << pct;
+    EXPECT_EQ(counts.percentile(pct), want)
+        << what << " (counts) n=" << ns.size() << " p" << pct;
   }
 }
 
@@ -167,6 +176,78 @@ TEST(LatencySamples, EmptySampleReportsMinusOne) {
   std::vector<std::uint32_t> none;
   EXPECT_EQ(percentile_us(none, 50), -1);
   EXPECT_EQ(percentile_us(none, 99), -1);
+  const LatencyCounts empty;
+  EXPECT_EQ(empty.percentile(50), -1);
+  EXPECT_EQ(empty.percentile(99), -1);
+}
+
+// LatencyCounts against sim::nearest_rank over the raw samples, split over
+// several count sets the way report() sums one set per simulator.  The
+// samples straddle LatencyCounts::kDense, where the dense counters end and
+// the raw overflow list begins.
+void expect_counts_match_samples(const std::vector<std::uint32_t>& samples,
+                                 std::size_t parts, const std::string& what) {
+  std::vector<LatencyCounts> sets(parts);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    sets[i % parts].add(samples[i]);
+  }
+  std::vector<const LatencyCounts*> views;
+  std::size_t total = 0;
+  for (const LatencyCounts& c : sets) {
+    views.push_back(&c);
+    total += c.size();
+  }
+  ASSERT_EQ(total, samples.size());
+  std::vector<sim::Duration> sorted(samples.begin(), samples.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (const int pct : {0, 1, 50, 90, 99, 100}) {
+    const std::int64_t want =
+        sorted.empty() ? -1 : sim::nearest_rank(sorted, pct);
+    EXPECT_EQ(LatencyCounts::percentile(views, pct), want)
+        << what << " n=" << samples.size() << " parts=" << parts << " p"
+        << pct;
+  }
+}
+
+TEST(LatencyCounts, NearestRankMatchesTheRawSamples) {
+  constexpr std::uint32_t kDense = LatencyCounts::kDense;
+  sim::Rng rng(1990);
+  for (const std::size_t n : {1u, 2u, 3u, 99u, 100u, 101u, 200u, 1357u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<std::uint32_t> samples(n);
+      for (std::uint32_t& us : samples) {
+        switch (trial % 4) {
+          case 0:  // all dense, many ties
+            us = static_cast<std::uint32_t>(rng.below(8));
+            break;
+          case 1:  // around the dense edge
+            us = kDense - 4 + static_cast<std::uint32_t>(rng.below(8));
+            break;
+          case 2:  // all overflow
+            us = kDense + static_cast<std::uint32_t>(rng.below(400'000));
+            break;
+          default:  // the storm's spread: mostly dense, a tail above
+            us = static_cast<std::uint32_t>(rng.below(kDense + kDense / 8));
+            break;
+        }
+      }
+      for (const std::size_t parts : {1u, 4u}) {
+        expect_counts_match_samples(samples, parts,
+                                    "trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(LatencyCounts, EmptyAndSingleSamples) {
+  expect_counts_match_samples({}, 1, "empty");
+  expect_counts_match_samples({}, 3, "empty");
+  for (const std::uint32_t us :
+       {0u, 1u, LatencyCounts::kDense - 1, LatencyCounts::kDense,
+        std::numeric_limits<std::uint32_t>::max()}) {
+    expect_counts_match_samples({us}, 1, "single " + std::to_string(us));
+    expect_counts_match_samples({us}, 2, "single " + std::to_string(us));
+  }
 }
 
 TEST(LatencySamples, HorizonTooLongForMicrosecondSamplesIsRejected) {
