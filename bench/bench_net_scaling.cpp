@@ -17,14 +17,12 @@
 // gate for the paper-scale machine (net.scale_route_kb.*).
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "hw/fabric.hpp"
-#include "sim/random.hpp"
+#include "hw/traffic.hpp"
 #include "sim/simulator.hpp"
 
 using namespace hpcvorx;
@@ -37,21 +35,6 @@ struct Cell {
   std::size_t route_bytes = 0;
 };
 
-// Reverses the low `bits` bits of `v`: the bit-reversal partner pattern.
-int bit_reverse(int v, int bits) {
-  int out = 0;
-  for (int b = 0; b < bits; ++b) {
-    if ((v >> b) & 1) out |= 1 << (bits - 1 - b);
-  }
-  return out;
-}
-
-int log2_ceil(int n) {
-  int bits = 0;
-  while ((1 << bits) < n) ++bits;
-  return bits;
-}
-
 Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
               int frames_per_station) {
   sim::Simulator sim;
@@ -63,89 +46,25 @@ Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
   if (topo == hw::TopologyKind::kHypercube && stations >= 4096) {
     params.ports_per_cluster = 16;
   }
-  auto fab = topo == hw::TopologyKind::kFatTree
-                 ? hw::Fabric::fat_tree(sim, stations, 4, params)
-                 : hw::Fabric::hypercube(sim, stations, 4, params);
-
-  std::uint64_t delivered = 0;
-  auto latencies = std::make_shared<std::vector<sim::Duration>>();
-  latencies->reserve(static_cast<std::size_t>(stations) *
-                     static_cast<std::size_t>(frames_per_station));
-  for (int s = 0; s < stations; ++s) {
-    hw::Fabric* f = fab.get();
-    fab->endpoint(s).set_rx_cb([f, s, &sim, &delivered, latencies] {
-      hw::Endpoint& e = f->endpoint(s);
-      while (auto fr = e.rx_take()) {
-        ++delivered;
-        latencies->push_back(sim.now() - fr->injected_at);
-      }
-    });
-  }
+  auto fab = hw::Fabric::make(sim, stations, 4, params);
 
   // Seeded schedule: half the frames go to the station's bit-reversal
   // partner (synchronized pattern, heavy e-cube link overlap), half to
   // uniform-random destinations.  Identical across routing modes.
-  struct Inject {
-    sim::SimTime at;
-    int dst;
-  };
-  const int bits = log2_ceil(stations);
-  auto schedules = std::make_shared<std::vector<std::vector<Inject>>>(
-      static_cast<std::size_t>(stations));
-  sim::Rng rng(0x5ca1ab1e + static_cast<std::uint64_t>(stations));
-  for (int s = 0; s < stations; ++s) {
-    sim::SimTime t = 0;
-    for (int i = 0; i < frames_per_station; ++i) {
-      t += sim::usec(3 + rng.below(30));
-      int dst;
-      if (i % 2 == 0) {
-        dst = bit_reverse(s, bits) % stations;
-        if (dst == s) dst = (s + stations / 2) % stations;
-      } else {
-        dst = static_cast<int>(rng.below(static_cast<std::uint32_t>(
-            stations - 1)));
-        if (dst >= s) ++dst;
-      }
-      (*schedules)[static_cast<std::size_t>(s)].push_back({t, dst});
-    }
-  }
-
-  std::uint64_t sent = 0;
-  for (int s = 0; s < stations; ++s) {
-    hw::Fabric* f = fab.get();
-    auto idx = std::make_shared<std::size_t>(0);
-    auto pump = std::make_shared<std::function<void()>>();
-    // Keep-alive comes from the tx-ready callback's copy of `pump` (held
-    // until the fabric is destroyed, after sim.run()); the function object
-    // itself reschedules through a raw pointer so it never owns itself.
-    *pump = [f, s, idx, schedules, self = pump.get(), &sim, &sent] {
-      const auto& sched = (*schedules)[static_cast<std::size_t>(s)];
-      hw::Endpoint& ep = f->endpoint(s);
-      while (*idx < sched.size() && ep.tx_ready()) {
-        const Inject& in = sched[*idx];
-        if (sim.now() < in.at) {
-          sim.post_at(in.at, [self] { (*self)(); });
-          return;
-        }
-        hw::Frame fr;
-        fr.dst = in.dst;
-        fr.payload_bytes = 256;
-        ep.transmit(std::move(fr));
-        ++sent;
-        ++*idx;
-      }
-    };
-    fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    sim.post_at((*schedules)[static_cast<std::size_t>(s)][0].at,
-                [pump] { (*pump)(); });
-  }
-
+  hw::FabricTraffic traffic(
+      *fab, hw::bit_reversal_uniform(
+                stations, frames_per_station,
+                0x5ca1ab1e + static_cast<std::uint64_t>(stations),
+                /*gap_base_us=*/3, /*gap_span_us=*/30));
+  traffic.start();
   sim.run();
 
   Cell cell;
   cell.route_bytes = fab->routing_state_bytes();
   const std::uint64_t offered = static_cast<std::uint64_t>(stations) *
                                 static_cast<std::uint64_t>(frames_per_station);
+  const std::uint64_t sent = traffic.sent();
+  const std::uint64_t delivered = traffic.delivered();
   if (sent != offered || delivered != sent || fab->frames_dropped() != 0) {
     bench::line("  !! LOSSY CELL n=%d %s/%s: offered %llu sent %llu "
                 "delivered %llu dropped %llu",
@@ -157,8 +76,15 @@ Cell run_cell(int stations, hw::TopologyKind topo, hw::RoutingMode routing,
                 static_cast<unsigned long long>(fab->frames_dropped()));
     return cell;  // zero rows flag the failure downstream
   }
-  std::sort(latencies->begin(), latencies->end());
-  cell.p99_us = sim::to_usec(sim::nearest_rank(*latencies, 99));
+  std::vector<sim::Duration> latencies;
+  latencies.reserve(delivered);
+  for (int s = 0; s < stations; ++s) {
+    for (const hw::Delivery& d : traffic.received(s)) {
+      latencies.push_back(d.latency());
+    }
+  }
+  std::sort(latencies.begin(), latencies.end());
+  cell.p99_us = sim::to_usec(sim::nearest_rank(latencies, 99));
   const double sim_seconds = sim::to_usec(sim.now()) / 1e6;
   cell.frames_per_s =
       sim_seconds > 0 ? static_cast<double>(delivered) / sim_seconds : 0;

@@ -30,15 +30,8 @@ struct Cell {
 };
 
 Cell run_cell(int users, const std::string& plan_name) {
-  vorx::SystemConfig scfg;
-  scfg.nodes = 64;
-  scfg.hosts = 2;
+  vorx::SystemConfig scfg = vorx::storm_machine(64, 2);
   scfg.stations_per_cluster = 8;
-  // 50 us cables with BDP-sized buffers (see storm.cpp): without the
-  // deeper slots the cube cables run stop-and-wait and congest.
-  scfg.fabric.cluster_link = scfg.fabric.link;
-  scfg.fabric.cluster_link->latency = sim::usec(50);
-  scfg.fabric.cluster_link->buffer_frames = 64;
 
   vorx::WorkloadConfig wcfg;
   wcfg.users = users;

@@ -12,9 +12,10 @@
 //                               [--topo cube|fattree] [--routing ecube|adaptive]
 //
 // --shards N runs the machine on the conservative-lookahead shard runtime
-// (DESIGN.md §12) with one worker thread per shard; the reported latencies
-// are identical at every N because sharding changes wall-clock execution,
-// never virtual time.
+// (DESIGN.md §12) with one worker thread per shard.  N = 1 reports the
+// sequential run's latencies byte for byte; each N >= 2 is deterministic
+// and pinned on its own, and may legally differ from the sequential run
+// (DESIGN.md §12.4).
 //
 // --topo / --routing pick the interconnect shape and forwarding policy
 // (DESIGN.md §15): the same conference runs over the incomplete hypercube
@@ -159,8 +160,8 @@ int main(int argc, char** argv) {
 
   // --shards N: run the machine on the conservative-lookahead shard
   // runtime (DESIGN.md §12), one worker thread per shard.  N=1 is the
-  // sequential engine byte for byte, and every N produces the same
-  // virtual-time results.  The fabric owns the bound (no more shards than
+  // sequential engine byte for byte; each N >= 2 is deterministic on its
+  // own (DESIGN.md §12.4).  The fabric owns the bound (no more shards than
   // clusters): a machine it cannot build is a usage error carrying its
   // message.
   std::unique_ptr<sim::ShardRuntime> rt;

@@ -9,8 +9,10 @@
 // member churn, heavy-tailed talk spurts — while a sim::FaultPlan takes
 // cables, switches, and host workstations down mid-run.  The printed
 // summary is pure virtual time, so two runs with the same arguments are
-// byte-identical, at any --shards value (the CI fault-matrix job diffs
-// exactly this output; see DESIGN.md §14).
+// byte-identical (the CI fault-matrix job diffs exactly this output; see
+// DESIGN.md §14).  --shards 0 and 1 print the same bytes; each N >= 2 is
+// deterministic and pinned on its own, but may legally differ from the
+// sequential run (DESIGN.md §12.4).
 //
 // Exits 1 if any session is lost-but-unreported (the accounting invariant
 // completed + failed == total must hold with lost == 0), and 2 on a usage
@@ -95,21 +97,8 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  vorx::SystemConfig scfg;
-  scfg.nodes = nodes;
-  scfg.hosts = hosts;
-  // 4 stations per cluster keeps the cube dims within the 12-port budget
-  // at the 256-1024-station scale this driver targets.
-  scfg.stations_per_cluster = 4;
-  // Lookahead window = inter-cluster cable latency.  50 us is the tuned
-  // default from the bench_shard_scaling window sweep (EXPERIMENTS.md).
-  // Long cables need buffers sized to the bandwidth-delay product: at
-  // 50 us and ~0.8 us per header frame the window is ~64 frames — with
-  // the default 2 slots every cube cable degenerates to stop-and-wait
-  // (~20k frames/s) and the host-cluster convergecast collapses.
-  scfg.fabric.cluster_link = scfg.fabric.link;
-  scfg.fabric.cluster_link->latency = sim::usec(50);
-  scfg.fabric.cluster_link->buffer_frames = 64;
+  // Lookahead window = inter-cluster cable latency (see storm_machine).
+  const vorx::SystemConfig scfg = vorx::storm_machine(nodes, hosts);
 
   vorx::WorkloadConfig wcfg;
   wcfg.users = users;

@@ -19,7 +19,8 @@
 // that stream plus frame arrivals.  Agents
 // interact across nodes ONLY through kernel frames (msg::kSess*,
 // msg::kAlloc*), so the same workload runs unchanged on the sequential
-// engine and on a sharded ShardRuntime, byte for byte (R6/R7).
+// engine and on a sharded ShardRuntime (R6/R7): byte for byte at 1 shard,
+// and deterministic at each shard count (DESIGN.md §12.4).
 //
 // Fault injection rides alongside: a sim::FaultPlan (pure data) is bound
 // to the machine by FaultInjector, which pre-schedules hw::Link down/up,
@@ -49,6 +50,25 @@ struct WorkloadConfig {
   int users = 10'000;                      // simulated conference users
   sim::Duration horizon = sim::msec(500);  // arrival window (one "day")
 };
+
+/// The machine the storm workload runs on: `nodes` processing nodes and
+/// `hosts` workstations, 4 stations per cluster (the cube dims stay within
+/// the 12-port budget at 256-1024 stations) and 50 µs trunk cables with
+/// 64 frame slots.  50 µs is the lookahead window the bench_shard_scaling
+/// sweep tuned (EXPERIMENTS.md); a cable that long needs buffers sized to
+/// its bandwidth-delay product: at ~0.8 µs per header frame it holds ~64
+/// frames, and with the default 2 slots every trunk runs stop-and-wait
+/// (~20k frames/s) and the host-cluster convergecast collapses.
+[[nodiscard]] inline SystemConfig storm_machine(int nodes, int hosts) {
+  SystemConfig scfg;
+  scfg.nodes = nodes;
+  scfg.hosts = hosts;
+  scfg.stations_per_cluster = 4;
+  scfg.fabric.cluster_link = scfg.fabric.link;
+  scfg.fabric.cluster_link->latency = sim::usec(50);
+  scfg.fabric.cluster_link->buffer_frames = 64;
+  return scfg;
+}
 
 /// Virtual-time summary of one workload run.  Every field is integral and
 /// derived only from virtual time and the seed, so two runs of the same

@@ -29,13 +29,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "hw/fabric.hpp"
+#include "hw/traffic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/random.hpp"
@@ -301,68 +301,12 @@ std::string run_adaptive_fabric(const std::string& label,
   hw::FabricParams params;
   params.topo = topo;
   params.routing = hw::RoutingMode::kAdaptive;
-  auto fab = topo == hw::TopologyKind::kFatTree
-                 ? hw::Fabric::fat_tree(sim, kStations, 4, params)
-                 : hw::Fabric::hypercube(sim, kStations, 4, params);
+  auto fab = hw::Fabric::make(sim, kStations, 4, params);
 
-  std::vector<std::vector<sim::Duration>> latency(kStations);
-  std::uint64_t delivered = 0;
-  for (int s = 0; s < kStations; ++s) {
-    hw::Fabric* f = fab.get();
-    f->endpoint(s).set_rx_cb([f, s, &sim, &latency, &delivered] {
-      while (auto fr = f->endpoint(s).rx_take()) {
-        ++delivered;
-        latency[static_cast<std::size_t>(s)].push_back(sim.now() -
-                                                       fr->injected_at);
-      }
-    });
-  }
-
-  struct Inject {
-    sim::SimTime at;
-    int dst;
-  };
-  auto schedules =
-      std::make_shared<std::vector<std::vector<Inject>>>(kStations);
-  sim::Rng rng(0xada97);
-  for (int s = 0; s < kStations; ++s) {
-    sim::SimTime t = 0;
-    for (int i = 0; i < kFrames; ++i) {
-      t += sim::usec(1 + rng.below(20));
-      int dst = 0;
-      if (i % 2 == 0) {
-        for (int b = 0; b < 10; ++b) dst |= ((s >> b) & 1) << (9 - b);
-        if (dst == s) dst = (s + kStations / 2) % kStations;
-      } else {
-        dst = static_cast<int>(rng.below(kStations - 1));
-        if (dst >= s) ++dst;
-      }
-      (*schedules)[static_cast<std::size_t>(s)].push_back({t, dst});
-    }
-  }
-  for (int s = 0; s < kStations; ++s) {
-    hw::Fabric* f = fab.get();
-    auto idx = std::make_shared<std::size_t>(0);
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [f, s, idx, schedules, self = pump.get(), &sim] {
-      const auto& sched = (*schedules)[static_cast<std::size_t>(s)];
-      hw::Endpoint& ep = f->endpoint(s);
-      while (*idx < sched.size() && ep.tx_ready()) {
-        if (sim.now() < sched[*idx].at) {
-          sim.post_at(sched[*idx].at, [self] { (*self)(); });
-          return;
-        }
-        hw::Frame fr;
-        fr.dst = sched[*idx].dst;
-        fr.payload_bytes = 256;
-        ep.transmit(std::move(fr));
-        ++*idx;
-      }
-    };
-    fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    sim.post_at((*schedules)[static_cast<std::size_t>(s)][0].at,
-                [pump] { (*pump)(); });
-  }
+  hw::FabricTraffic traffic(
+      *fab, hw::bit_reversal_uniform(kStations, kFrames, 0xada97,
+                                     /*gap_base_us=*/1, /*gap_span_us=*/20));
+  traffic.start();
 
   if (link_flap) {
     sim::MachineShape shape;
@@ -382,14 +326,15 @@ std::string run_adaptive_fabric(const std::string& label,
 
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int s = 0; s < kStations; ++s) {
-    auto& l = latency[static_cast<std::size_t>(s)];
+    std::vector<sim::Duration> l;
+    for (const hw::Delivery& d : traffic.received(s)) l.push_back(d.latency());
     std::sort(l.begin(), l.end());
     std::string row = std::to_string(s) + ':';
     for (const sim::Duration d : l) row += std::to_string(d) + ',';
     h = fnv1a(h, row);
   }
   std::ostringstream out;
-  out << label << " delivered=" << delivered
+  out << label << " delivered=" << traffic.delivered()
       << " dropped=" << fab->frames_dropped() << " end=" << sim.now()
       << " fnv=" << std::hex << h << "\n";
   return out.str();

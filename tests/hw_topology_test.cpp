@@ -10,6 +10,7 @@
 
 #include "hw/fabric.hpp"
 #include "hw/topology.hpp"
+#include "hw/traffic.hpp"
 #include "sim/simulator.hpp"
 
 namespace hpcvorx::hw {
@@ -27,14 +28,6 @@ Frame frame_to(StationId dst, std::uint32_t payload, std::uint64_t seq = 0) {
   f.payload_bytes = payload;
   f.seq = seq;
   return f;
-}
-
-void drain_into(Fabric& fab, StationId station, std::vector<Frame>& out) {
-  Endpoint& ep = fab.endpoint(station);
-  ep.set_rx_cb([&fab, station, &out] {
-    Endpoint& e = fab.endpoint(station);
-    while (auto f = e.rx_take()) out.push_back(*std::move(f));
-  });
 }
 
 TEST(FatTreeShape, PlansWidestTreeFromPortBudget) {
@@ -116,16 +109,15 @@ TEST(Topology, FatTreeAllPairsDeliverWithExpectedHops) {
   auto fab = Fabric::fat_tree(sim, 16, 4, p);
   ASSERT_EQ(fab->topology(), TopologyKind::kFatTree);
   ASSERT_EQ(fab->num_clusters(), 4 + 4);  // 4 leaves + min(8, 4) spines
-  std::vector<std::vector<Frame>> got(16);
-  for (int s = 0; s < 16; ++s) drain_into(*fab, s, got[static_cast<size_t>(s)]);
+  const FabricTraffic traffic(*fab, {});
   for (int s = 0; s < 16; ++s) {
     for (int d = 0; d < 16; ++d) {
       if (s == d) continue;
       fab->endpoint(s).transmit(frame_to(d, 8));
       sim.run();
-      ASSERT_FALSE(got[static_cast<size_t>(d)].empty())
+      ASSERT_FALSE(traffic.received(d).empty())
           << s << "->" << d << " not delivered";
-      const Frame& f = got[static_cast<size_t>(d)].back();
+      const Delivery& f = traffic.received(d).back();
       EXPECT_EQ(f.src, s);
       // Same leaf: 1 cluster.  Across leaves: leaf + spine + leaf = 3.
       const int expect = fab->cluster_of(s) == fab->cluster_of(d) ? 1 : 3;
@@ -146,29 +138,20 @@ TEST_P(AdaptiveDelivery, AllPairsDeliverMinimally) {
   FabricParams p;
   p.topo = GetParam();
   p.routing = RoutingMode::kAdaptive;
-  auto fab = p.topo == TopologyKind::kFatTree ? Fabric::fat_tree(sim, 24, 4, p)
-                                              : Fabric::hypercube(sim, 24, 4, p);
+  auto fab = Fabric::make(sim, 24, 4, p);
   ASSERT_EQ(fab->routing(), RoutingMode::kAdaptive);
-  std::vector<std::vector<Frame>> got(24);
-  for (int s = 0; s < 24; ++s) drain_into(*fab, s, got[static_cast<size_t>(s)]);
+  Schedule sends(24);
   for (int s = 0; s < 24; ++s) {
-    Endpoint& ep = fab->endpoint(s);
-    auto feed = std::make_shared<std::function<void()>>();
-    auto next = std::make_shared<int>(0);
-    // Keep-alive comes from the tx-ready callback's copy of `feed`.
-    *feed = [&ep, s, next] {
-      while (*next < 24 && ep.tx_ready()) {
-        if (*next != s) ep.transmit(frame_to(*next, 8));
-        ++*next;
-      }
-    };
-    ep.set_tx_ready_cb([feed] { (*feed)(); });
-    (*feed)();
+    for (int d = 0; d < 24; ++d) {
+      if (d != s) sends[s].push_back({0, frame_to(d, 8)});
+    }
   }
+  FabricTraffic traffic(*fab, std::move(sends));
+  traffic.start();
   sim.run();
   for (int d = 0; d < 24; ++d) {
-    ASSERT_EQ(got[static_cast<size_t>(d)].size(), 23u) << "station " << d;
-    for (const Frame& f : got[static_cast<size_t>(d)]) {
+    ASSERT_EQ(traffic.received(d).size(), 23u) << "station " << d;
+    for (const Delivery& f : traffic.received(d)) {
       EXPECT_EQ(f.hops, fab->route_length(f.src, d)) << f.src << "->" << d;
     }
   }
@@ -221,18 +204,18 @@ TEST(Topology, FatTreeHardwareMulticastDelivers) {
   const std::uint64_t gid = 9;
   const std::vector<StationId> members{1, 5, 10, 15};
   fab->add_multicast_group(gid, 1, members);
-  std::vector<std::vector<Frame>> got(16);
-  for (StationId m : members) drain_into(*fab, m, got[static_cast<size_t>(m)]);
+  const FabricTraffic traffic(*fab, {});
   Frame f;
   f.group = gid;
   f.dst = -1;
   f.payload_bytes = 32;
   fab->endpoint(1).transmit(std::move(f));
   sim.run();
-  EXPECT_TRUE(got[1].empty());  // root's local delivery is the kernel's job
+  // The root's local delivery is the kernel's job.
+  EXPECT_TRUE(traffic.received(1).empty());
   for (StationId m : {5, 10, 15}) {
-    ASSERT_EQ(got[static_cast<size_t>(m)].size(), 1u) << "member " << m;
-    EXPECT_EQ(got[static_cast<size_t>(m)][0].group, gid);
+    ASSERT_EQ(traffic.received(m).size(), 1u) << "member " << m;
+    EXPECT_EQ(traffic.received(m)[0].group, gid);
   }
 }
 

@@ -3,11 +3,11 @@
 // seeds, partition counts, and mixed traffic.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <ostream>
 
 #include "apps/cemu_app.hpp"
 #include "apps/fft2d_app.hpp"
+#include "hw/traffic.hpp"
 #include "vorx/multicast.hpp"
 #include "vorx/protocols/sliding_window.hpp"
 #include "vorx_test_util.hpp"
@@ -88,25 +88,11 @@ TEST(MixedTraffic, UnicastAndHardwareMulticastCoexist) {
   std::vector<hw::StationId> members{0, 3, 6, 9, 12, 15};
   fab->add_multicast_group(5, /*root=*/0, members);
 
-  std::vector<int> mcast_got(16, 0);
-  std::vector<int> ucast_got(16, 0);
-  for (int s = 0; s < 16; ++s) {
-    fab->endpoint(s).set_rx_cb([&fab, s, &mcast_got, &ucast_got] {
-      while (auto f = fab->endpoint(s).rx_take()) {
-        (f->group != 0 ? mcast_got : ucast_got)[static_cast<std::size_t>(s)]++;
-      }
-    });
-  }
-
   // Unicast cross-traffic from every station, interleaved with group
   // frames from the root.
-  struct Feeder {
-    std::vector<hw::Frame> frames;
-    std::size_t next = 0;
-  };
-  auto feeders = std::make_shared<std::vector<Feeder>>(16);
+  hw::Schedule sends(16);
   sim::Rng rng(31);
-  int unicast_total = 0;
+  std::uint64_t unicast_total = 0;
   for (int s = 0; s < 16; ++s) {
     const int n = 8 + static_cast<int>(rng.below(8));
     for (int i = 0; i < n; ++i) {
@@ -115,7 +101,7 @@ TEST(MixedTraffic, UnicastAndHardwareMulticastCoexist) {
       if (dst == s) dst = (dst + 1) % 16;
       f.dst = dst;
       f.payload_bytes = 64 + static_cast<std::uint32_t>(rng.below(900));
-      (*feeders)[static_cast<std::size_t>(s)].frames.push_back(std::move(f));
+      sends[static_cast<std::size_t>(s)].push_back({0, std::move(f)});
       ++unicast_total;
     }
   }
@@ -125,31 +111,26 @@ TEST(MixedTraffic, UnicastAndHardwareMulticastCoexist) {
     f.group = 5;
     f.dst = -1;
     f.payload_bytes = 500;
-    auto& q = (*feeders)[0].frames;
-    q.insert(q.begin() + static_cast<long>(m * 2), std::move(f));
+    auto& q = sends[0];
+    q.insert(q.begin() + static_cast<long>(m * 2), hw::Send{0, std::move(f)});
   }
-  for (int s = 0; s < 16; ++s) {
-    hw::Endpoint& ep = fab->endpoint(s);
-    auto feed = std::make_shared<std::function<void()>>();
-    *feed = [&ep, feeders, s] {
-      Feeder& me = (*feeders)[static_cast<std::size_t>(s)];
-      while (me.next < me.frames.size() && ep.tx_ready()) {
-        ep.transmit(me.frames[me.next++]);
-      }
-    };
-    ep.set_tx_ready_cb([feed] { (*feed)(); });
-    (*feed)();
-  }
+  hw::FabricTraffic traffic(*fab, std::move(sends));
+  traffic.start();
   sim.run();
 
-  int unicast_delivered = 0;
+  std::uint64_t unicast_delivered = 0;
   for (int s = 0; s < 16; ++s) {
-    unicast_delivered += ucast_got[static_cast<std::size_t>(s)];
+    int mcast_got = 0;
+    for (const hw::Delivery& d : traffic.received(s)) {
+      if (d.group != 0) {
+        ++mcast_got;
+      } else {
+        ++unicast_delivered;
+      }
+    }
     const bool member =
         std::find(members.begin(), members.end(), s) != members.end();
-    EXPECT_EQ(mcast_got[static_cast<std::size_t>(s)],
-              member && s != 0 ? 6 : 0)
-        << "station " << s;
+    EXPECT_EQ(mcast_got, member && s != 0 ? 6 : 0) << "station " << s;
   }
   EXPECT_EQ(unicast_delivered, unicast_total);
 }

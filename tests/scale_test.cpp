@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "hw/traffic.hpp"
 #include "vorx_test_util.hpp"
 
 namespace hpcvorx::vorx {
@@ -87,13 +88,7 @@ TEST(Scale, ThousandNodeFabricCarriesCrossCubeTraffic) {
   auto fab = hw::Fabric::hypercube(sim, 1024, 4);
   ASSERT_EQ(fab->num_clusters(), 256);
 
-  std::vector<int> got(1024, 0);
-  auto drain = [&](int s) {
-    fab->endpoint(s).set_rx_cb([&fab, s, &got] {
-      while (fab->endpoint(s).rx_take()) ++got[static_cast<std::size_t>(s)];
-    });
-  };
-  for (int s = 0; s < 1024; ++s) drain(s);
+  const hw::FabricTraffic traffic(*fab, {});
 
   // 64 random long-haul unicast frames.
   sim::Rng rng(77);
@@ -110,25 +105,29 @@ TEST(Scale, ThousandNodeFabricCarriesCrossCubeTraffic) {
     sim.run();
   }
   for (const auto& [dst, n] : expect) {
-    EXPECT_EQ(got[static_cast<std::size_t>(dst)], n) << "station " << dst;
+    EXPECT_EQ(traffic.received(dst).size(), static_cast<std::size_t>(n))
+        << "station " << dst;
   }
 
   // Hardware multicast across the cube.
   std::vector<hw::StationId> members;
   for (int m = 0; m < 32; ++m) members.push_back(m * 33 % 1024);
   fab->add_multicast_group(9, members[0], members);
-  std::fill(got.begin(), got.end(), 0);
   hw::Frame g;
   g.group = 9;
   g.dst = -1;
   g.payload_bytes = 512;
   fab->endpoint(members[0]).transmit(std::move(g));
   sim.run();
-  int delivered = 0;
-  for (int s = 0; s < 1024; ++s) delivered += got[static_cast<std::size_t>(s)];
-  EXPECT_EQ(delivered, 31);  // every member except the root, exactly once
+  auto group_frames = [&traffic](int s) {
+    const auto& got = traffic.received(s);
+    return std::count_if(got.begin(), got.end(),
+                         [](const hw::Delivery& d) { return d.group == 9; });
+  };
+  // Every member except the root, exactly once, and nothing else.
+  EXPECT_EQ(traffic.delivered(), 64u + 31u);
   for (std::size_t m = 1; m < members.size(); ++m) {
-    EXPECT_EQ(got[static_cast<std::size_t>(members[m])], 1);
+    EXPECT_EQ(group_frames(members[m]), 1);
   }
 }
 

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "hw/fabric.hpp"
+#include "hw/traffic.hpp"
 #include "sim/random.hpp"
 #include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
@@ -340,85 +341,40 @@ RoutingRun run_routing(int shards, hw::TopologyKind topo, hw::RoutingMode mode,
   EXPECT_EQ(fab->num_clusters(),
             topo == hw::TopologyKind::kFatTree ? 256 + 8 : 256);
 
-  RoutingRun run;
-  run.got.resize(kStations);
-  for (int s = 0; s < kStations; ++s) {
-    hw::Endpoint& ep = fab->endpoint(s);
-    auto* bucket = &run.got[static_cast<std::size_t>(s)];
-    hw::Fabric* f = fab.get();
-    ep.set_rx_cb([f, s, bucket] {
-      hw::Endpoint& e = f->endpoint(s);
-      while (auto fr = e.rx_take()) {
-        // Minimal-path bound: a frame that looped or detoured would exceed
-        // the deterministic route length.
-        ASSERT_EQ(fr->hops, f->route_length(fr->src, s))
-            << fr->src << "->" << s;
-        bucket->push_back({fr->src, static_cast<int>(fr->seq)});
-      }
-    });
-  }
-
   // The schedule (inject times, destinations) depends only on the seed:
   // computed up front on the main thread, read-only afterwards.
-  struct Inject {
-    sim::SimTime at;
-    int dst;
-    std::uint64_t seq;
-  };
-  auto schedules =
-      std::make_shared<std::vector<std::vector<Inject>>>(kStations);
+  hw::Schedule sends(kStations);
   sim::Rng rng(seed);
   for (int s = 0; s < kStations; ++s) {
     sim::SimTime t = 0;
     for (int i = 0; i < kFramesPerStation; ++i) {
       t += sim::usec(2 + rng.below(40));
-      int dst = static_cast<int>(rng.below(kStations - 1));
-      if (dst >= s) ++dst;  // never self
-      (*schedules)[static_cast<std::size_t>(s)].push_back(
-          {t, dst, static_cast<std::uint64_t>(i)});
+      hw::Send send{t, hw::Frame{}};
+      send.frame.dst = static_cast<int>(rng.below(kStations - 1));
+      if (send.frame.dst >= s) ++send.frame.dst;  // never self
+      send.frame.seq = static_cast<std::uint64_t>(i);
+      send.frame.payload_bytes = 64;
+      sends[static_cast<std::size_t>(s)].push_back(std::move(send));
     }
   }
-
-  // Per-station pump on the station's own shard simulator: inject on
-  // schedule, or as soon as hardware flow control re-opens.
-  for (int s = 0; s < kStations; ++s) {
-    hw::Fabric* f = fab.get();
-    auto idx = std::make_shared<std::size_t>(0);
-    auto pump = std::make_shared<std::function<void()>>();
-    // Keep-alive comes from the tx-ready callback's copy of `pump` (held
-    // until the fabric is destroyed); the function object itself
-    // reschedules through a raw pointer so it never owns itself.
-    *pump = [f, s, idx, schedules, self = pump.get()] {
-      const auto& sched = (*schedules)[static_cast<std::size_t>(s)];
-      hw::Endpoint& ep = f->endpoint(s);
-      sim::Simulator& sim = f->station_sim(s);
-      while (*idx < sched.size() && ep.tx_ready()) {
-        const Inject& in = sched[*idx];
-        if (sim.now() < in.at) {
-          sim.post_at(in.at, [self] { (*self)(); });
-          return;
-        }
-        hw::Frame fr;
-        fr.dst = in.dst;
-        fr.seq = in.seq;
-        fr.payload_bytes = 64;
-        ep.transmit(std::move(fr));
-        ++*idx;
-      }
-    };
-    fab->endpoint(s).set_tx_ready_cb([pump] { (*pump)(); });
-    fab->station_sim(s).post_at(
-        (*schedules)[static_cast<std::size_t>(s)][0].at,
-        [pump] { (*pump)(); });
-  }
-
+  hw::FabricTraffic traffic(*fab, std::move(sends));
+  traffic.start();
   rt.run();
-  run.order = run.got;
+
+  RoutingRun run;
+  run.sent = traffic.sent();
+  run.delivered = traffic.delivered();
   for (int s = 0; s < kStations; ++s) {
-    run.sent += fab->endpoint(s).frames_sent();
-    run.delivered += run.got[static_cast<std::size_t>(s)].size();
-    std::sort(run.got[static_cast<std::size_t>(s)].begin(),
-              run.got[static_cast<std::size_t>(s)].end());
+    std::vector<std::pair<int, int>> order;
+    for (const hw::Delivery& d : traffic.received(s)) {
+      // Minimal-path bound: a frame that looped or detoured would exceed
+      // the deterministic route length.
+      EXPECT_EQ(d.hops, fab->route_length(d.src, s)) << d.src << "->" << s;
+      order.push_back({d.src, static_cast<int>(d.seq)});
+    }
+    run.order.push_back(order);
+    std::sort(order.begin(), order.end());
+    run.got.push_back(std::move(order));
   }
   EXPECT_EQ(fab->frames_dropped(), 0u);
   return run;

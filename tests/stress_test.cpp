@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <ostream>
 
+#include "hw/traffic.hpp"
 #include "sim/random.hpp"
 #include "vorx/node.hpp"
 #include "vorx/system.hpp"
@@ -40,29 +40,11 @@ TEST_P(FabricTrafficSweep, ExactlyOnceInOrderDelivery) {
   auto fab = hw::Fabric::make(sim, stations, per_cluster);
   sim::Rng rng(seed);
 
-  // Receivers drain immediately (the kernel invariant) and log (src, seq).
-  std::vector<std::vector<std::pair<int, std::uint64_t>>> got(
-      static_cast<std::size_t>(stations));
-  for (int s = 0; s < stations; ++s) {
-    hw::Endpoint& ep = fab->endpoint(s);
-    ep.set_rx_cb([&fab, s, &got] {
-      hw::Endpoint& e = fab->endpoint(s);
-      while (auto f = e.rx_take()) {
-        got[static_cast<std::size_t>(s)].emplace_back(f->src, f->seq);
-      }
-    });
-  }
-
   // Senders blast random-size frames at random destinations, per-pair
-  // sequence numbers.
+  // sequence numbers; receivers drain immediately (the kernel invariant).
   std::map<std::pair<int, int>, std::uint64_t> next_seq;
-  struct Sender {
-    std::vector<hw::Frame> queue;
-    std::size_t next = 0;
-  };
-  auto senders = std::make_shared<std::vector<Sender>>(
-      static_cast<std::size_t>(stations));
-  int total = 0;
+  hw::Schedule sends(static_cast<std::size_t>(stations));
+  std::uint64_t total = 0;
   for (int s = 0; s < stations; ++s) {
     const int burst = 10 + static_cast<int>(rng.below(30));
     for (int i = 0; i < burst; ++i) {
@@ -72,34 +54,23 @@ TEST_P(FabricTrafficSweep, ExactlyOnceInOrderDelivery) {
       f.dst = dst;
       f.payload_bytes = 4 + static_cast<std::uint32_t>(rng.below(1000));
       f.seq = next_seq[{s, dst}]++;
-      (*senders)[static_cast<std::size_t>(s)].queue.push_back(std::move(f));
+      sends[static_cast<std::size_t>(s)].push_back({0, std::move(f)});
       ++total;
     }
   }
-  for (int s = 0; s < stations; ++s) {
-    hw::Endpoint& ep = fab->endpoint(s);
-    auto feed = std::make_shared<std::function<void()>>();
-    *feed = [&ep, senders, s] {
-      Sender& me = (*senders)[static_cast<std::size_t>(s)];
-      while (me.next < me.queue.size() && ep.tx_ready()) {
-        ep.transmit(me.queue[me.next++]);
-      }
-    };
-    ep.set_tx_ready_cb([feed] { (*feed)(); });
-    (*feed)();
-  }
+  hw::FabricTraffic traffic(*fab, std::move(sends));
+  traffic.start();
   sim.run();
 
   // Exactly once, and FIFO per (src, dst) pair.
-  int delivered = 0;
   for (int d = 0; d < stations; ++d) {
     std::map<int, std::uint64_t> expected;  // src -> next expected seq
-    for (const auto& [src, seq] : got[static_cast<std::size_t>(d)]) {
-      ASSERT_EQ(seq, expected[src]++) << "src " << src << " -> dst " << d;
-      ++delivered;
+    for (const hw::Delivery& got : traffic.received(d)) {
+      ASSERT_EQ(got.seq, expected[got.src]++)
+          << "src " << got.src << " -> dst " << d;
     }
   }
-  EXPECT_EQ(delivered, total);
+  EXPECT_EQ(traffic.delivered(), total);
 }
 
 INSTANTIATE_TEST_SUITE_P(

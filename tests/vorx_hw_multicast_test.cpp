@@ -5,6 +5,7 @@
 
 #include <ostream>
 
+#include "hw/traffic.hpp"
 #include "vorx/multicast.hpp"
 #include "vorx_test_util.hpp"
 
@@ -47,14 +48,7 @@ TEST_P(HwMulticastSweep, ExactlyOnceToEveryMember) {
   const hw::StationId root = members[0];
   fab->add_multicast_group(77, root, members);
 
-  std::vector<int> received(static_cast<std::size_t>(stations), 0);
-  for (int s = 0; s < stations; ++s) {
-    fab->endpoint(s).set_rx_cb([&fab, s, &received] {
-      while (auto f = fab->endpoint(s).rx_take()) {
-        ++received[static_cast<std::size_t>(s)];
-      }
-    });
-  }
+  const hw::FabricTraffic traffic(*fab, {});
 
   for (int burst = 0; burst < 5; ++burst) {
     hw::Frame f;
@@ -69,7 +63,8 @@ TEST_P(HwMulticastSweep, ExactlyOnceToEveryMember) {
     const bool is_member =
         std::find(members.begin(), members.end(), s) != members.end();
     const int want = (is_member && s != root) ? 5 : 0;
-    EXPECT_EQ(received[static_cast<std::size_t>(s)], want) << "station " << s;
+    EXPECT_EQ(traffic.received(s).size(), static_cast<std::size_t>(want))
+        << "station " << s;
   }
 }
 

@@ -22,15 +22,8 @@ namespace {
 // Returns the deterministic report rendering — the byte-compared artifact.
 std::string run_storm(const std::string& plan_name, std::uint64_t seed,
                       int shards) {
-  SystemConfig scfg;
-  scfg.nodes = 32;
-  scfg.hosts = 2;
-  scfg.stations_per_cluster = 4;
-  // Same cable shape as examples/storm.cpp: 50 us cables with BDP-sized
-  // buffers, so the test exercises the tuned configuration.
-  scfg.fabric.cluster_link = scfg.fabric.link;
-  scfg.fabric.cluster_link->latency = sim::usec(50);
-  scfg.fabric.cluster_link->buffer_frames = 64;
+  // The storm example's cabling, so the test exercises the tuned shape.
+  const SystemConfig scfg = storm_machine(32, 2);
 
   WorkloadConfig wcfg;
   wcfg.users = 1'200;

@@ -22,19 +22,8 @@
 namespace hpcvorx::vorx {
 namespace {
 
-// The overloaded machine of tests/check_workload_report.cmake: 64 nodes,
-// one host, 20000 users over 200 ms, seed 7, cabled like examples/storm.
-SystemConfig storm_machine() {
-  SystemConfig scfg;
-  scfg.nodes = 64;
-  scfg.hosts = 1;
-  scfg.stations_per_cluster = 4;
-  scfg.fabric.cluster_link = scfg.fabric.link;
-  scfg.fabric.cluster_link->latency = sim::usec(50);
-  scfg.fabric.cluster_link->buffer_frames = 64;
-  return scfg;
-}
-
+// The overloaded run of tests/check_workload_report.cmake: 20000 users over
+// 200 ms, seed 7, on storm_machine(64, 1).
 WorkloadConfig storm_workload() {
   WorkloadConfig wcfg;
   wcfg.users = 20'000;
@@ -46,7 +35,7 @@ constexpr std::uint64_t kSeed = 7;
 
 TEST(StubLifetime, EachHostHoldsOneStubPerSlot) {
   sim::Simulator sim;
-  System sys(sim, storm_machine());
+  System sys(sim, storm_machine(64, 1));
   WorkloadGen gen(sys, storm_workload(), kSeed);
   Node& host = sys.host(0);
 
@@ -65,7 +54,7 @@ TEST(StubLifetime, EachHostHoldsOneStubPerSlot) {
 
 TEST(StubLifetime, CrashedHostHoldsNoStubs) {
   sim::Simulator sim;
-  System sys(sim, storm_machine());
+  System sys(sim, storm_machine(64, 1));
   WorkloadGen gen(sys, storm_workload(), kSeed);
   FaultInjector inj(sys, &gen);
   const sim::FaultPlan plan = sim::FaultPlan::named(

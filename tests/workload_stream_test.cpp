@@ -35,23 +35,11 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace hpcvorx::vorx {
 namespace {
 
-// The storm example's machine: 256 nodes, 4 hosts, 50 us trunks.
-SystemConfig storm_machine() {
-  SystemConfig scfg;
-  scfg.nodes = 256;
-  scfg.hosts = 4;
-  scfg.stations_per_cluster = 4;
-  scfg.fabric.cluster_link = scfg.fabric.link;
-  scfg.fabric.cluster_link->latency = sim::usec(50);
-  scfg.fabric.cluster_link->buffer_frames = 64;
-  return scfg;
-}
-
 // Bytes that constructing a WorkloadGen allocates on a fresh machine.
 std::size_t construction_bytes(int users, sim::Duration horizon,
                                std::uint64_t* sessions) {
   sim::Simulator sim;
-  System sys(sim, storm_machine());
+  System sys(sim, storm_machine(256, 4));
   WorkloadConfig wcfg;
   wcfg.users = users;
   wcfg.horizon = horizon;
