@@ -17,14 +17,4 @@ void BitmapSource::chunk_into(std::uint64_t frame, std::size_t offset,
   for (std::size_t i = 0; i < len; ++i) out[i] = byte_at(frame, offset + i);
 }
 
-std::uint64_t BitmapSource::frame_checksum(std::uint64_t frame) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::size_t n = frame_bytes();
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(byte_at(frame, i));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace hpcvorx::apps

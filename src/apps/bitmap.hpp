@@ -40,9 +40,6 @@ class BitmapSource {
   void chunk_into(std::uint64_t frame, std::size_t offset, std::size_t len,
                   std::vector<std::byte>& out) const;
 
-  /// FNV-1a over the whole frame (what the frame buffer should hold).
-  [[nodiscard]] std::uint64_t frame_checksum(std::uint64_t frame) const;
-
  private:
   [[nodiscard]] std::byte byte_at(std::uint64_t frame, std::size_t index) const {
     // A cheap moving interference pattern.

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "sim/fnv.hpp"
 #include "vorx/node.hpp"
 #include "vorx/protocols/sliding_window.hpp"
 #include "vorx/udco.hpp"
@@ -104,7 +105,7 @@ sim::Task<void> cemu_node(vorx::Subprocess& sp, std::shared_ptr<Shared> st,
 
   std::vector<bool> values(static_cast<std::size_t>(ckt.num_gates()), false);
   std::vector<bool> latched(values.size(), false);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = sim::kFnvOffset;
   const std::vector<int> my_dffs = ckt.dffs_in_block(me);
 
   for (int t = 0; t < cfg.cycles; ++t) {
@@ -191,11 +192,8 @@ CemuResult run_cemu(sim::Simulator& sim, vorx::System& sys,
   CemuResult res;
   res.elapsed = sim.now() - started;
   res.boundary_messages = st->boundary_messages;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint64_t bh : st->block_hash) {
-    h ^= bh;
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = sim::kFnvOffset;
+  for (std::uint64_t bh : st->block_hash) h = sim::fnv1a_step(h, bh);
   res.trace = h;
   res.matches_serial = h == circuit.simulate_serial(cfg.cycles);
   res.cycles_per_sec = cfg.cycles / sim::to_sec(res.elapsed);

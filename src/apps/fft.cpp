@@ -6,6 +6,7 @@
 #include <cstring>
 #include <numbers>
 
+#include "sim/fnv.hpp"
 #include "sim/random.hpp"
 
 namespace hpcvorx::apps {
@@ -149,17 +150,14 @@ std::vector<Complex> make_test_image(int n, std::uint64_t seed) {
 }
 
 std::uint64_t checksum(std::span<const Complex> data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = sim::kFnvOffset;
   for (const Complex& c : data) {
     unsigned char bytes[2 * sizeof(double)];
     const double re = c.real();
     const double im = c.imag();
     std::memcpy(bytes, &re, sizeof re);
     std::memcpy(bytes + sizeof re, &im, sizeof im);
-    for (unsigned char b : bytes) {
-      h ^= b;
-      h *= 0x100000001b3ULL;
-    }
+    for (unsigned char b : bytes) h = sim::fnv1a_step(h, b);
   }
   return h;
 }

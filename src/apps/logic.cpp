@@ -120,7 +120,7 @@ std::uint64_t Circuit::simulate_serial(int cycles) const {
   std::vector<bool> values(n, false);   // combinational plane, this cycle
   std::vector<bool> latched(n, false);  // DFF outputs, latched
   std::vector<std::uint64_t> block_hash(static_cast<std::size_t>(blocks_),
-                                        0xcbf29ce484222325ULL);
+                                        sim::kFnvOffset);
   for (int t = 0; t < cycles; ++t) {
     // Latch: every DFF takes its D value from the previous cycle's plane.
     std::vector<bool> next_latched = latched;
@@ -148,11 +148,8 @@ std::uint64_t Circuit::simulate_serial(int cycles) const {
       }
     }
   }
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint64_t bh : block_hash) {
-    h ^= bh;
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = sim::kFnvOffset;
+  for (std::uint64_t bh : block_hash) h = sim::fnv1a_step(h, bh);
   return h;
 }
 

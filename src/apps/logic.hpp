@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fnv.hpp"
+
 namespace hpcvorx::apps {
 
 enum class GateType : std::uint8_t {
@@ -85,9 +87,8 @@ class Circuit {
 
 /// Folds one gate value into a running trace checksum.
 [[nodiscard]] inline std::uint64_t fold_bit(std::uint64_t h, bool bit) {
-  h ^= bit ? 0x9e3779b97f4a7c15ULL : 0x517cc1b727220a95ULL;
-  h *= 0x100000001b3ULL;
-  return h;
+  return sim::fnv1a_step(
+      h, bit ? 0x9e3779b97f4a7c15ULL : 0x517cc1b727220a95ULL);
 }
 
 }  // namespace hpcvorx::apps

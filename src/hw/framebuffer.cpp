@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/fnv.hpp"
+
 namespace hpcvorx::hw {
 
 void FrameBuffer::write_bytes(std::size_t offset, std::span<const std::byte> data) {
@@ -18,10 +20,9 @@ void FrameBuffer::write_length(std::size_t offset, std::size_t len) {
 }
 
 std::uint64_t FrameBuffer::checksum() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = sim::kFnvOffset;
   for (std::byte b : pixels_) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
+    h = sim::fnv1a_step(h, static_cast<std::uint64_t>(b));
   }
   return h;
 }

@@ -1,18 +1,15 @@
 #include "vorx/system.hpp"
 
+#include "sim/fnv.hpp"
 #include "sim/proc_registry.hpp"
 
 namespace hpcvorx::vorx {
 
 namespace {
-// FNV-1a: a stable, platform-independent name hash, so experiment results
-// do not depend on the standard library's std::hash.
+// A stable name hash, so experiment results do not depend on std::hash.
 std::uint64_t name_hash(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = sim::kFnvOffset;
+  for (char c : s) h = sim::fnv1a_step(h, static_cast<unsigned char>(c));
   return h;
 }
 }  // namespace

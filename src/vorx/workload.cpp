@@ -137,21 +137,18 @@ constexpr int kAllocAttempts = 3;  // hosts tried before the join fails
 constexpr sim::Duration kInviteTimeout = sim::msec(15);  // per-round accepts
 constexpr int kInviteRounds = 2;   // rounds before non-responders are pruned
 constexpr int kHostSlots = 4096;   // session slots per host workstation
-// Watchdog: a session not done by start + ttl is LOST (a bug).
-constexpr sim::Duration kSessionTtl = sim::sec(3);
 
-// The watchdog must never fire on a healthy session, so its delay is at
-// least the longest possible life, bounded from the control-plane budgets
-// and the spurt caps.
-constexpr sim::Duration kTtlEff = std::max(
-    kSessionTtl, kAllocAttempts * kAllocTimeout +
-                     kInviteRounds * kInviteTimeout +
-                     static_cast<sim::Duration>(kMaxSpurts) *
-                         (kGapCap + kSpurtCap + kFrameInterval) +
-                     sim::msec(50));
+// Longer than any session can live, bounded from the control-plane budgets
+// and the spurt caps: every control and spurt timer is self-posted within
+// them, so a healthy session has resolved kTtlEff after its start.
+constexpr sim::Duration kTtlEff =
+    kAllocAttempts * kAllocTimeout + kInviteRounds * kInviteTimeout +
+    static_cast<sim::Duration>(kMaxSpurts) *
+        (kGapCap + kSpurtCap + kFrameInterval) +
+    sim::msec(50);
 
-// Virtual time at which a run over `horizon` stops: every watchdog has
-// fired by then.
+// Virtual time at which a run over `horizon` stops: every session started
+// by the horizon has resolved by then, unless it is lost.
 constexpr sim::SimTime run_end(sim::Duration horizon) {
   return horizon + kTtlEff + sim::msec(10);
 }
@@ -389,9 +386,9 @@ class SessionStream {
   bool done_ = false;
 };
 
-// Root-side session phases.  kDone/kFailed/kLost are terminal; the slot is
-// freed once counted, so "the slot still holds the sid" means
-// not-yet-resolved.
+// Root-side session phases.  A session that completes or fails frees its
+// slot, so "the slot still holds the sid" means not yet resolved, and a
+// slot still held when the run ends is a lost session.
 enum Phase : std::uint8_t { kAllocating = 0, kInviting = 1, kActive = 2 };
 
 // One slot of a node's root table: a live session rooted there.  The
@@ -445,45 +442,32 @@ struct GcItem {
 // ---- agents ---------------------------------------------------------------
 
 struct WorkloadGen::Impl {
-  // A walk over the session stream that stops at each session rooted on its
-  // feed's simulator.  It numbers that simulator's items as it passes them.
-  struct Cursor {
-    explicit Cursor(SessionStream s) : stream(s) {}
-    SessionStream stream;
-    std::uint64_t index = 0;  // the simulator's items numbered so far
-    SessionDesc d;            // the session it stopped at
-    std::uint64_t seq = 0;    // ticket seq of d's start; its watchdog's + 1
-    bool live = false;        // false once the stream is exhausted
-  };
-
-  // One simulator's arrival feed (DESIGN.md §14.1): the session starts,
-  // root watchdogs and churn leaves of the nodes the simulator runs, in
-  // (time, seq) order.  Only the head is in the event queue, posted on its
-  // ticket; each fire posts the next head before acting.  The items come
-  // from three sources: the lead cursor's next start; the churn leaves the
-  // lead cursor has passed, in a min-heap; and the trailing cursor, a
-  // second walk of the stream that stops at each watchdog, kTtlEff behind
-  // the starts.  No item precedes its session's start, so when the lead
-  // stops at the next start every earlier item is already in a source.
+  // One simulator's arrival feed (DESIGN.md §14.1): the session starts and
+  // churn leaves of the nodes the simulator runs, in (time, seq) order.
+  // Only the head is in the event queue, posted on its ticket; each fire
+  // posts the next head before acting.  The items come from two sources:
+  // the next start, where the feed's walk of the session stream stopped,
+  // and the churn leaves the walk has passed, in a min-heap.  No leave
+  // precedes its session's start, so when the walk stops at the next
+  // start every earlier item is already in a source.
   struct ArrivalFeed {
-    ArrivalFeed(sim::Simulator* s, const SessionStream& stream, int nodes)
+    ArrivalFeed(sim::Simulator* s, const SessionStream& st, int nodes)
         : sim(s),
-          lead(stream),
-          trail(stream),
+          stream(st),
           member_slots(static_cast<std::size_t>(nodes), 0) {}
     ArrivalFeed(const ArrivalFeed&) = delete;  // the queued head holds `this`
     ArrivalFeed& operator=(const ArrivalFeed&) = delete;
 
-    enum class Head : std::uint8_t { kStart, kWatchdog, kLeave };
-
     sim::Simulator* sim;
     std::uint64_t items = 0;  // items in the run, from the counting pass
     sim::EventTicket base;    // the first ticket of their block
-    Cursor lead;
-    Cursor trail;
+    SessionStream stream;     // the walk, stopped after `next`
+    std::uint64_t index = 0;  // items numbered so far
+    SessionDesc next;         // the next session rooted here
+    std::uint64_t next_seq = 0;  // ticket seq of next's start
+    bool live = false;           // false once the stream is exhausted
     std::vector<std::uint32_t> member_slots;  // per node, numbered so far
     std::priority_queue<LeaveItem, std::vector<LeaveItem>, LeavesAfter> leaves;
-    Head head = Head::kStart;  // the source of the queued head
     LatencyCounts deliveries;  // delivery latencies at the nodes it runs
   };
 
@@ -500,7 +484,6 @@ struct WorkloadGen::Impl {
     std::vector<std::pair<sim::SimTime, int>> active_log;
     std::uint64_t completed = 0;
     std::uint64_t failed_joins = 0;
-    std::uint64_t lost = 0;
     std::uint64_t alloc_attempts = 0;
     std::uint64_t alloc_denied = 0;
     std::uint64_t alloc_timeouts = 0;
@@ -528,7 +511,8 @@ struct WorkloadGen::Impl {
   Impl(System& sys, WorkloadConfig cfg, std::uint64_t seed);
 
   void install(const SessionStream& stream);
-  bool advance(ArrivalFeed& f, Cursor& c, bool lead);
+  void advance(ArrivalFeed& f);
+  [[nodiscard]] static bool start_is_head(const ArrivalFeed& f);
   void post_head(ArrivalFeed& f);
   void fire_head(ArrivalFeed& f);
   void post_gc_head(NodeAgent& ag);
@@ -547,7 +531,6 @@ struct WorkloadGen::Impl {
   void on_leave(NodeAgent& ag, const hw::Frame& f);
   void finish(NodeAgent& ag, std::uint32_t slot);
   void fail_join(NodeAgent& ag, std::uint32_t slot);
-  void watchdog(NodeAgent& ag, std::uint64_t sid);
 
   // Member side.
   void on_invite(NodeAgent& ag, const hw::Frame& f);
@@ -572,8 +555,8 @@ struct WorkloadGen::Impl {
     return rs.desc.id == sid ? &rs : nullptr;
   }
   // The root slot of live session `sid`, by a scan of the table (bounded by
-  // the node's peak live sessions), for the two callers that do not know
-  // the slot: the watchdog and a member's leave.
+  // the node's peak live sessions), for the one caller that does not know
+  // the slot: a member's leave.
   [[nodiscard]] static RootSession* find_root(NodeAgent& ag,
                                               std::uint64_t sid) {
     if (ag.free_roots.size() == ag.roots.size()) return nullptr;  // none live
@@ -608,9 +591,9 @@ struct WorkloadGen::Impl {
 // The counting pass walks the whole stream once and stores nothing: it
 // counts the sessions and each simulator's feed items, so every simulator
 // reserves its items' tickets as one block.  The block sits exactly where
-// the items' one-by-one reservations used to, and the cursors hand out
+// the items' one-by-one reservations used to, and the walks hand out
 // base + index in the order those reservations were made: per session,
-// start, watchdog, then each churn leave, each on its owning simulator.
+// its start, then each churn leave, each on its owning simulator.
 WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
     : sys(s), cfg(std::move(c)) {
   const SessionStream stream(cfg, seed, sys.num_nodes());
@@ -620,13 +603,12 @@ WorkloadGen::Impl::Impl(System& s, WorkloadConfig c, std::uint64_t seed)
   Leaves leaves;
   while (all.next(d, leaves, nullptr)) {
     ++sessions_total;
-    agent(d.root).feed->items += 2;
+    ++agent(d.root).feed->items;
     for (const Leave& l : leaves) ++agent(d.members[l.member]).feed->items;
   }
   for (const std::unique_ptr<ArrivalFeed>& f : feeds) {
     f->base = f->sim->reserve(f->items);
-    f->lead.live = advance(*f, f->lead, /*lead=*/true);
-    f->trail.live = advance(*f, f->trail, /*lead=*/false);
+    advance(*f);
     post_head(*f);
   }
 }
@@ -679,89 +661,71 @@ void WorkloadGen::Impl::install(const SessionStream& stream) {
   }
 }
 
-// Draws sessions until one is rooted on `f`'s simulator, numbering every
-// item the drawn sessions put there.  The lead cursor numbers member slots
-// and keeps the leaves; the trailing one only counts them.  Every shard
-// walks the whole stream and keeps only its own items, so nothing but
-// frames crosses shards (R7).  False once the stream is exhausted.
-bool WorkloadGen::Impl::advance(ArrivalFeed& f, Cursor& c, bool lead) {
+// Draws sessions until one is rooted on `f`'s simulator, numbering member
+// slots and every item the drawn sessions put there and keeping their
+// leaves.  Every shard walks the whole stream and keeps only its own items,
+// so nothing but frames crosses shards (R7).  Clears `f.live` once the
+// stream is exhausted.
+void WorkloadGen::Impl::advance(ArrivalFeed& f) {
   Leaves leaves;
-  while (c.stream.next(c.d, leaves,
-                       lead ? f.member_slots.data() : nullptr)) {
-    const bool here = agent(c.d.root).feed == &f;
-    const std::uint64_t first = c.index;
-    if (here) c.index += 2;  // start, watchdog
+  while (f.stream.next(f.next, leaves, f.member_slots.data())) {
+    const bool here = agent(f.next.root).feed == &f;
+    if (here) f.next_seq = f.base.seq + f.index++;
     for (const Leave& l : leaves) {
-      const int m = c.d.members[l.member];
+      const int m = f.next.members[l.member];
       if (agent(m).feed != &f) continue;
-      if (lead) {
-        // Earliest the member could be active; if the invite never arrived
-        // (faults) the leave finds no local session and is a no-op.
-        f.leaves.push({c.d.start + kAllocTimeout + kInviteTimeout + l.offset,
-                       f.base.seq + c.index, c.d.id, c.d.root, m,
-                       c.d.member_slot[l.member]});
-      }
-      ++c.index;
+      // Earliest the member could be active; if the invite never arrived
+      // (faults) the leave finds no local session and is a no-op.
+      f.leaves.push({f.next.start + kAllocTimeout + kInviteTimeout + l.offset,
+                     f.base.seq + f.index++, f.next.id, f.next.root, m,
+                     f.next.member_slot[l.member]});
     }
     if (here) {
-      c.seq = f.base.seq + first;
-      return true;
+      f.live = true;
+      return;
     }
   }
-  return false;
+  f.live = false;
 }
 
-// Queues the earliest head of the feed's three sources on its ticket.
+// True when the feed's earliest item is its next start rather than its
+// earliest leave.  Tickets are unique, so (time, seq) never ties.
+bool WorkloadGen::Impl::start_is_head(const ArrivalFeed& f) {
+  if (!f.live) return false;
+  if (f.leaves.empty()) return true;
+  const LeaveItem& l = f.leaves.top();
+  return f.next.start != l.at ? f.next.start < l.at : f.next_seq < l.seq;
+}
+
+// Queues the earliest item of the feed's two sources on its ticket.
 void WorkloadGen::Impl::post_head(ArrivalFeed& f) {
-  bool any = false;
   sim::SimTime at = 0;
   std::uint64_t seq = 0;
-  auto offer = [&](sim::SimTime a, std::uint64_t s, ArrivalFeed::Head h) {
-    if (!any || a < at || (a == at && s < seq)) {
-      any = true;
-      at = a;
-      seq = s;
-      f.head = h;
-    }
-  };
-  if (f.lead.live) offer(f.lead.d.start, f.lead.seq, ArrivalFeed::Head::kStart);
-  if (f.trail.live) {
-    offer(f.trail.d.start + kTtlEff, f.trail.seq + 1,
-          ArrivalFeed::Head::kWatchdog);
+  if (start_is_head(f)) {
+    at = f.next.start;
+    seq = f.next_seq;
+  } else if (!f.leaves.empty()) {
+    at = f.leaves.top().at;
+    seq = f.leaves.top().seq;
+  } else {
+    return;
   }
-  if (!f.leaves.empty()) {
-    offer(f.leaves.top().at, f.leaves.top().seq, ArrivalFeed::Head::kLeave);
-  }
-  if (!any) return;
   // vorx-lint: allow(R8) f is owned by Impl's feed table for the whole run
   f.sim->post_at(at, sim::EventTicket{seq}, [this, &f] { fire_head(f); });
 }
 
 void WorkloadGen::Impl::fire_head(ArrivalFeed& f) {
-  switch (f.head) {
-    case ArrivalFeed::Head::kStart: {
-      const SessionDesc d = f.lead.d;
-      f.lead.live = advance(f, f.lead, /*lead=*/true);
-      post_head(f);
-      start_session(agent(d.root), d);
-      break;
-    }
-    case ArrivalFeed::Head::kWatchdog: {
-      const std::uint64_t sid = f.trail.d.id;
-      NodeAgent& root = agent(f.trail.d.root);
-      f.trail.live = advance(f, f.trail, /*lead=*/false);
-      post_head(f);
-      watchdog(root, sid);
-      break;
-    }
-    case ArrivalFeed::Head::kLeave: {
-      const LeaveItem it = f.leaves.top();
-      f.leaves.pop();
-      post_head(f);
-      member_leave(agent(it.node), it);
-      break;
-    }
+  if (start_is_head(f)) {
+    const SessionDesc d = f.next;
+    advance(f);
+    post_head(f);
+    start_session(agent(d.root), d);
+    return;
   }
+  const LeaveItem it = f.leaves.top();
+  f.leaves.pop();
+  post_head(f);
+  member_leave(agent(it.node), it);
 }
 
 // The member-side GC feed: one per node, fed in deadline order by
@@ -1020,20 +984,6 @@ void WorkloadGen::Impl::fail_join(NodeAgent& ag, std::uint32_t slot) {
   resolve(ag, slot);
 }
 
-// The last line of accounting: any session still unresolved ttl after its
-// start is LOST.  This must stay zero — every recovery path above is
-// supposed to drive the session to completed or failed on its own.
-void WorkloadGen::Impl::watchdog(NodeAgent& ag, std::uint64_t sid) {
-  RootSession* r = find_root(ag, sid);
-  if (r == nullptr) return;  // resolved long ago
-  if (r->host >= 0) send_free(ag, r->host, sid);
-  if (r->phase == kActive) {
-    ag.active_log.emplace_back(ag.node->simulator().now(), -1);
-  }
-  ++ag.lost;
-  resolve(ag, slot_of(ag, *r));
-}
-
 void WorkloadGen::Impl::send_free(NodeAgent& ag, hw::StationId host,
                                   std::uint64_t sid) {
   hw::Frame f;
@@ -1184,7 +1134,10 @@ WorkloadReport WorkloadGen::report() {
   for (const auto& ag : impl_->node_agents) {
     r.completed += ag->completed;
     r.failed_joins += ag->failed_joins;
-    r.lost += ag->lost;
+    // The last line of accounting: a session still in its root slot at the
+    // run's end outlived kTtlEff, so it is LOST.  This must stay zero —
+    // every recovery path above drives a session to completed or failed.
+    r.lost += ag->roots.size() - ag->free_roots.size();
     r.alloc_attempts += ag->alloc_attempts;
     r.alloc_denied += ag->alloc_denied;
     r.alloc_timeouts += ag->alloc_timeouts;

@@ -77,9 +77,10 @@ struct WorkloadConfig {
 struct WorkloadReport {
   // Session accounting.  The invariant the CI gate asserts:
   //   completed + failed_joins + lost == sessions_total, and lost == 0.
-  // "Lost" means the root watchdog found a session that neither completed
-  // nor reported failure — an unreported loss, i.e. a bug in a recovery
-  // path, never an acceptable outcome of a fault.
+  // "Lost" means a session still held in its root slot when the run ends,
+  // longer than any session can live: it neither completed nor reported
+  // failure — an unreported loss, i.e. a bug in a recovery path, never an
+  // acceptable outcome of a fault.
   std::uint64_t sessions_total = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed_joins = 0;
@@ -95,7 +96,7 @@ struct WorkloadReport {
   std::uint64_t members_joined = 0;
   std::uint64_t members_pruned = 0;
   std::uint64_t churn_leaves = 0;
-  std::uint64_t member_gc = 0;      // member-side watchdog cleanups
+  std::uint64_t member_gc = 0;      // member slots reclaimed without a bye
   std::uint64_t stubs_granted = 0;
   std::uint64_t stubs_killed = 0;   // by host crashes
 
@@ -176,7 +177,7 @@ class WorkloadGen {
   WorkloadGen& operator=(const WorkloadGen&) = delete;
   ~WorkloadGen();
 
-  /// Runs the machine until every session (and watchdog) has resolved.
+  /// Runs the machine until every session that is not lost has resolved.
   void run();
 
   /// Merged, deterministic run summary (call after run()).

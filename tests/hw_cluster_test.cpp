@@ -96,20 +96,16 @@ TEST(Cluster, ContendedOutputServesInputsRoundRobin) {
   };
   // Inputs 0, 1, 2 each feed 4 frames for output 3.
   for (int p = 0; p < 3; ++p) {
-    auto feed = std::make_shared<std::function<void()>>();
     auto sent = std::make_shared<int>(0);
     Link* in = rig.ins[static_cast<size_t>(p)].get();
-    // Keep-alive comes from the ready callback's copy of `feed`; capturing
-    // `feed` here too would make the shared_ptr self-referential and leak.
-    *feed = [in, p, sent] {
+    auto feed = [in, p, sent](int) {
       while (*sent < 4 && in->ready()) {
-        Frame f = frame_to(3, 64, static_cast<std::uint64_t>(p));
-        in->send(std::move(f));
+        in->send(frame_to(3, 64, static_cast<std::uint64_t>(p)));
         ++*sent;
       }
     };
-    rig.senders[static_cast<size_t>(p)]->ready = [feed](int) { (*feed)(); };
-    (*feed)();
+    rig.senders[static_cast<size_t>(p)]->ready = feed;
+    feed(p);
   }
   sim.run();
   ASSERT_EQ(src_order.size(), 12u);
@@ -182,8 +178,7 @@ TEST(Cluster, BackpressurePropagatesUpstream) {
   // holds 2, so at most 4 frames can leave the sender before it stalls.
   int sent = 0;
   Link* in = rig.ins[0].get();
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [in, &sent] {
+  auto feed = [in, &sent](int) {
     while (sent < 10 && in->ready()) {
       Frame f;
       f.dst = 2;
@@ -192,8 +187,8 @@ TEST(Cluster, BackpressurePropagatesUpstream) {
       ++sent;
     }
   };
-  rig.senders[0]->ready = [feed](int) { (*feed)(); };
-  (*feed)();
+  rig.senders[0]->ready = feed;
+  feed(0);
   sim.run();
   EXPECT_LE(sent, 5);  // 2 downstream + 2 input fifo + 1 in transit
   EXPECT_LT(sent, 10);

@@ -244,7 +244,7 @@ TEST(LatencySamples, HorizonTooLongForMicrosecondSamplesIsRejected) {
   System sys(sim, SystemConfig{});
   WorkloadConfig wcfg;
   wcfg.users = 10;
-  // 2^32 us is 71.6 min; a 72-minute day overflows before its watchdogs.
+  // 2^32 us is 71.6 min; a 72-minute day overflows before its run ends.
   wcfg.horizon = sim::sec(72 * 60);
   try {
     WorkloadGen gen(sys, wcfg, kSeed);
